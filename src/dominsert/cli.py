@@ -100,9 +100,14 @@ def cmd_reverse(args):
             payload = json.load(handle)
     else:
         payload = json.load(sys.stdin)
+    if not isinstance(payload, dict):
+        raise ValueError("reverse expects a JSON object with P and Q")
     p = tableaux.DominoTableau.from_json(payload["P"])
     q = tableaux.DominoTableau.from_json(payload["Q"])
-    core = int(payload.get("core", args.core))
+    try:
+        core = int(payload.get("core", args.core))
+    except TypeError:
+        raise ValueError(f"core must be an integer, got {payload['core']!r}") from None
     word = insertion.biword_reverse(p, q, core)
     perm = [bl.bottom for bl in word.letters]
     if words.is_signed_permutation(word.bottom) and all(

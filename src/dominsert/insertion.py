@@ -2,8 +2,13 @@
 
 The growth-rule formulation is taken as the authoritative semantics; the
 bumping procedure is implemented independently and the two are compared
-square-for-square in the test suite.  Both directions share the same local
-rules, so a growth diagram can be rebuilt from its boundary chains.
+square-for-square in the test suite.
+
+Each edge of a growth diagram is labelled by the domino it adds, a plain
+``(row, col, orient)`` tuple, or None.  A square's local rule reads its two
+near labels and at most one row or column length of a corner.  Growth runs
+row by row; the reverse keeps one row of shapes and validates once, by
+regrowing the recovered matrix.
 """
 
 from __future__ import annotations
@@ -11,15 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (
+    HORIZONTAL,
+    VERTICAL,
     DominoShape,
-    add_domino,
-    add_two_to_col,
-    add_two_to_row,
     as_partition,
     col_height,
     domino_of_cells,
+    lift_domino,
     part,
     partition_str,
+    place_domino,
     skew_domino,
     staircase,
     staircase_order,
@@ -66,21 +72,11 @@ def insert_letter(tab, letter):
         r, c = cell
         return r <= len(rows) and c <= rows[r - 1]
 
-    def place(dom):
-        for r, c in sorted(dom.cells()):
-            while len(rows) < r:
-                rows.append(0)
-            if rows[r - 1] != c - 1:
-                raise ValueError(f"insertion produced a non-partition at {dom}")
-            rows[r - 1] = c
-        if not all(rows[i] >= rows[i + 1] for i in range(len(rows) - 1)):
-            raise ValueError("insertion produced a non-partition")
-
     if letter.barred:
         seed = DominoShape(len(rows) + 1, 1, "v")
     else:
         seed = DominoShape(1, (rows[0] if rows else 0) + 1, "h")
-    place(seed)
+    place_domino(rows, seed.row, seed.col, seed.orient)
     placed.append((value, seed))
 
     for other_value, dom in upper:
@@ -97,7 +93,7 @@ def insert_letter(tab, letter):
         else:
             target_col = dom.col + 1
             new = DominoShape(col_height(as_partition(rows), target_col) + 1, target_col, "v")
-        place(new)
+        place_domino(rows, new.row, new.col, new.orient)
         placed.append((other_value, new))
 
     return DominoTableau(tab.core, tuple(placed))
@@ -163,115 +159,100 @@ def validate_matrix(matrix):
     for row in matrix:
         if len(row) != n or any(entry not in (-1, 0, 1) for entry in row):
             raise ValueError("matrix entries must be 0 or +-1, in a square grid")
-        if sum(1 for entry in row if entry) != 1:
+        if n - row.count(0) != 1:
             raise ValueError("each row needs exactly one nonzero entry")
-    for j in range(n):
-        if sum(1 for row in matrix if row[j]) != 1:
+    for column in zip(*matrix):
+        if n - column.count(0) != 1:
             raise ValueError("each column needs exactly one nonzero entry")
+
+
+def _label(outer, inner):
+    """The domino outer/inner as an edge label, None when the shapes agree."""
+    if outer == inner:
+        return None
+    dom = skew_domino(outer, inner)
+    if dom is None:
+        raise ValueError(f"{partition_str(outer)}/{partition_str(inner)} is not a domino")
+    return (dom.row, dom.col, dom.orient)
+
+
+def _shift(dom, step):
+    """Move a domino down (horizontal) or right (vertical); a 2x2 block is a
+    domino and its shift by 1."""
+    row, col, orient = dom
+    return (row + step, col, orient) if orient == HORIZONTAL else (row, col + step, orient)
+
+
+def _with(lam, *doms):
+    rows = list(lam)
+    for dom in doms:
+        place_domino(rows, *dom)
+    return tuple(rows)
+
+
+def _grow(lam, mu, nu, a, b, entry):
+    """Forward rule on edge labels: a = mu/lam and b = nu/lam give (rho,
+    rho/mu, rho/nu).  Only a +-1 seed or a bump reads lam, and then one row
+    or column length."""
+    if entry:
+        if a or b:
+            raise ValueError("a +-1 square needs three equal corners")
+        seed = (1, part(lam, 1) + 1, HORIZONTAL) if entry == 1 else (len(lam) + 1, 1, VERTICAL)
+        return _with(lam, seed), seed, seed
+    if a is None:
+        return nu, b, None
+    if b is None:
+        return mu, None, a
+    if a == b:
+        # bump below (horizontal) or to the right (vertical)
+        row, col, orient = a
+        if orient == HORIZONTAL:
+            bumped = (row + 1, part(lam, row + 1) + 1, HORIZONTAL)
+        else:
+            bumped = (col_height(lam, col + 1) + 1, col + 1, VERTICAL)
+        return _with(lam, a, bumped), bumped, bumped
+    if a[:2] == b[:2]:
+        # one-cell overlap: the 2x2 block at the shared cell fills up
+        return _with(lam, a, _shift(a, 1)), _shift(a, 1), _shift(b, 1)
+    return _with(lam, a, b), b, a
+
+
+def _shrink(mu, c, d):
+    """Reverse rule on edge labels, the inverse of ``_grow``: c = rho/mu and
+    d = rho/nu give (lam, entry, mu/lam, nu/lam)."""
+    if d is None:
+        return mu, 0, None, c
+    a, b = d, c
+    if c == d:
+        row, col, orient = c
+        if orient == HORIZONTAL:
+            if row == 1:
+                return mu, 1, None, None
+            a = b = (row - 1, part(mu, row - 1) - 1, HORIZONTAL)
+        else:
+            if col == 1:
+                return mu, -1, None, None
+            a = b = (col_height(mu, col - 1) - 1, col - 1, VERTICAL)
+    elif c is not None and c[2] != d[2] and _shift(c, -1)[:2] == _shift(d, -1)[:2]:
+        a, b = _shift(c, -1), _shift(d, -1)
+    rows = list(mu)
+    lift_domino(rows, *a)
+    return tuple(rows), 0, a, b
 
 
 def local_rule(lam, mu, nu, entry):
     """Forward local rule: the fourth corner of a square from the other three."""
-    if entry == 1:
-        if not (lam == mu == nu):
-            raise ValueError("a +1 square needs three equal corners")
-        return add_two_to_row(lam, 1)
-    if entry == -1:
-        if not (lam == mu == nu):
-            raise ValueError("a -1 square needs three equal corners")
-        return add_two_to_col(lam, 1)
-    if lam == mu:
-        return nu
-    if lam == nu:
-        return mu
-    gamma = skew_domino(nu, lam)
-    gamma2 = skew_domino(mu, lam)
-    if gamma is None or gamma2 is None:
-        raise ValueError("adjacent shapes must differ by single dominoes")
-    shared = set(gamma.cells()) & set(gamma2.cells())
-    if not shared:
-        out = lam
-        for cell_pair in (gamma, gamma2):
-            out = add_domino(out, cell_pair)
-        return out
-    if len(shared) == 1:
-        ((k, l),) = shared
-        cell_set = set(gamma.cells()) | set(gamma2.cells()) | {(k + 1, l + 1)}
-        out = list(lam)
-        for r, c in sorted(cell_set):
-            while len(out) < r:
-                out.append(0)
-            if out[r - 1] != c - 1:
-                raise ValueError("one-cell overlap does not extend the shape")
-            out[r - 1] = c
-        return as_partition(out)
-    # gamma == gamma2: bump below (horizontal) or to the right (vertical)
-    grown = add_domino(lam, gamma)
-    if gamma.orient == "h":
-        return add_two_to_row(grown, gamma.row + 1)
-    return add_two_to_col(grown, gamma.col + 1)
+    if entry not in (-1, 0, 1):
+        raise ValueError(f"square entry must be 0 or +-1, got {entry}")
+    return _grow(lam, mu, nu, _label(mu, lam), _label(nu, lam), entry)[0]
 
 
 def local_rule_reverse(rho, mu, nu):
     """Recover (lam, entry) from the other three corners of a square."""
-    if mu == nu:
-        if rho == mu:
-            return mu, 0
-        dom = skew_domino(rho, mu)
-        if dom is None:
-            raise ValueError("square does not match any local rule")
-        if dom.orient == "h" and dom.row == 1:
-            lam, entry = mu, 1
-        elif dom.orient == "v" and dom.col == 1:
-            lam, entry = mu, -1
-        elif dom.orient == "h":
-            source_row = dom.row - 1
-            lam = as_partition(
-                tuple(p - 2 if r == source_row else p for r, p in enumerate(mu, start=1))
-            )
-            entry = 0
-        else:
-            source_col = dom.col - 1
-            height = col_height(mu, source_col)
-            if height < 2:
-                raise ValueError("square does not match any local rule")
-            rows = list(mu)
-            rows[height - 1] -= 1
-            rows[height - 2] -= 1
-            lam = as_partition(rows)
-            entry = 0
-    else:
-        if rho == mu:
-            lam, entry = nu, 0
-        elif rho == nu:
-            lam, entry = mu, 0
-        else:
-            union_cells = set(cells_list(mu)) | set(cells_list(nu))
-            missing = set(cells_list(rho)) - union_cells
-            inter = [
-                min(part(mu, r), part(nu, r))
-                for r in range(1, max(len(mu), len(nu)) + 1)
-            ]
-            lam = as_partition(inter)
-            if missing:
-                # rho carries the diagonal cell (k+1, l+1); strip (k, l) from
-                # the intersection to recover lam
-                if len(missing) != 1:
-                    raise ValueError("square does not match any local rule")
-                ((k, l),) = missing
-                rows = list(lam)
-                if k < 2 or l < 2 or k - 1 > len(rows) or rows[k - 2] != l - 1:
-                    raise ValueError("square does not match any local rule")
-                rows[k - 2] = l - 2
-                lam = as_partition(rows)
-            entry = 0
+    lam, entry, _, _ = _shrink(mu, _label(rho, mu), _label(rho, nu))
     if local_rule(lam, mu, nu, entry) != rho:
         raise ValueError("square does not match any local rule")
     return lam, entry
-
-
-def cells_list(lam):
-    return [(r, c) for r, length in enumerate(lam, start=1) for c in range(1, length + 1)]
 
 
 @dataclass(frozen=True)
@@ -329,59 +310,69 @@ class GrowthDiagram:
 
 
 def _vertical_growth(inner, outer):
-    if inner == outer:
-        return 0
-    dom = skew_domino(outer, inner)
-    return 1 if dom.orient == "v" else 0
+    dom = _label(outer, inner)
+    return 1 if dom and dom[2] == VERTICAL else 0
+
+
+def _grow_rows(matrix, base):
+    """Yield the rows grid[0], ..., grid[n] of the growth diagram, keeping
+    only the previous row's shapes and horizontal labels and the label of
+    the vertical edge left of the current square."""
+    n = len(matrix)
+    shapes = (base,) * (n + 1)
+    labels = [None] * n
+    yield shapes
+    for entries in matrix:
+        row = [base]
+        left = None
+        for j in range(n):
+            rho, labels[j], left = _grow(
+                shapes[j], row[j], shapes[j + 1], left, labels[j], entries[j]
+            )
+            row.append(rho)
+        shapes = tuple(row)
+        yield shapes
 
 
 def growth(matrix_or_word, core=0):
     """Fill the growth diagram of a signed permutation row by row."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         matrix = word_matrix(matrix_or_word)
-    elif matrix_or_word and isinstance(matrix_or_word[0], (tuple, list)):
-        matrix = tuple(tuple(row) for row in matrix_or_word)
     else:
-        matrix = tuple(matrix_or_word)
+        matrix = tuple(tuple(row) for row in matrix_or_word)
     validate_matrix(matrix)
-    n = len(matrix)
-    base = staircase(core)
-    grid = [[base] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            grid[i][j] = local_rule(
-                grid[i - 1][j - 1], grid[i][j - 1], grid[i - 1][j], matrix[i - 1][j - 1]
-            )
-    return GrowthDiagram(tuple(tuple(row) for row in grid), matrix, core)
+    return GrowthDiagram(tuple(_grow_rows(matrix, staircase(core))), matrix, core)
 
 
 def growth_reverse(p_chain, q_chain):
-    """Rebuild the matrix whose growth diagram has the given boundary chains."""
+    """Rebuild the matrix whose growth diagram has the given boundary chains.
+
+    Rows are peeled off from the P chain down, keeping one row of shapes and
+    its horizontal labels; the recovered matrix must regrow to both chains.
+    """
     p_chain = tuple(as_partition(s) for s in p_chain)
     q_chain = tuple(as_partition(s) for s in q_chain)
-    if len(p_chain) != len(q_chain):
-        raise ValueError("chains must have equal length")
-    if p_chain[-1] != q_chain[-1]:
-        raise ValueError("chains must end at the same shape")
+    if not p_chain or len(p_chain) != len(q_chain):
+        raise ValueError("chains must be nonempty and of equal length")
     if p_chain[0] != q_chain[0] or staircase_order(p_chain[0]) is None:
         raise ValueError("chains must start at the same staircase core")
     n = len(p_chain) - 1
-    core = p_chain[0]
-    grid = [[None] * (n + 1) for _ in range(n + 1)]
-    grid[n] = list(p_chain)
-    for i in range(n + 1):
-        grid[i][n] = q_chain[i]
-    matrix = [[0] * n for _ in range(n)]
+    shapes = list(p_chain)
+    labels = [_label(outer, inner) for inner, outer in zip(p_chain, p_chain[1:])]
+    matrix = [None] * n
     for i in range(n - 1, -1, -1):
+        entries = [0] * n
+        right = _label(q_chain[i + 1], q_chain[i])
         for j in range(n - 1, -1, -1):
-            lam, entry = local_rule_reverse(grid[i + 1][j + 1], grid[i + 1][j], grid[i][j + 1])
-            grid[i][j] = lam
-            matrix[i][j] = entry
-    for k in range(n + 1):
-        if grid[0][k] != core or grid[k][0] != core:
-            raise ValueError("chains do not come from an insertion")
-    matrix = tuple(tuple(row) for row in matrix)
+            shapes[j], entries[j], right, labels[j] = _shrink(shapes[j], labels[j], right)
+        matrix[i] = tuple(entries)
+    matrix = tuple(matrix)
     validate_matrix(matrix)
+    regrown_q = []
+    for row in _grow_rows(matrix, p_chain[0]):
+        regrown_q.append(row[n])
+    if row != p_chain or tuple(regrown_q) != q_chain:
+        raise ValueError("chains do not come from an insertion")
     return matrix
 
 

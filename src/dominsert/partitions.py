@@ -8,8 +8,10 @@ counted top-down, so the cell diagonally outwards from ``(k, l)`` is
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import neg
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -101,7 +103,7 @@ def part(lam, row):
 
 
 def col_height(lam, col):
-    return sum(1 for p in lam if p >= col)
+    return bisect_right(lam, -col, key=neg)
 
 
 def conjugate(lam):
@@ -122,6 +124,8 @@ def contains(outer, inner):
 
 def staircase(r):
     """The staircase (r, r-1, ..., 1); every 2-core has this form."""
+    if r < 0:
+        raise ValueError(f"core order must be nonnegative, got {r}")
     return tuple(range(r, 0, -1))
 
 
@@ -131,26 +135,48 @@ def staircase_order(lam):
     return r if lam == staircase(r) else None
 
 
+def place_domino(rows, row, col, orient):
+    """Add the domino (row, col, orient) to the row lengths ``rows`` in place,
+    checking only the rows it touches and the row above; a partition stays a
+    partition, and ``rows`` is unchanged on error."""
+    last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
+    if (
+        min(row, col) < 1
+        or part(rows, row) != col - 1
+        or part(rows, last) != col - 1
+        or (row > 1 and part(rows, row - 1) < end)
+    ):
+        raise ValueError(f"cannot add {(row, col, orient)} to {tuple(rows)}")
+    rows.extend([0] * (last - len(rows)))
+    rows[row - 1] = rows[last - 1] = end
+
+
+def lift_domino(rows, row, col, orient):
+    """Remove the domino (row, col, orient) from ``rows`` in place; the
+    inverse of ``place_domino``, dropping emptied rows."""
+    last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
+    if (
+        min(row, col) < 1
+        or part(rows, row) != end
+        or part(rows, last) != end
+        or part(rows, last + 1) >= col
+    ):
+        raise ValueError(f"cannot remove {(row, col, orient)} from {tuple(rows)}")
+    rows[row - 1] = rows[last - 1] = col - 1
+    while rows and not rows[-1]:
+        rows.pop()
+
+
 def add_domino(lam, dom):
     rows = list(lam)
-    for r, c in sorted(dom.cells()):
-        while len(rows) < r:
-            rows.append(0)
-        if rows[r - 1] != c - 1:
-            raise ValueError(f"cannot add {dom} to {lam}")
-        rows[r - 1] = c
-    return as_partition(rows)
+    place_domino(rows, dom.row, dom.col, dom.orient)
+    return tuple(rows)
 
 
 def remove_domino(lam, dom):
     rows = list(lam)
-    for r, c in sorted(dom.cells(), reverse=True):
-        if part(lam, r) < c:
-            raise ValueError(f"{dom} not inside {lam}")
-        if rows[r - 1] != c:
-            raise ValueError(f"cannot remove {dom} from {lam}")
-        rows[r - 1] = c - 1
-    return as_partition(rows)
+    lift_domino(rows, dom.row, dom.col, dom.orient)
+    return tuple(rows)
 
 
 def domino_successors(lam):
@@ -298,21 +324,6 @@ def skew_domino(outer, inner):
         return domino_of_cells(*diff)
     except ValueError:
         return None
-
-
-def add_two_to_row(lam, row):
-    """Append two cells to the given row, validating the partition shape."""
-    length = part(lam, row)
-    if row > 1 and part(lam, row - 1) < length + 2:
-        raise ValueError(f"cannot add two cells to row {row} of {lam}")
-    rows = list(lam) + [0] * max(0, row - len(lam))
-    rows[row - 1] += 2
-    return as_partition(rows)
-
-
-def add_two_to_col(lam, col):
-    """Append two cells to the given column, validating the partition shape."""
-    return conjugate(add_two_to_row(conjugate(lam), col))
 
 
 def partition_str(lam):

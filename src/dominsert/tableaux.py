@@ -181,11 +181,15 @@ class DominoTableau:
 
     @classmethod
     def from_json(cls, data):
-        entries = tuple(
-            (int(d["value"]), DominoShape(int(d["row"]), int(d["col"]), d["orient"]))
-            for d in data["dominoes"]
-        )
-        return cls(as_partition(data["core"]), entries)
+        try:
+            core = as_partition(data["core"])
+            entries = tuple(
+                (int(d["value"]), DominoShape(int(d["row"]), int(d["col"]), d["orient"]))
+                for d in data["dominoes"]
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed tableau: {exc}") from None
+        return cls(core, entries)
 
     def __str__(self):
         body = ", ".join(f"{value}:{dom.row},{dom.col},{dom.orient}" for value, dom in self.entries)

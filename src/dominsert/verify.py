@@ -49,7 +49,7 @@ def _record(identity, params, lhs, rhs, started):
         "lhs": lhs,
         "rhs": rhs,
         "pass": lhs == rhs,
-        "ms": round((time.time() - started) * 1000, 1),
+        "ms": round((time.perf_counter() - started) * 1000, 1),
     }
 
 
@@ -64,7 +64,7 @@ def _violations(identity, params, bad, total, started):
 
 
 def check_standard_bijection(n, core):
-    started = time.time()
+    started = time.perf_counter()
     perms = enumerate_signed_permutations(n)
     image = {}
     bad = []
@@ -90,7 +90,7 @@ def check_standard_bijection(n, core):
 
 
 def check_oracle_equivalence(n, core):
-    started = time.time()
+    started = time.perf_counter()
     perms = enumerate_signed_permutations(n)
     bad = []
     for pi in perms:
@@ -102,7 +102,7 @@ def check_oracle_equivalence(n, core):
 
 
 def check_color_to_spin(n, core):
-    started = time.time()
+    started = time.perf_counter()
     perms = enumerate_signed_permutations(n)
     bad = []
     for pi in perms:
@@ -120,7 +120,7 @@ def _strictly_left(dom_a, dom_b):
 
 
 def check_ascent_lemmas(n, core):
-    started = time.time()
+    started = time.perf_counter()
     perms = enumerate_signed_permutations(n)
     bad = []
     for pi in perms:
@@ -139,7 +139,7 @@ def check_ascent_lemmas(n, core):
 
 
 def check_inverse_symmetry(n, core):
-    started = time.time()
+    started = time.perf_counter()
     perms = enumerate_signed_permutations(n)
     bad = []
     for pi in perms:
@@ -175,7 +175,7 @@ def all_multiplicity_free(max_top, max_bottom, length, kind):
 
 
 def check_semistandard(length, core, max_value=2):
-    started = time.time()
+    started = time.perf_counter()
     biwords = all_colored_biwords(max_value, max_value, length)
     image = {}
     bad = []
@@ -218,7 +218,7 @@ def check_semistandard(length, core, max_value=2):
 
 
 def check_dual(length, core, max_value=2):
-    started = time.time()
+    started = time.perf_counter()
     duals = all_multiplicity_free(max_value, max_value, length, DUAL)
     coloreds = all_multiplicity_free(max_value, max_value, length, COLORED)
     image_alpha = {}
@@ -278,7 +278,7 @@ def check_dual(length, core, max_value=2):
 
 
 def check_involution_statistics(n, core):
-    started = time.time()
+    started = time.perf_counter()
     invs = enumerate_involutions(n)
     bad = []
     for pi in invs:
@@ -296,7 +296,7 @@ def check_involution_statistics(n, core):
 
 
 def check_split_sign_formula(max_size):
-    started = time.time()
+    started = time.perf_counter()
     bad = []
     total = 0
     for m in range(1, max_size + 1):
@@ -310,7 +310,7 @@ def check_split_sign_formula(max_size):
 
 
 def check_imbalance_via_dominoes(max_size):
-    started = time.time()
+    started = time.perf_counter()
     bad = []
     total = 0
     for m in range(1, max_size + 1):
@@ -327,7 +327,7 @@ def check_imbalance_via_dominoes(max_size):
 
 
 def check_pairing_involution(max_size):
-    started = time.time()
+    started = time.perf_counter()
     from .young import enumerate_syt, syt_sign
     from .tableaux import associated_young_tableau
 
@@ -359,7 +359,7 @@ def check_pairing_involution(max_size):
 
 
 def check_insertion_sign(n, core):
-    started = time.time()
+    started = time.perf_counter()
     invs = enumerate_involutions(n)
     bad = []
     for pi in invs:
@@ -369,21 +369,21 @@ def check_insertion_sign(n, core):
 
 
 def check_imbalance_polynomial(m):
-    started = time.time()
+    started = time.perf_counter()
     lhs = signimbalance.imbalance_polynomial(m)
     rhs = signimbalance.imbalance_target(m)
     return _record("imbalance-polynomial", {"m": m}, lhs, rhs, started)
 
 
 def check_imbalance_hooks(m):
-    started = time.time()
+    started = time.perf_counter()
     lhs = signimbalance.imbalance_polynomial_hooks(m)
     rhs = signimbalance.imbalance_target(m)
     return _record("imbalance-hook-restriction", {"m": m}, lhs, rhs, started)
 
 
 def check_signed_total(n):
-    started = time.time()
+    started = time.perf_counter()
     return _record(
         "signed-tableau-total",
         {"n": n},
@@ -396,7 +396,7 @@ def check_signed_total(n):
 def check_bar_toggle(n, core):
     """Toggling the bar on the lowest two-cycle reverses the sign and keeps
     the shape statistics."""
-    started = time.time()
+    started = time.perf_counter()
     invs = enumerate_involutions(n)
     bad = []
     for pi in invs:
@@ -435,7 +435,7 @@ def _toggle_lowest_two_cycle(pi):
 
 
 def check_vertical_parity_difference(max_dominoes, core):
-    started = time.time()
+    started = time.perf_counter()
     bad = []
     total = 0
     base = staircase(core)
@@ -452,7 +452,7 @@ def check_vertical_parity_difference(max_dominoes, core):
 
 
 def check_max_spin_split(max_dominoes, core):
-    started = time.time()
+    started = time.perf_counter()
     bad = []
     total = 0
     for n in range(max_dominoes + 1):
@@ -468,7 +468,7 @@ def check_max_spin_split(max_dominoes, core):
 
 
 def check_spin_square_sum(n, core):
-    started = time.time()
+    started = time.perf_counter()
     return _record(
         "spin-square-sum",
         {"n": n, "core": core},
@@ -479,7 +479,7 @@ def check_spin_square_sum(n, core):
 
 
 def check_involution_poly(n, cores=(0, 1, 2)):
-    started = time.time()
+    started = time.perf_counter()
     reference = involutions.involution_poly_recursive(n)
     sides = [involutions.involution_poly_direct(n), involutions.involution_poly_egf(n)]
     sides.extend(involutions.involution_poly(n, core) for core in cores)
@@ -489,7 +489,7 @@ def check_involution_poly(n, cores=(0, 1, 2)):
 
 
 def check_classical_counts(n):
-    started = time.time()
+    started = time.perf_counter()
     counts = involutions.classical_counts(n)
     lhs = f"{counts['sum_fsq']}, {counts['sum_f']}"
     rhs = f"{counts['factorial']}, {counts['involutions']}"
@@ -497,7 +497,7 @@ def check_classical_counts(n):
 
 
 def check_spin_poly_examples():
-    started = time.time()
+    started = time.perf_counter()
     lhs = f"{tableaux.spin_poly((3, 1, 1))}; {tableaux.spin_poly((2, 2))}"
     rhs = "2*s; 1 + s^2"
     return _record("spin-poly-examples", {}, lhs, rhs, started)
@@ -508,7 +508,7 @@ def check_spin_poly_examples():
 
 
 def check_domino_function_examples():
-    started = time.time()
+    started = time.perf_counter()
     q = MPoly.var("s", PARAMS, power=2)
     s = MPoly.var("s", PARAMS)
     lhs = series.domino_function((2, 2), 2, 4)
@@ -521,25 +521,25 @@ def check_domino_function_examples():
 
 
 def check_cauchy(core, nx, bound):
-    started = time.time()
+    started = time.perf_counter()
     lhs, rhs = series.check_cauchy(core, nx, bound)
     return _record("cauchy", {"core": core, "vars": nx, "degree": bound}, lhs, rhs, started)
 
 
 def check_dual_cauchy(core, nx, bound):
-    started = time.time()
+    started = time.perf_counter()
     lhs, rhs = series.check_dual_cauchy(core, nx, bound)
     return _record("dual-cauchy", {"core": core, "vars": nx, "degree": bound}, lhs, rhs, started)
 
 
 def check_weighted_series(core, nx, bound):
-    started = time.time()
+    started = time.perf_counter()
     lhs, rhs = series.check_weighted_sum(core, nx, bound)
     return _record("weighted-series-product", {"core": core, "vars": nx, "degree": bound}, lhs, rhs, started)
 
 
 def check_series_core_independence(nx, bound, cores=(0, 1, 2)):
-    started = time.time()
+    started = time.perf_counter()
     sums = [series.weighted_domino_sum(core, nx, bound) for core in cores]
     lhs = "\n==\n".join(str(s) for s in sums)
     rhs = "\n==\n".join(str(sums[0]) for _ in sums)
@@ -547,7 +547,7 @@ def check_series_core_independence(nx, bound, cores=(0, 1, 2)):
 
 
 def check_specializations(nx, bound):
-    started = time.time()
+    started = time.perf_counter()
     results = []
     lhs, rhs = series.specialization_square(nx, bound)
     results.append(lhs == rhs)

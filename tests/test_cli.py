@@ -158,6 +158,32 @@ def test_reverse_error_paths(capsys, tmp_path, monkeypatch):
     assert code == 2 and "error" in err
 
 
+def test_negative_core_rejected(capsys):
+    for argv in (("insert", "1", "--core", "-1"), ("growth", "2' 1", "--core", "-3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"P": 5, "Q": 5},
+        [1, 2],
+        {"P": {"core": 5, "dominoes": []}, "Q": {"core": [], "dominoes": []}},
+        {"P": {"core": [], "dominoes": [5]}, "Q": {"core": [], "dominoes": []}},
+        {"P": {"core": [], "dominoes": []}, "Q": {"core": [], "dominoes": []}, "core": None},
+    ],
+)
+def test_reverse_rejects_malformed_payload(capsys, monkeypatch, payload):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, _, err = run_cli(capsys, "reverse")
+    assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dominsert.partitions import DominoShape, staircase
 from dominsert.insertion import (
@@ -189,21 +190,24 @@ def test_inverse_symmetry():
             assert result.p == other.q and result.q == other.p
 
 
-def scrambled_growth_grid(word, core):
-    """Fill the squares column-major instead of row-major."""
-    from dominsert.insertion import local_rule, word_matrix
-    from dominsert.partitions import staircase
-
+def grid_from_local_rule(word, core, column_major=False):
+    """Fill the squares one by one with the shape-level local rule."""
     matrix = word_matrix(word)
     n = len(matrix)
-    base = staircase(core)
-    grid = [[base] * (n + 1) for _ in range(n + 1)]
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            grid[i][j] = local_rule(
-                grid[i - 1][j - 1], grid[i][j - 1], grid[i - 1][j], matrix[i - 1][j - 1]
-            )
+    grid = [[staircase(core)] * (n + 1) for _ in range(n + 1)]
+    squares = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    if column_major:
+        squares.sort(key=lambda square: (square[1], square[0]))
+    for i, j in squares:
+        grid[i][j] = local_rule(
+            grid[i - 1][j - 1], grid[i][j - 1], grid[i - 1][j], matrix[i - 1][j - 1]
+        )
     return tuple(tuple(row) for row in grid)
+
+
+def scrambled_growth_grid(word, core):
+    """Fill the squares column-major instead of row-major."""
+    return grid_from_local_rule(word, core, column_major=True)
 
 
 def test_growth_order_independent():
@@ -242,3 +246,69 @@ def test_growth_str_shapes():
     assert lines[-1].strip().startswith("()")
     celled = growth_str(growth(parse_word("2' 1"), 0), cells=True)
     assert "#" in celled
+
+
+@st.composite
+def signed_permutations(draw, max_n=60):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    values = draw(st.permutations(range(1, n + 1)))
+    bars = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return tuple(Letter(value, barred) for value, barred in zip(values, bars))
+
+
+cores = st.integers(min_value=0, max_value=2)
+
+
+@settings(max_examples=30)
+@given(signed_permutations(), cores)
+def test_labelled_growth_matches_shape_rule(word, core):
+    assert growth(word, core).grid == grid_from_local_rule(word, core)
+
+
+@settings(max_examples=40)
+@given(signed_permutations(), cores)
+def test_growth_reverse_inverts_growth(word, core):
+    diagram = growth(word, core)
+    assert growth_reverse(diagram.p_chain(), diagram.q_chain()) == diagram.matrix
+
+
+@settings(max_examples=40)
+@given(signed_permutations(), cores)
+def test_bumping_agrees_with_growth(word, core):
+    result = insert_word(word, core)
+    diagram = growth(word, core)
+    assert diagram.p_tableau() == result.p
+    assert diagram.q_tableau() == result.q
+
+
+@settings(max_examples=60)
+@given(
+    signed_permutations(max_n=20),
+    cores,
+    st.sampled_from(("swap", "skip", "stall")),
+    st.data(),
+)
+def test_growth_reverse_rejects_corrupted_chains(word, core, corruption, data):
+    """A corrupted pair of chains is a ValueError, never an IndexError."""
+    diagram = growth(word, core)
+    p, q = list(diagram.p_chain()), list(diagram.q_chain())
+    n = len(word)
+    if corruption == "swap":
+        # exchange two neighbouring interior shapes of P
+        if n < 3:
+            return
+        k = data.draw(st.integers(min_value=1, max_value=n - 2))
+        p[k], p[k + 1] = p[k + 1], p[k]
+    elif corruption == "skip":
+        # drop one interior shape from each chain
+        if n < 2:
+            return
+        del p[data.draw(st.integers(min_value=1, max_value=n - 1))]
+        del q[data.draw(st.integers(min_value=1, max_value=n - 1))]
+    else:
+        # repeat one shape in each chain: every step adds a domino or nothing
+        for chain in (p, q):
+            k = data.draw(st.integers(min_value=0, max_value=n))
+            chain.insert(k, chain[k])
+    with pytest.raises(ValueError):
+        growth_reverse(p, q)

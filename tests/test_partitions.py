@@ -5,8 +5,6 @@ from hypothesis import given, strategies as st
 
 from dominsert.partitions import (
     DominoShape,
-    add_two_to_col,
-    add_two_to_row,
     as_partition,
     conjugate,
     d_stat,
@@ -14,7 +12,9 @@ from dominsert.partitions import (
     domino_successors,
     enumerate_partitions,
     enumerate_with_core,
+    lift_domino,
     odd_rows,
+    place_domino,
     shape_stats,
     size,
     staircase,
@@ -57,6 +57,8 @@ def test_staircase():
     assert staircase(3) == (3, 2, 1)
     assert staircase_order((2, 1)) == 2
     assert staircase_order((2, 2)) is None
+    with pytest.raises(ValueError):
+        staircase(-1)
 
 
 def test_two_core_examples():
@@ -168,17 +170,29 @@ def test_enumerate_with_core_against_filter():
             assert enumerate_with_core(r, n) == expected, (r, n)
 
 
-def test_add_two_helpers():
-    assert add_two_to_row((3, 1), 1) == (5, 1)
-    assert add_two_to_row((3, 1), 2) == (3, 3)
-    assert add_two_to_col((3, 1), 1) == (3, 1, 1, 1)
-    assert add_two_to_col((1, 1), 2) == (2, 2)
+def test_place_and_lift_domino_against_cells():
+    # oracle: a move is legal when it leaves the diagram of a partition
+    def diagram(lengths):
+        return {(r, c) for r, p in enumerate(lengths, start=1) for c in range(1, p + 1)}
 
+    def shape_of(cells):
+        lengths = [sum(1 for r, _ in cells if r == k) for k in range(1, 12)]
+        if lengths != sorted(lengths, reverse=True) or diagram(lengths) != cells:
+            return None
+        return as_partition(lengths)
 
-def test_add_two_validation():
-    with pytest.raises(ValueError):
-        add_two_to_row((1,), 2)  # (1, 2) is not a partition
-    with pytest.raises(ValueError):
-        add_two_to_row((2, 2), 2)
-    with pytest.raises(ValueError):
-        add_two_to_col((2, 2), 2)
+    for lam in all_shapes(7):
+        for row, col, orient in itertools.product(range(-1, len(lam) + 3), range(-1, 9), "hv"):
+            dom = {(row, col), (row, col + 1) if orient == "h" else (row + 1, col)}
+            for move, cells in ((place_domino, diagram(lam) | dom), (lift_domino, diagram(lam) - dom)):
+                want = None
+                if row >= 1 and col >= 1 and len(cells) == size(lam) + (2 if move is place_domino else -2):
+                    want = shape_of(cells)
+                rows = list(lam)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        move(rows, row, col, orient)
+                    assert rows == list(lam)
+                else:
+                    move(rows, row, col, orient)
+                    assert tuple(rows) == want
