@@ -255,15 +255,14 @@ def _emit_records(records, fmt):
 
 
 def cmd_verify(args):
+    # only the sizes given on the command line; the suites own the defaults
     sizes = {
-        "n": args.n,
-        "length": args.length,
-        "max_size": args.max_size,
-        "vars": args.vars,
-        "degree": args.degree,
-        "poly_n": args.poly_n,
-        "cores": tuple(int(c) for c in args.cores.split(",")),
+        name: getattr(args, name)
+        for name in ("n", "length", "max_size", "vars", "degree", "poly_n")
+        if getattr(args, name) is not None
     }
+    if args.cores is not None:
+        sizes["cores"] = tuple(int(c) for c in args.cores.split(","))
     records = verify.run_suite(args.suite, sizes, jobs=args.jobs)
     return _emit_records(records, args.format)
 
@@ -327,13 +326,13 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES + ("all",))
-    p_verify.add_argument("--n", type=int, default=4, help="word length bound")
-    p_verify.add_argument("--length", type=int, default=4, help="biword length bound")
-    p_verify.add_argument("--max-size", type=int, default=8, help="shape size bound for sign checks")
-    p_verify.add_argument("--vars", type=int, default=2)
-    p_verify.add_argument("--degree", type=int, default=3)
-    p_verify.add_argument("--poly-n", type=int, default=6)
-    p_verify.add_argument("--cores", default="0,1,2")
+    p_verify.add_argument("--n", type=int, help="word length bound")
+    p_verify.add_argument("--length", type=int, help="biword length bound")
+    p_verify.add_argument("--max-size", type=int, help="shape size bound for sign checks")
+    p_verify.add_argument("--vars", type=int)
+    p_verify.add_argument("--degree", type=int)
+    p_verify.add_argument("--poly-n", type=int)
+    p_verify.add_argument("--cores", help="comma-separated core orders")
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_verify.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_verify.set_defaults(func=cmd_verify)

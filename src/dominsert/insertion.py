@@ -13,7 +13,9 @@ regrowing the recovered matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .partitions import (
     HORIZONTAL,
@@ -30,7 +32,7 @@ from .partitions import (
     staircase,
     staircase_order,
 )
-from .tableaux import DominoTableau, empty_tableau, tableau_from_chain
+from .tableaux import DominoTableau, empty_tableau, tableau_from_chain, tiled_shape
 from .words import (
     COLORED,
     DUAL,
@@ -60,17 +62,13 @@ def insert_letter(tab, letter):
     (horizontal) or column (vertical).
     """
     value = letter.value
-    if value in tab.values():
+    split = bisect_left(tab.entries, value, key=itemgetter(0))
+    if split < len(tab) and tab.entries[split][0] == value:
         raise ValueError(f"value {value} already present")
-    lower = [e for e in tab.entries if e[0] < value]
-    upper = [e for e in tab.entries if e[0] > value]
+    lower, upper = tab.entries[:split], tab.entries[split:]
 
     placed = list(lower)
-    rows = list(DominoTableau(tab.core, tuple(lower)).shape())
-
-    def occupied(cell):
-        r, c = cell
-        return r <= len(rows) and c <= rows[r - 1]
+    rows = list(tiled_shape(tab.core, lower))
 
     if letter.barred:
         seed = DominoShape(len(rows) + 1, 1, "v")
@@ -80,7 +78,7 @@ def insert_letter(tab, letter):
     placed.append((value, seed))
 
     for other_value, dom in upper:
-        inside = [cell for cell in dom.cells() if occupied(cell)]
+        inside = [(r, c) for r, c in dom.cells() if c <= part(rows, r)]
         if len(inside) == 0:
             new = dom
         elif len(inside) == 1:
@@ -89,10 +87,10 @@ def insert_letter(tab, letter):
             new = domino_of_cells(free, (k + 1, l + 1))
         elif dom.orient == "h":
             target_row = dom.row + 1
-            new = DominoShape(target_row, part(as_partition(rows), target_row) + 1, "h")
+            new = DominoShape(target_row, part(rows, target_row) + 1, "h")
         else:
             target_col = dom.col + 1
-            new = DominoShape(col_height(as_partition(rows), target_col) + 1, target_col, "v")
+            new = DominoShape(col_height(rows, target_col) + 1, target_col, "v")
         place_domino(rows, new.row, new.col, new.orient)
         placed.append((other_value, new))
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .insertion import insert_word
 from .partitions import d_stat, enumerate_with_core, odd_rows, conjugate, staircase, two_quotient, size
 from .polynomials import MPoly, PARAMS, SPIN, one_plus_q
+from .series import shape_weight
 from .tableaux import spin_poly
 from .words import enumerate_involutions, involution_profile
 from .young import hook_count, involution_number
@@ -74,25 +75,12 @@ def check_insertion_sign(pi, core=0):
     return StatComparison("insertion sign", tableau_sign(tab), (-1) ** profile.barred_two_cycles)
 
 
-def _shape_weight(lam, core):
-    base = staircase(core)
-    o_diff = odd_rows(lam) - odd_rows(base)
-    oc_diff = odd_rows(conjugate(lam)) - odd_rows(base)
-    if o_diff % 2 or oc_diff % 2:
-        raise ValueError(f"odd-row difference is not even for {lam}")
-    return (
-        MPoly.var("a", PARAMS, power=o_diff // 2)
-        * MPoly.var("b", PARAMS, power=oc_diff // 2)
-        * MPoly.var("c", PARAMS, power=d_stat(lam) - d_stat(base))
-    )
-
-
 def involution_poly(n, core=0):
     """Sum over shapes with n dominoes of a^.. b^.. c^.. times the spin
     polynomial; independent of the core."""
     total = MPoly.zero(PARAMS)
     for lam in enumerate_with_core(core, n):
-        total = total + _shape_weight(lam, core) * spin_poly(lam).lift(PARAMS)
+        total = total + shape_weight(lam, core) * spin_poly(lam).lift(PARAMS)
     return total
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from operator import neg
 
 HORIZONTAL = "h"
@@ -110,12 +111,6 @@ def conjugate(lam):
     if not lam:
         return ()
     return tuple(col_height(lam, c) for c in range(1, lam[0] + 1))
-
-
-def cells(lam):
-    for r, length in enumerate(lam, start=1):
-        for c in range(1, length + 1):
-            yield (r, c)
 
 
 def contains(outer, inner):
@@ -305,25 +300,24 @@ def enumerate_with_core(r, n):
     return tuple(sorted(current))
 
 
-def skew_cells(outer, inner):
-    if not contains(outer, inner):
-        raise ValueError(f"{inner} is not contained in {outer}")
-    out = []
-    for r in range(1, len(outer) + 1):
-        for c in range(part(inner, r) + 1, part(outer, r) + 1):
-            out.append((r, c))
-    return out
-
-
 def skew_domino(outer, inner):
-    """The skew outer/inner as a domino placement, or None if not a domino."""
-    diff = skew_cells(outer, inner)
-    if len(diff) != 2:
-        return None
-    try:
-        return domino_of_cells(*diff)
-    except ValueError:
-        return None
+    """The skew outer/inner as a domino placement, or None if not a domino;
+    compares row lengths only."""
+    grown = []
+    for r, (length, inner_length) in enumerate(zip_longest(outer, inner, fillvalue=0), start=1):
+        if length < inner_length:
+            raise ValueError(f"{inner} is not contained in {outer}")
+        if length > inner_length:
+            grown.append((r, length, inner_length))
+    if len(grown) == 1:
+        (r, length, inner_length), = grown
+        if length == inner_length + 2:
+            return DominoShape(r, length - 1, HORIZONTAL)
+    elif len(grown) == 2:
+        (r, length, _), below = grown
+        if below == (r + 1, length, length - 1):
+            return DominoShape(r, length, VERTICAL)
+    return None
 
 
 def partition_str(lam):

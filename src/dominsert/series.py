@@ -298,11 +298,17 @@ def dual_cauchy_product(nx, bound):
     return expand_product(factors, nx, nx, 2 * bound)
 
 
-def _shape_weight(lam, core):
+def shape_weight(lam, core):
+    """a^((o(lam) - o(core))/2) b^((o(lam') - o(core))/2) c^(d(lam) - d(core));
+    ValueError when an odd-row difference is odd."""
     base = staircase(core)
+    o_diff = odd_rows(lam) - odd_rows(base)
+    oc_diff = odd_rows(conjugate(lam)) - odd_rows(base)
+    if o_diff % 2 or oc_diff % 2:
+        raise ValueError(f"odd-row difference is not even for {lam}")
     return (
-        MPoly.var("a", PARAMS, power=(odd_rows(lam) - odd_rows(base)) // 2)
-        * MPoly.var("b", PARAMS, power=(odd_rows(conjugate(lam)) - odd_rows(base)) // 2)
+        MPoly.var("a", PARAMS, power=o_diff // 2)
+        * MPoly.var("b", PARAMS, power=oc_diff // 2)
         * MPoly.var("c", PARAMS, power=d_stat(lam) - d_stat(base))
     )
 
@@ -311,7 +317,7 @@ def weighted_domino_sum(core, nx, bound):
     """Three-parameter sum of a^.. b^.. c^.. G(X; q) over one 2-core class."""
     total = TruncatedSeries.zero(nx, 0, bound)
     for lam in shapes_up_to(core, bound):
-        total = total + domino_function(lam, nx, bound) * _shape_weight(lam, core)
+        total = total + domino_function(lam, nx, bound) * shape_weight(lam, core)
     return total
 
 

@@ -1,29 +1,29 @@
 """Standard and semistandard domino tableaux and their statistics.
 
 A tableau is a staircase core plus value-labelled domino placements tiling
-the skew shape.  Spin is half the number of vertical dominoes; to keep the
-arithmetic exact it is usually handled through the integer vertical count
-(the exponent of ``s``).
+the skew shape.  Its shape is validated once, on construction, by one pass
+over the core and the dominoes (``tiled_shape``), and stored.  Spin is half
+the number of vertical dominoes; to keep the arithmetic exact it is usually
+handled through the integer vertical count (the exponent of ``s``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (
+    HORIZONTAL,
     DominoShape,
     as_partition,
-    add_domino,
-    cells as cells_of,
     conjugate,
     contains,
-    domino_of_cells,
     domino_predecessors,
     domino_successors,
     partition_str,
+    place_domino,
     size,
-    skew_cells,
+    skew_domino,
     staircase,
     staircase_order,
     two_core,
@@ -31,39 +31,52 @@ from .partitions import (
 from .polynomials import MPoly, SPIN
 
 
+def tiled_shape(core, entries):
+    """Row lengths of a core plus (value, domino) entries, in one pass.
+
+    Each row is kept as a bit mask of its columns: a repeated cell shows as
+    a bit already set, the popcount is the row's cell count, and the row is
+    full when its mask is exactly the columns 1..count.  ValueError unless
+    no cell repeats, every row is full and the counts weakly decrease, that
+    is, unless the cells tile a partition shape.
+    """
+    masks = [(2 << p) - 2 for p in core]
+    cells = sum(core) + 2 * len(entries)
+    for _, dom in entries:
+        if dom.row + dom.col > cells:  # far cell (r, c) with r * c > cells; keeps masks small
+            raise ValueError("cells do not tile a partition shape")
+        i = dom.row - 1
+        if dom.orient == HORIZONTAL:
+            j, bits = i, 3 << dom.col
+        else:
+            j, bits = i + 1, 1 << dom.col
+        if j >= len(masks):
+            masks.extend([0] * (j + 1 - len(masks)))
+        if masks[i] & bits or masks[j] & bits:
+            raise ValueError(f"overlapping cell in {dom}")
+        masks[i] |= bits
+        masks[j] |= bits
+    counts = [mask.bit_count() for mask in masks]
+    if masks != [(2 << n) - 2 for n in counts] or counts != sorted(counts, reverse=True):
+        raise ValueError("cells do not tile a partition shape")
+    return tuple(counts)
+
+
 @dataclass(frozen=True)
 class DominoTableau:
     core: tuple
     entries: tuple  # (value, DominoShape) sorted by (value, row, col)
+    _shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if staircase_order(self.core) is None:
             raise ValueError(f"core {self.core} is not a staircase")
         ordered = tuple(sorted(self.entries, key=lambda e: (e[0], e[1].row, e[1].col)))
         object.__setattr__(self, "entries", ordered)
-        seen = set(cells_of(self.core))
-        for _, dom in ordered:
-            for cell in dom.cells():
-                if cell in seen:
-                    raise ValueError(f"overlapping cell {cell}")
-                seen.add(cell)
-        self.shape()  # raises when the cells do not form a partition
+        object.__setattr__(self, "_shape", tiled_shape(self.core, ordered))
 
     def shape(self):
-        rows = {}
-        for r, c in self.all_cells():
-            rows[r] = rows.get(r, 0) + 1
-        lengths = [rows.get(r, 0) for r in range(1, len(rows) + 1)]
-        lam = as_partition(lengths)
-        if set(cells_of(lam)) != set(self.all_cells()):
-            raise ValueError("cells do not tile a partition shape")
-        return lam
-
-    def all_cells(self):
-        out = list(cells_of(self.core))
-        for _, dom in self.entries:
-            out.extend(dom.cells())
-        return out
+        return self._shape
 
     def values(self):
         return tuple(value for value, _ in self.entries)
@@ -119,7 +132,7 @@ class DominoTableau:
     def is_semistandard(self):
         """Prefix shapes are partitions and each value class is a horizontal
         strip of dominoes (pairwise disjoint, increasing column ranges)."""
-        shape_so_far = self.core
+        rows = list(self.core)
         for value, dominoes in sorted(self.value_classes().items()):
             previous_max = 0
             for dom in sorted(dominoes, key=lambda d: d.col):
@@ -127,7 +140,7 @@ class DominoTableau:
                     return False
                 previous_max = dom.max_col
                 try:
-                    shape_so_far = add_domino(shape_so_far, dom)
+                    place_domino(rows, dom.row, dom.col, dom.orient)
                 except ValueError:
                     return False
         return True
@@ -137,11 +150,13 @@ class DominoTableau:
 
     def chain(self):
         """Shape chain of a standard tableau, from the core up."""
-        if not self.is_standard():
+        if self.values() != tuple(range(1, len(self.entries) + 1)):
             raise ValueError("chain is defined for standard tableaux")
+        rows = list(self.core)
         shapes = [self.core]
         for _, dom in self.entries:
-            shapes.append(add_domino(shapes[-1], dom))
+            place_domino(rows, dom.row, dom.col, dom.orient)
+            shapes.append(tuple(rows))
         return tuple(shapes)
 
     def standardized(self, columns=None):
@@ -208,10 +223,10 @@ def tableau_from_chain(shapes, values=None):
     for value, (inner, outer) in zip(values, zip(shapes, shapes[1:])):
         if inner == outer:
             raise ValueError("chain stalls")
-        diff = skew_cells(outer, inner)
-        if len(diff) != 2:
+        dom = skew_domino(outer, inner)
+        if dom is None:
             raise ValueError(f"{outer}/{inner} is not a domino")
-        entries.append((value, domino_of_cells(*diff)))
+        entries.append((value, dom))
     return DominoTableau(shapes[0], tuple(entries))
 
 

@@ -123,6 +123,17 @@ def test_verify_json_lines(capsys):
     }
 
 
+def test_verify_defaults_match_library(capsys):
+    # the CLI passes only the sizes it is given, so its record set is the library's
+    from dominsert.verify import run_suite
+
+    code, out, _ = run_cli(capsys, "verify", "dual", "--format", "json")
+    assert code == 0
+    cli = {(rec["identity"], json.dumps(rec["params"], sort_keys=True)) for rec in map(json.loads, out.splitlines())}
+    library = {(rec["identity"], json.dumps(rec["params"], sort_keys=True)) for rec in run_suite("dual")}
+    assert cli == library
+
+
 def test_verify_jobs_flag(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "insertion", "--n", "1", "--cores", "0", "--jobs", "2"

@@ -14,7 +14,7 @@ from dominsert.insertion import (
     matrix_word,
     word_matrix,
 )
-from dominsert.tableaux import empty_tableau, enumerate_standard
+from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard
 from dominsert.words import (
     Letter,
     enumerate_signed_permutations,
@@ -55,6 +55,34 @@ def test_insert_single_letters():
     plain = insert_word(parse_word("1"), 0)
     assert plain.p.entries == ((1, DominoShape(1, 1, H)),)
     assert plain.p == plain.q
+
+
+def test_insert_letter_over_a_core_and_a_vertical_domino():
+    # values spaced out so a letter can land between them; value 4 is a
+    # vertical domino below the core in every lower part used here
+    tab = DominoTableau(
+        (1,),
+        (
+            (2, DominoShape(1, 2, H)),
+            (4, DominoShape(2, 1, V)),
+            (6, DominoShape(1, 4, H)),
+            (8, DominoShape(2, 2, H)),
+            (10, DominoShape(4, 1, V)),
+            (12, DominoShape(6, 1, V)),
+        ),
+    )
+    expected = (
+        (Letter(5), "2:1,2,h, 4:2,1,v, 5:1,4,h, 6:2,2,h, 8:3,2,h, 10:4,1,v, 12:6,1,v", (5, 3, 3, 1, 1, 1, 1)),
+        (Letter(5, True), "2:1,2,h, 4:2,1,v, 5:4,1,v, 6:1,4,h, 8:2,2,h, 10:3,2,v, 12:6,1,v", (5, 3, 2, 2, 1, 1, 1)),
+        (Letter(7, True), "2:1,2,h, 4:2,1,v, 6:1,4,h, 7:4,1,v, 8:2,2,h, 10:3,2,v, 12:6,1,v", (5, 3, 2, 2, 1, 1, 1)),
+    )
+    for letter, entries, shape in expected:
+        out = insert_letter(tab, letter)
+        assert str(out) == f"[core (1) | {entries}]"
+        assert out.shape() == shape
+    for value in (4, 12):
+        with pytest.raises(ValueError):
+            insert_letter(tab, Letter(value, True))
 
 
 def test_insert_into_one_box_core():

@@ -17,6 +17,7 @@ from dominsert.partitions import (
     place_domino,
     shape_stats,
     size,
+    skew_domino,
     staircase,
     staircase_order,
     two_core,
@@ -170,11 +171,12 @@ def test_enumerate_with_core_against_filter():
             assert enumerate_with_core(r, n) == expected, (r, n)
 
 
+def diagram(lengths):
+    return {(r, c) for r, p in enumerate(lengths, start=1) for c in range(1, p + 1)}
+
+
 def test_place_and_lift_domino_against_cells():
     # oracle: a move is legal when it leaves the diagram of a partition
-    def diagram(lengths):
-        return {(r, c) for r, p in enumerate(lengths, start=1) for c in range(1, p + 1)}
-
     def shape_of(cells):
         lengths = [sum(1 for r, _ in cells if r == k) for k in range(1, 12)]
         if lengths != sorted(lengths, reverse=True) or diagram(lengths) != cells:
@@ -196,3 +198,22 @@ def test_place_and_lift_domino_against_cells():
                 else:
                     move(rows, row, col, orient)
                     assert tuple(rows) == want
+
+
+def test_skew_domino_against_cells():
+    # oracle: the cell set difference, read as a domino when it is two
+    # edge-adjacent cells
+    for outer, inner in itertools.product(all_shapes(8), repeat=2):
+        if not diagram(inner) <= diagram(outer):
+            with pytest.raises(ValueError):
+                skew_domino(outer, inner)
+            continue
+        want = None
+        diff = sorted(diagram(outer) - diagram(inner))
+        if len(diff) == 2:
+            (r1, c1), (r2, c2) = diff
+            if (r2, c2) == (r1, c1 + 1):
+                want = DominoShape(r1, c1, "h")
+            elif (r2, c2) == (r1 + 1, c1):
+                want = DominoShape(r1, c1, "v")
+        assert skew_domino(outer, inner) == want, (outer, inner)

@@ -1,6 +1,9 @@
-import pytest
+import itertools
 
-from dominsert.partitions import DominoShape, enumerate_with_core, conjugate, staircase
+import pytest
+from hypothesis import given, strategies as st
+
+from dominsert.partitions import DominoShape, domino_successors, enumerate_with_core, conjugate, staircase
 from dominsert.polynomials import MPoly, SPIN
 from dominsert.tableaux import (
     DominoTableau,
@@ -102,6 +105,83 @@ def test_validation():
     )
     assert not stacked.is_semistandard()
     assert stacked.is_column_semistandard()
+
+
+def tiling_oracle(core, placements):
+    """The partition tiled by core plus (row, col, orient) placements, or
+    None; built from cell sets alone."""
+    cells = [(r, c) for r, p in enumerate(core, start=1) for c in range(1, p + 1)]
+    for row, col, orient in placements:
+        cells += [(row, col), (row, col + 1) if orient == H else (row + 1, col)]
+    rows = max((r for r, _ in cells), default=0)
+    lam = [sum(1 for r, _ in cells if r == k) for k in range(1, rows + 1)]
+    diagram = {(r, c) for r, p in enumerate(lam, start=1) for c in range(1, p + 1)}
+    if core != staircase(len(core)) or len(set(cells)) != len(cells):
+        return None
+    if lam != sorted(lam, reverse=True) or set(cells) != diagram:
+        return None
+    return tuple(lam)
+
+
+def test_construction_against_oracle_on_standard_tableaux():
+    for r, n in itertools.product(range(3), range(6)):
+        for lam in enumerate_with_core(r, n):
+            for tab in enumerate_standard(lam):
+                placements = [(d.row, d.col, d.orient) for _, d in tab.entries]
+                assert tiling_oracle(tab.core, placements) == lam
+                assert DominoTableau(tab.core, tab.entries).shape() == lam
+
+
+placement = st.tuples(st.integers(1, 5), st.integers(1, 5), st.sampled_from((H, V)))
+any_core = st.sampled_from(((), (1,), (2, 1), (3, 2, 1), (2,), (1, 1), (2, 2), (3, 1)))
+
+
+@st.composite
+def perturbed_tilings(draw):
+    """A standard tableau grown by domino_successors, then maybe damaged by
+    dropping, repeating, moving or floating one domino."""
+    core = staircase(draw(st.integers(0, 2)))
+    shape, placements = core, []
+    for _ in range(draw(st.integers(0, 6))):
+        mu, dom = draw(st.sampled_from(domino_successors(shape)))
+        shape = mu
+        placements.append((dom.row, dom.col, dom.orient))
+    damage = draw(st.sampled_from(("none", "drop", "repeat", "move", "float")))
+    if damage != "none" and placements:
+        k = draw(st.integers(0, len(placements) - 1))
+        if damage == "drop":
+            del placements[k]
+        elif damage == "repeat":
+            placements.append(placements[k])
+        else:
+            placements[k] = draw(placement) if damage == "move" else (9, 1, V)
+    return core, placements
+
+
+def check_against_oracle(core, placements):
+    entries = tuple((value, DominoShape(*p)) for value, p in enumerate(placements, start=1))
+    want = tiling_oracle(core, placements)
+    if want is None:
+        with pytest.raises(ValueError):
+            DominoTableau(core, entries)
+    else:
+        assert DominoTableau(core, entries).shape() == want
+
+
+@given(any_core, st.lists(placement, max_size=6))
+def test_construction_against_oracle_on_arbitrary_placements(core, placements):
+    check_against_oracle(core, placements)
+
+
+@given(perturbed_tilings())
+def test_construction_against_oracle_on_perturbed_tilings(case):
+    check_against_oracle(*case)
+
+
+def test_construction_rejects_far_dominoes_without_building_them():
+    for far in (DominoShape(1, 10**12, H), DominoShape(10**12, 1, V), DominoShape(3, 3, H)):
+        with pytest.raises(ValueError):
+            DominoTableau((1,), ((1, DominoShape(2, 1, V)), (2, far)))
 
 
 def test_conjugation():
