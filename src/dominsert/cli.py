@@ -27,6 +27,10 @@ def _parse_shape(text):
     return as_partition(int(p) for p in text.replace("(", "").replace(")", "").split(","))
 
 
+def _parse_cores(text):
+    return tuple(int(c) for c in text.split(","))
+
+
 def _spin_str(tab):
     return str(Fraction(tab.vertical_count(), 2))
 
@@ -175,16 +179,9 @@ def cmd_series(args):
         else:
             print(value)
         return 0
-    # action == "check"
-    cores = [int(c) for c in args.cores.split(",")]
-    records = []
-    for core in cores:
-        records.append(verify.check_cauchy(core, args.vars, args.degree))
-        records.append(verify.check_dual_cauchy(core, args.vars, args.degree))
-        records.append(verify.check_weighted_series(core, args.vars, args.degree))
-    records.append(verify.check_series_core_independence(args.vars, args.degree, tuple(cores)))
-    records.append(verify.check_specializations(args.vars, args.degree))
-    return _emit_records(records, args.format)
+    # action == "check": the series suite at the given sizes
+    sizes = {"vars": args.vars, "degree": args.degree, "cores": _parse_cores(args.cores)}
+    return _emit_records(verify.run_suite("series", sizes), args.format)
 
 
 def cmd_enumerate(args):
@@ -256,13 +253,9 @@ def _emit_records(records, fmt):
 
 def cmd_verify(args):
     # only the sizes given on the command line; the suites own the defaults
-    sizes = {
-        name: getattr(args, name)
-        for name in ("n", "length", "max_size", "vars", "degree", "poly_n")
-        if getattr(args, name) is not None
-    }
-    if args.cores is not None:
-        sizes["cores"] = tuple(int(c) for c in args.cores.split(","))
+    sizes = {name: getattr(args, name) for name in verify.SIZES if getattr(args, name) is not None}
+    if "cores" in sizes:
+        sizes["cores"] = _parse_cores(sizes["cores"])
     records = verify.run_suite(args.suite, sizes, jobs=args.jobs)
     return _emit_records(records, args.format)
 

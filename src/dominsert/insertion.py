@@ -384,23 +384,13 @@ def growth_reverse_word(p_tab, q_tab):
 # semistandard correspondence
 
 
-def _recording_with_labels(source, core):
-    """Insert the bottom permutation of ``source`` and relabel the recording
-    tableau by the top row.
-
-    Valid because equal top labels force strictly increasing neg-values
-    below, which makes consecutive recording dominoes strictly left to
-    right.
-    """
-    perm = signed_permutation(source)
-    labels = [letter.value for letter in source.top]
-    result = insert_word(perm, core)
-    relabelled = tuple(
-        (labels[value - 1], dom) for value, dom in result.q.entries
-    )
-    out = DominoTableau(result.q.core, relabelled)
-    if not out.is_semistandard():
-        raise ValueError("recording tableau failed to de-standardize")
+def _relabel(tab, labels, column_side=False):
+    """Replace standard values through the sorted label list."""
+    entries = tuple((labels[value - 1], dom) for value, dom in tab.entries)
+    out = DominoTableau(tab.core, entries)
+    ok = out.is_column_semistandard() if column_side else out.is_semistandard()
+    if not ok:
+        raise ValueError("relabelled tableau is invalid")
     return out
 
 
@@ -410,13 +400,20 @@ def biword_insert(word, core=0):
     P records the insertion of the top-standardized inverse; Q is the P of
     the inverse biword.  The pair carries the bottom and top weights and the
     total color equals the sum of the spins.
+
+    Each tableau is the recording tableau of a top-standardized inverse,
+    relabelled by its top row.  Equal top labels force strictly increasing
+    neg-values below, so consecutive recording dominoes lie strictly left to
+    right and the relabelled tableau is semistandard.
     """
     if word.kind != COLORED:
         raise ValueError("biword_insert expects a colored biword")
-    p_tab = _recording_with_labels(invert_colored(standardize_top(word)), core)
-    q_tab = _recording_with_labels(
-        invert_colored(standardize_top(invert_colored(word))), core
-    )
+    pair = []
+    for side in (word, invert_colored(word)):
+        source = invert_colored(standardize_top(side))
+        recording = insert_word(signed_permutation(source), core).q
+        pair.append(_relabel(recording, [letter.value for letter in source.top]))
+    p_tab, q_tab = pair
     if p_tab.shape() != q_tab.shape():
         raise ValueError("insertion produced unequal shapes")
     return p_tab, q_tab
@@ -458,16 +455,6 @@ def biword_reverse(p_tab, q_tab, core=0):
 
 # ---------------------------------------------------------------------------
 # dual correspondences
-
-
-def _relabel(tab, labels, column_side=False):
-    """Replace standard values through the sorted label list."""
-    entries = tuple((labels[value - 1], dom) for value, dom in tab.entries)
-    out = DominoTableau(tab.core, entries)
-    ok = out.is_column_semistandard() if column_side else out.is_semistandard()
-    if not ok:
-        raise ValueError("relabelled tableau is invalid")
-    return out
 
 
 def dual_insert_alpha(word, core=0):

@@ -261,18 +261,21 @@ def cauchy_sum(core, nx, bound):
     return total
 
 
-def cauchy_product(nx, bound):
-    one = MPoly.const(1, PARAMS)
-    q = MPoly.var("s", PARAMS, power=2)
+def _xy_grid_product(nx, bound, sign, power):
+    """Product over all i, j of ((1 + sign x_i y_j)(1 + sign q x_i y_j))^power."""
+    coeffs = (MPoly.const(sign, PARAMS), MPoly.var("s", PARAMS, power=2, coeff=sign))
     factors = []
     for i in range(nx):
         for j in range(nx):
             exps = [0] * (2 * nx)
-            exps[i] += 1
-            exps[nx + j] += 1
-            factors.append(Factor(-one, tuple(exps), power=-1))
-            factors.append(Factor(-q, tuple(exps), power=-1))
+            exps[i] = exps[nx + j] = 1
+            factors.extend(Factor(coeff, tuple(exps), power) for coeff in coeffs)
     return expand_product(factors, nx, nx, 2 * bound)
+
+
+def cauchy_product(nx, bound):
+    """Product of 1 / ((1 - x_i y_j)(1 - q x_i y_j)) over all i, j."""
+    return _xy_grid_product(nx, bound, -1, -1)
 
 
 def dual_cauchy_sum(core, nx, bound):
@@ -285,17 +288,8 @@ def dual_cauchy_sum(core, nx, bound):
 
 
 def dual_cauchy_product(nx, bound):
-    one = MPoly.const(1, PARAMS)
-    q = MPoly.var("s", PARAMS, power=2)
-    factors = []
-    for i in range(nx):
-        for j in range(nx):
-            exps = [0] * (2 * nx)
-            exps[i] += 1
-            exps[nx + j] += 1
-            factors.append(Factor(one, tuple(exps)))
-            factors.append(Factor(q, tuple(exps)))
-    return expand_product(factors, nx, nx, 2 * bound)
+    """Product of (1 + x_i y_j)(1 + q x_i y_j) over all i, j."""
+    return _xy_grid_product(nx, bound, 1, 1)
 
 
 def shape_weight(lam, core):
@@ -361,19 +355,7 @@ def schur_sum(nx, bound, weight=None):
 
 
 # ---------------------------------------------------------------------------
-# verification records
-
-
-def check_cauchy(core, nx, bound):
-    return cauchy_sum(core, nx, bound), cauchy_product(nx, bound)
-
-
-def check_dual_cauchy(core, nx, bound):
-    return dual_cauchy_sum(core, nx, bound), dual_cauchy_product(nx, bound)
-
-
-def check_weighted_sum(core, nx, bound):
-    return weighted_domino_sum(core, nx, bound), weighted_domino_product(nx, bound)
+# specializations
 
 
 def specialization_square(nx, bound):

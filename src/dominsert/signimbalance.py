@@ -56,38 +56,29 @@ def pairing_involution(tableau, core_order):
     return tableau
 
 
+def _imbalance_sum(shapes):
+    """Sum over the given shapes of x^v y^v' q^d t^d' times the imbalance."""
+    total = MPoly.zero(IMBALANCE)
+    for lam in shapes:
+        value = imbalance(lam)
+        if value:
+            total = total + value * (
+                MPoly.var("x", IMBALANCE, power=v_stat(lam))
+                * MPoly.var("y", IMBALANCE, power=v_stat(conjugate(lam)))
+                * MPoly.var("q", IMBALANCE, power=d_stat(lam))
+                * MPoly.var("t", IMBALANCE, power=d_stat(conjugate(lam)))
+            )
+    return total
+
+
 def imbalance_polynomial(m):
     """Sum over shapes of m of x^v y^v' q^d t^d' times the imbalance."""
-    total = MPoly.zero(IMBALANCE)
-    for lam in enumerate_partitions(m):
-        value = imbalance(lam)
-        if not value:
-            continue
-        term = (
-            MPoly.var("x", IMBALANCE, power=v_stat(lam))
-            * MPoly.var("y", IMBALANCE, power=v_stat(conjugate(lam)))
-            * MPoly.var("q", IMBALANCE, power=d_stat(lam))
-            * MPoly.var("t", IMBALANCE, power=d_stat(conjugate(lam)))
-        )
-        total = total + value * term
-    return total
+    return _imbalance_sum(enumerate_partitions(m))
 
 
 def imbalance_polynomial_hooks(m):
     """The same sum restricted to hook shapes; the other terms cancel."""
-    total = MPoly.zero(IMBALANCE)
-    for lam in enumerate_partitions(m):
-        if len(lam) > 1 and lam[1] > 1:
-            continue
-        value = imbalance(lam)
-        term = (
-            MPoly.var("x", IMBALANCE, power=v_stat(lam))
-            * MPoly.var("y", IMBALANCE, power=v_stat(conjugate(lam)))
-            * MPoly.var("q", IMBALANCE, power=d_stat(lam))
-            * MPoly.var("t", IMBALANCE, power=d_stat(conjugate(lam)))
-        )
-        total = total + value * term
-    return total
+    return _imbalance_sum(lam for lam in enumerate_partitions(m) if len(lam) < 2 or lam[1] < 2)
 
 
 def imbalance_target(m):

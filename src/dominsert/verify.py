@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import insertion, involutions, series, signimbalance, tableaux, words
 from .partitions import (
@@ -22,27 +24,15 @@ from .partitions import (
     two_core,
 )
 from .polynomials import MPoly, PARAMS
-from .words import (
-    COLORED,
-    DUAL,
-    Biletter,
-    Letter,
-    biword,
-    enumerate_involutions,
-    enumerate_signed_permutations,
-    invert_colored,
-    invert_dual,
-    standardize,
-    dual_standardize,
-    total_color,
-    with_kind,
-)
+from .young import enumerate_syt, syt_sign
 
 SUITES = ("insertion", "semistandard", "dual", "sym", "sign", "counting", "series")
 
 
-def _record(identity, params, lhs, rhs, started):
-    lhs, rhs = str(lhs), str(rhs)
+def _record(identity, params, sides):
+    """Time ``sides()`` and compare the two sides it returns as strings."""
+    started = time.perf_counter()
+    lhs, rhs = (str(side) for side in sides())
     return {
         "identity": identity,
         "params": params,
@@ -53,164 +43,147 @@ def _record(identity, params, lhs, rhs, started):
     }
 
 
-def _violations(identity, params, bad, total, started):
-    lhs = f"{len(bad)} violations in {total} cases" + (f": {bad[:3]}" if bad else "")
-    rhs = f"0 violations in {total} cases"
-    return _record(identity, params, lhs, rhs, started)
+def _exhaustive(identity, params, cases, violations, closing=None):
+    """The skeleton of every exhaustive check.
+
+    ``violations(case)`` gives what is wrong with one case and ``closing()``
+    what is wrong with the cases taken together.  The record counts the
+    cases and shows the first three violations.  ``cases`` is consumed
+    inside the clock, so a generator times its own enumeration.
+    """
+
+    def sides():
+        bad = []
+        total = 0
+        for case in cases:
+            total += 1
+            bad.extend(violations(case))
+        if closing is not None:
+            bad.extend(closing())
+        lhs = f"{len(bad)} violations in {total} cases" + (f": {bad[:3]}" if bad else "")
+        return lhs, f"0 violations in {total} cases"
+
+    return _record(identity, params, sides)
+
+
+def _failures(witness, claims):
+    """One violation, named by ``witness``, for each false claim."""
+    return [witness] * sum(not claim for claim in claims)
+
+
+def _image_sizes(core, size, pairs, *images):
+    """Closing check of a bijection: each image has as many elements as the
+    shapes of the given core and size have tableau pairs, ``pairs(lam)`` each."""
+    expected = sum(pairs(lam) for lam in enumerate_with_core(core, size))
+    if any(len(image) != expected for image in images):
+        yield f"image sizes {[len(image) for image in images]} != {expected}"
 
 
 # ---------------------------------------------------------------------------
 # insertion suite (standard correspondence)
 
 
+def _insertion_check(identity, n, core, violations, closing=None):
+    """Insert every signed permutation of n once; ``violations(pi, result)``."""
+    inserted = ((pi, insertion.insert_word(pi, core)) for pi in words.enumerate_signed_permutations(n))
+    return _exhaustive(identity, {"n": n, "core": core}, inserted, lambda case: violations(*case), closing)
+
+
 def check_standard_bijection(n, core):
-    started = time.perf_counter()
-    perms = enumerate_signed_permutations(n)
     image = {}
-    bad = []
-    for pi in perms:
-        result = insertion.insert_word(pi, core)
-        pair = (result.p, result.q)
-        if not (result.p.is_standard() and result.q.is_standard()):
-            bad.append(words.word_str(pi))
-        if result.p.shape() != result.q.shape() or two_core(result.p.shape()) != staircase(core):
-            bad.append(words.word_str(pi))
-        if pair in image:
-            bad.append(words.word_str(pi))
-        image[pair] = pi
-        if insertion.growth_reverse_word(result.p, result.q) != pi:
-            bad.append(words.word_str(pi))
-    expected = sum(
-        involutions.standard_tableau_count(lam) ** 2
-        for lam in enumerate_with_core(core, n)
-    )
-    if len(image) != expected:
-        bad.append(f"image size {len(image)} != {expected}")
-    return _violations("standard-bijection", {"n": n, "core": core}, bad, len(perms), started)
+
+    def violations(pi, result):
+        p, q = result.p, result.q
+        claims = (
+            p.is_standard() and q.is_standard(),
+            p.shape() == q.shape() and two_core(p.shape()) == staircase(core),
+            (p, q) not in image,
+            insertion.growth_reverse_word(p, q) == pi,
+        )
+        image[p, q] = pi
+        return _failures(words.word_str(pi), claims)
+
+    closing = partial(_image_sizes, core, n, lambda lam: involutions.standard_tableau_count(lam) ** 2, image)
+    return _insertion_check("standard-bijection", n, core, violations, closing)
 
 
 def check_oracle_equivalence(n, core):
-    started = time.perf_counter()
-    perms = enumerate_signed_permutations(n)
-    bad = []
-    for pi in perms:
-        result = insertion.insert_word(pi, core)
+    def violations(pi, result):
         diagram = insertion.growth(pi, core)
-        if diagram.p_tableau() != result.p or diagram.q_tableau() != result.q:
-            bad.append(words.word_str(pi))
-    return _violations("bumping-vs-growth", {"n": n, "core": core}, bad, len(perms), started)
+        return _failures(words.word_str(pi), [(diagram.p_tableau(), diagram.q_tableau()) == (result.p, result.q)])
+
+    return _insertion_check("bumping-vs-growth", n, core, violations)
 
 
 def check_color_to_spin(n, core):
-    started = time.perf_counter()
-    perms = enumerate_signed_permutations(n)
-    bad = []
-    for pi in perms:
-        result = insertion.insert_word(pi, core)
-        diagram = insertion.growth(pi, core)
-        if 2 * total_color(pi) != result.p.vertical_count() + result.q.vertical_count():
-            bad.append(words.word_str(pi))
-        if not diagram.spin_ledger_holds():
-            bad.append(words.word_str(pi))
-    return _violations("color-to-spin", {"n": n, "core": core}, bad, len(perms), started)
+    def violations(pi, result):
+        claims = (
+            2 * words.total_color(pi) == result.p.vertical_count() + result.q.vertical_count(),
+            insertion.growth(pi, core).spin_ledger_holds(),
+        )
+        return _failures(words.word_str(pi), claims)
 
-
-def _strictly_left(dom_a, dom_b):
-    return dom_a.max_col < dom_b.min_col
+    return _insertion_check("color-to-spin", n, core, violations)
 
 
 def check_ascent_lemmas(n, core):
-    started = time.perf_counter()
-    perms = enumerate_signed_permutations(n)
-    bad = []
-    for pi in perms:
-        result = insertion.insert_word(pi, core)
-        inverse = words.group_inverse(pi)
-        q_doms = {value: dom for value, dom in result.q.entries}
-        p_doms = {value: dom for value, dom in result.p.entries}
-        for i in range(1, n):
-            ascent = pi[i - 1].neg < pi[i].neg
-            if ascent != _strictly_left(q_doms[i], q_doms[i + 1]):
-                bad.append(("Q", words.word_str(pi), i))
-            ascent_inv = inverse[i - 1].neg < inverse[i].neg
-            if ascent_inv != _strictly_left(p_doms[i], p_doms[i + 1]):
-                bad.append(("P", words.word_str(pi), i))
-    return _violations("ascent-lemmas", {"n": n, "core": core}, bad, len(perms), started)
+    """i is an ascent of the word (of its inverse) exactly when domino i lies
+    strictly left of domino i + 1 in Q (in P)."""
+
+    def violations(pi, result):
+        for name, word, tab in (("Q", pi, result.q), ("P", words.group_inverse(pi), result.p)):
+            doms = dict(tab.entries)
+            for i in range(1, n):
+                if (word[i - 1].neg < word[i].neg) != (doms[i].max_col < doms[i + 1].min_col):
+                    yield (name, words.word_str(pi), i)
+
+    return _insertion_check("ascent-lemmas", n, core, violations)
 
 
 def check_inverse_symmetry(n, core):
-    started = time.perf_counter()
-    perms = enumerate_signed_permutations(n)
-    bad = []
-    for pi in perms:
-        result = insertion.insert_word(pi, core)
-        other = insertion.insert_word(words.group_inverse(pi), core)
-        if result.p != other.q or result.q != other.p:
-            bad.append(words.word_str(pi))
-    return _violations("inverse-symmetry", {"n": n, "core": core}, bad, len(perms), started)
+    pairs = {}
+
+    def violations(pi, result):
+        pairs[pi] = (result.p, result.q)
+        return []
+
+    def closing():
+        # the inverse's pair is looked up, not inserted again
+        for pi, (p, q) in pairs.items():
+            if pairs.get(words.group_inverse(pi)) != (q, p):
+                yield words.word_str(pi)
+
+    return _insertion_check("inverse-symmetry", n, core, violations, closing)
 
 
 # ---------------------------------------------------------------------------
 # semistandard suite
 
 
-def all_colored_biwords(max_top, max_bottom, length, kind=COLORED):
-    types = [
-        Biletter(Letter(t), Letter(b, bar))
-        for t in range(1, max_top + 1)
-        for b in range(1, max_bottom + 1)
-        for bar in (False, True)
-    ]
-    return [biword(combo, kind) for combo in itertools.combinations_with_replacement(types, length)]
-
-
-def all_multiplicity_free(max_top, max_bottom, length, kind):
-    types = [
-        Biletter(Letter(t), Letter(b, bar))
-        for t in range(1, max_top + 1)
-        for b in range(1, max_bottom + 1)
-        for bar in (False, True)
-    ]
-    return [biword(combo, kind) for combo in itertools.combinations(types, length)]
-
-
 def check_semistandard(length, core, max_value=2):
-    started = time.perf_counter()
-    biwords = all_colored_biwords(max_value, max_value, length)
     image = {}
-    bad = []
-    for w in biwords:
+
+    def violations(w):
         p, q = insertion.biword_insert(w, core)
-        if not (p.is_semistandard() and q.is_semistandard() and p.shape() == q.shape()):
-            bad.append(str(w))
-        if p.weight() != w.bottom_weight() or q.weight() != w.top_weight():
-            bad.append(str(w))
-        if 2 * total_color(w) != p.vertical_count() + q.vertical_count():
-            bad.append(str(w))
-        ps, qs = insertion.biword_insert(standardize(w), core)
-        if p.standardized() != ps or q.standardized() != qs:
-            bad.append(str(w))
-        p2, q2 = insertion.biword_insert(invert_colored(w), core)
-        if (p, q) != (q2, p2):
-            bad.append(str(w))
-        if insertion.biword_reverse(p, q, core) != w:
-            bad.append(str(w))
-        if (p, q) in image:
-            bad.append(str(w))
-        image[(p, q)] = w
-    expected = sum(
-        len(tableaux.enumerate_semistandard(lam, max_value)) ** 2
-        for lam in enumerate_with_core(core, length)
-    )
-    if len(image) != expected:
-        bad.append(f"image size {len(image)} != {expected}")
-    return _violations(
-        "semistandard-bijection",
-        {"length": length, "core": core, "values": max_value},
-        bad,
-        len(biwords),
-        started,
-    )
+        claims = (
+            p.is_semistandard() and q.is_semistandard() and p.shape() == q.shape(),
+            p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
+            2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
+            (p.standardized(), q.standardized()) == insertion.biword_insert(words.standardize(w), core),
+            insertion.biword_insert(words.invert_colored(w), core) == (q, p),
+            insertion.biword_reverse(p, q, core) == w,
+            (p, q) not in image,
+        )
+        image[p, q] = w
+        return _failures(str(w), claims)
+
+    def pairs(lam):
+        return len(tableaux.enumerate_semistandard(lam, max_value)) ** 2
+
+    biwords = words.enumerate_biwords(max_value, max_value, length)
+    params = {"length": length, "core": core, "values": max_value}
+    closing = partial(_image_sizes, core, length, pairs, image)
+    return _exhaustive("semistandard-bijection", params, biwords, violations, closing)
 
 
 # ---------------------------------------------------------------------------
@@ -218,59 +191,39 @@ def check_semistandard(length, core, max_value=2):
 
 
 def check_dual(length, core, max_value=2):
-    started = time.perf_counter()
-    duals = all_multiplicity_free(max_value, max_value, length, DUAL)
-    coloreds = all_multiplicity_free(max_value, max_value, length, COLORED)
-    image_alpha = {}
-    image_beta = {}
-    bad = []
-    for w in duals:
-        p, q = insertion.dual_insert_alpha(w, core)
-        if not (p.is_semistandard() and q.is_column_semistandard() and p.shape() == q.shape()):
-            bad.append(("alpha", str(w)))
-        if p.weight() != w.bottom_weight() or q.weight() != w.top_weight():
-            bad.append(("alpha-weight", str(w)))
-        if 2 * total_color(w) != p.vertical_count() + q.vertical_count():
-            bad.append(("alpha-spin", str(w)))
-        std = with_kind(dual_standardize(w), COLORED)
-        pd, qd = insertion.biword_insert(std, core)
-        if (p.standardized(columns=False), q.standardized(columns=True)) != (pd, qd):
-            bad.append(("alpha-std", str(w)))
-        pb, qb = insertion.dual_insert_beta(invert_dual(w), core)
-        if (q, p) != (pb, qb):
-            bad.append(("alpha-beta-duality", str(w)))
-        if (p, q) in image_alpha:
-            bad.append(("alpha-injective", str(w)))
-        image_alpha[(p, q)] = w
-    for w in coloreds:
-        p, q = insertion.dual_insert_beta(w, core)
-        if not (p.is_column_semistandard() and q.is_semistandard() and p.shape() == q.shape()):
-            bad.append(("beta", str(w)))
-        if p.weight() != w.bottom_weight() or q.weight() != w.top_weight():
-            bad.append(("beta-weight", str(w)))
-        if 2 * total_color(w) != p.vertical_count() + q.vertical_count():
-            bad.append(("beta-spin", str(w)))
-        std = with_kind(dual_standardize(w), COLORED)
-        pd, qd = insertion.biword_insert(std, core)
-        if (p.standardized(columns=True), q.standardized(columns=False)) != (pd, qd):
-            bad.append(("beta-std", str(w)))
-        if (p, q) in image_beta:
-            bad.append(("beta-injective", str(w)))
-        image_beta[(p, q)] = w
-    expected = sum(
-        len(tableaux.enumerate_semistandard(lam, max_value))
-        * len(tableaux.enumerate_column_semistandard(lam, max_value))
-        for lam in enumerate_with_core(core, length)
+    """Both dual correspondences: alpha on dual biwords, beta on colored ones.
+    Alpha's P is row-semistandard and its Q column-semistandard; beta's are
+    the other way round."""
+    images = {"alpha": {}, "beta": {}}
+
+    def violations(w):
+        alpha = w.kind == words.DUAL
+        tag = "alpha" if alpha else "beta"
+        p, q = (insertion.dual_insert_alpha if alpha else insertion.dual_insert_beta)(w, core)
+        rows, columns = (p, q) if alpha else (q, p)
+        std = insertion.biword_insert(words.with_kind(words.dual_standardize(w), words.COLORED), core)
+        claims = {
+            tag: rows.is_semistandard() and columns.is_column_semistandard() and p.shape() == q.shape(),
+            f"{tag}-weight": p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
+            f"{tag}-spin": 2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
+            f"{tag}-std": (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == std,
+            "alpha-beta-duality": not alpha or insertion.dual_insert_beta(words.invert_dual(w), core) == (q, p),
+            f"{tag}-injective": (p, q) not in images[tag],
+        }
+        images[tag][p, q] = w
+        return [(name, str(w)) for name, holds in claims.items() if not holds]
+
+    def pairs(lam):
+        rows = tableaux.enumerate_semistandard(lam, max_value)
+        return len(rows) * len(tableaux.enumerate_column_semistandard(lam, max_value))
+
+    biwords = itertools.chain.from_iterable(
+        words.enumerate_biwords(max_value, max_value, length, kind, multiplicity_free=True)
+        for kind in (words.DUAL, words.COLORED)
     )
-    if len(image_alpha) != expected or len(image_beta) != expected:
-        bad.append(f"image sizes {len(image_alpha)}, {len(image_beta)} != {expected}")
-    return _violations(
-        "dual-bijections",
-        {"length": length, "core": core, "values": max_value},
-        bad,
-        len(duals) + len(coloreds),
-        started,
-    )
+    params = {"length": length, "core": core, "values": max_value}
+    closing = partial(_image_sizes, core, length, pairs, *images.values())
+    return _exhaustive("dual-bijections", params, biwords, violations, closing)
 
 
 # ---------------------------------------------------------------------------
@@ -278,154 +231,135 @@ def check_dual(length, core, max_value=2):
 
 
 def check_involution_statistics(n, core):
-    started = time.perf_counter()
-    invs = enumerate_involutions(n)
-    bad = []
-    for pi in invs:
-        for cmp in involutions.check_involution_stats(pi, core):
-            if not cmp.holds:
-                bad.append((words.word_str(pi), cmp.name))
-        for cmp in involutions.check_vertical_split(pi, core):
-            if not cmp.holds:
-                bad.append((words.word_str(pi), cmp.name))
-    return _violations("involution-statistics", {"n": n, "core": core}, bad, len(invs), started)
+    def violations(pi):
+        comparisons = involutions.check_involution_stats(pi, core) + involutions.check_vertical_split(pi, core)
+        return [(words.word_str(pi), cmp.name) for cmp in comparisons if not cmp.holds]
+
+    return _exhaustive("involution-statistics", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
 
 
 # ---------------------------------------------------------------------------
 # sign suite
 
 
-def check_split_sign_formula(max_size):
-    started = time.perf_counter()
-    bad = []
-    total = 0
+def _shapes_up_to(max_size):
     for m in range(1, max_size + 1):
-        for lam in enumerate_partitions(m):
-            if staircase_order(two_core(lam)) in (0, 1):
-                for tab in tableaux.enumerate_standard(lam):
-                    total += 1
-                    if tableaux.tableau_sign(tab) != (-1) ** tab.even_vertical():
-                        bad.append(str(tab))
-    return _violations("split-sign-formula", {"max_size": max_size}, bad, total, started)
+        yield from enumerate_partitions(m)
+
+
+def _split_shapes(max_size):
+    """(shape, core order) for every shape whose 2-core has at most one box."""
+    for lam in _shapes_up_to(max_size):
+        r = staircase_order(two_core(lam))
+        if r in (0, 1):
+            yield lam, r
+
+
+def check_split_sign_formula(max_size):
+    def violations(tab):
+        return _failures(str(tab), [tableaux.tableau_sign(tab) == (-1) ** tab.even_vertical()])
+
+    tabs = (tab for lam, _ in _split_shapes(max_size) for tab in tableaux.enumerate_standard(lam))
+    return _exhaustive("split-sign-formula", {"max_size": max_size}, tabs, violations)
 
 
 def check_imbalance_via_dominoes(max_size):
-    started = time.perf_counter()
-    bad = []
-    total = 0
-    for m in range(1, max_size + 1):
-        for lam in enumerate_partitions(m):
-            total += 1
-            r = staircase_order(two_core(lam))
-            value = signimbalance.imbalance(lam)
-            if r in (0, 1):
-                if value != signimbalance.domino_sign_sum(lam):
-                    bad.append(lam)
-            elif value != 0:
-                bad.append(lam)
-    return _violations("imbalance-via-dominoes", {"max_size": max_size}, bad, total, started)
+    def violations(lam):
+        split = staircase_order(two_core(lam)) in (0, 1)
+        value = signimbalance.imbalance(lam)
+        return _failures(lam, [value == (signimbalance.domino_sign_sum(lam) if split else 0)])
+
+    return _exhaustive("imbalance-via-dominoes", {"max_size": max_size}, _shapes_up_to(max_size), violations)
 
 
 def check_pairing_involution(max_size):
-    started = time.perf_counter()
-    from .young import enumerate_syt, syt_sign
-    from .tableaux import associated_young_tableau
+    split_images = {}
+    fixed = Counter()
 
-    bad = []
-    total = 0
-    for m in range(1, max_size + 1):
-        for lam in enumerate_partitions(m):
-            r = staircase_order(two_core(lam))
-            if r not in (0, 1):
-                continue
-            split_images = {
-                associated_young_tableau(tab) for tab in tableaux.enumerate_standard(lam)
-            }
+    def cases():
+        for lam, r in _split_shapes(max_size):
+            tabs = tableaux.enumerate_standard(lam)
+            split_images[lam] = {tableaux.associated_young_tableau(tab) for tab in tabs}
             for t in enumerate_syt(lam):
-                total += 1
-                image = signimbalance.pairing_involution(t, r)
-                if signimbalance.pairing_involution(image, r) != t:
-                    bad.append((lam, t))
-                if image == t:
-                    if t not in split_images:
-                        bad.append((lam, t, "fixed-not-domino"))
-                elif syt_sign(image) != -syt_sign(t):
-                    bad.append((lam, t, "not-sign-reversing"))
-            if len(split_images) != sum(
-                1 for t in enumerate_syt(lam) if signimbalance.pairing_involution(t, r) == t
-            ):
-                bad.append((lam, "fixed-point-count"))
-    return _violations("pairing-involution", {"max_size": max_size}, bad, total, started)
+                yield lam, r, t
+
+    def violations(case):
+        lam, r, t = case
+        image = signimbalance.pairing_involution(t, r)
+        if signimbalance.pairing_involution(image, r) != t:
+            yield (lam, t)
+        if image == t:
+            fixed[lam] += 1
+            if t not in split_images[lam]:
+                yield (lam, t, "fixed-not-domino")
+        elif syt_sign(image) != -syt_sign(t):
+            yield (lam, t, "not-sign-reversing")
+
+    def closing():
+        return ((lam, "fixed-point-count") for lam, images in split_images.items() if fixed[lam] != len(images))
+
+    return _exhaustive("pairing-involution", {"max_size": max_size}, cases(), violations, closing)
 
 
 def check_insertion_sign(n, core):
-    started = time.perf_counter()
-    invs = enumerate_involutions(n)
-    bad = []
-    for pi in invs:
-        if not involutions.check_insertion_sign(pi, core).holds:
-            bad.append(words.word_str(pi))
-    return _violations("insertion-sign", {"n": n, "core": core}, bad, len(invs), started)
+    def violations(pi):
+        return _failures(words.word_str(pi), [involutions.check_insertion_sign(pi, core).holds])
+
+    return _exhaustive("insertion-sign", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
 
 
 def check_imbalance_polynomial(m):
-    started = time.perf_counter()
-    lhs = signimbalance.imbalance_polynomial(m)
-    rhs = signimbalance.imbalance_target(m)
-    return _record("imbalance-polynomial", {"m": m}, lhs, rhs, started)
+    return _record(
+        "imbalance-polynomial",
+        {"m": m},
+        lambda: (signimbalance.imbalance_polynomial(m), signimbalance.imbalance_target(m)),
+    )
 
 
 def check_imbalance_hooks(m):
-    started = time.perf_counter()
-    lhs = signimbalance.imbalance_polynomial_hooks(m)
-    rhs = signimbalance.imbalance_target(m)
-    return _record("imbalance-hook-restriction", {"m": m}, lhs, rhs, started)
+    return _record(
+        "imbalance-hook-restriction",
+        {"m": m},
+        lambda: (signimbalance.imbalance_polynomial_hooks(m), signimbalance.imbalance_target(m)),
+    )
 
 
 def check_signed_total(n):
-    started = time.perf_counter()
     return _record(
-        "signed-tableau-total",
-        {"n": n},
-        signimbalance.signed_tableau_total(n),
-        2 ** (n // 2),
-        started,
+        "signed-tableau-total", {"n": n}, lambda: (signimbalance.signed_tableau_total(n), 2 ** (n // 2))
     )
 
 
 def check_bar_toggle(n, core):
     """Toggling the bar on the lowest two-cycle reverses the sign and keeps
     the shape statistics."""
-    started = time.perf_counter()
-    invs = enumerate_involutions(n)
-    bad = []
-    for pi in invs:
+
+    def stats(pi):
+        return [cmp.lhs for cmp in involutions.check_involution_stats(pi, core)[1:]]
+
+    def violations(pi):
         profile = involutions.involution_profile(pi)
         if profile.two_cycles + profile.barred_two_cycles == 0:
-            continue
+            return []
         toggled = _toggle_lowest_two_cycle(pi)
-        if _toggle_lowest_two_cycle(toggled) != pi:
-            bad.append(words.word_str(pi))
-        stats_a = [cmp.lhs for cmp in involutions.check_involution_stats(pi, core)[1:]]
-        stats_b = [cmp.lhs for cmp in involutions.check_involution_stats(toggled, core)[1:]]
-        if stats_a != stats_b:
-            bad.append(words.word_str(pi))
-        sign_a = involutions.check_insertion_sign(pi, core).lhs
-        sign_b = involutions.check_insertion_sign(toggled, core).lhs
-        if sign_a != -sign_b:
-            bad.append(words.word_str(pi))
-    return _violations("two-cycle-bar-toggle", {"n": n, "core": core}, bad, len(invs), started)
+        claims = (
+            _toggle_lowest_two_cycle(toggled) == pi,
+            stats(pi) == stats(toggled),
+            involutions.check_insertion_sign(pi, core).lhs == -involutions.check_insertion_sign(toggled, core).lhs,
+        )
+        return _failures(words.word_str(pi), claims)
+
+    return _exhaustive("two-cycle-bar-toggle", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
 
 
 def _toggle_lowest_two_cycle(pi):
+    # the lowest point that moves goes up, because every lower value is fixed
     letters = list(pi)
-    for i, letter in enumerate(letters, start=1):
-        if letter.value != i:
-            j = letter.value
-            low, high = min(i, j), max(i, j)
-            flipped = not letters[low - 1].barred
-            letters[low - 1] = Letter(letters[low - 1].value, flipped)
-            letters[high - 1] = Letter(letters[high - 1].value, flipped)
+    for i, letter in enumerate(pi):
+        if letter.value != i + 1:
+            flipped = not letter.barred
+            letters[i] = words.Letter(letter.value, flipped)
+            letters[letter.value - 1] = words.Letter(pi[letter.value - 1].value, flipped)
             return tuple(letters)
     raise ValueError("no two-cycle to toggle")
 
@@ -435,72 +369,63 @@ def _toggle_lowest_two_cycle(pi):
 
 
 def check_vertical_parity_difference(max_dominoes, core):
-    started = time.perf_counter()
-    bad = []
-    total = 0
     base = staircase(core)
-    for n in range(max_dominoes + 1):
-        for lam in enumerate_with_core(core, n):
-            for tab in tableaux.enumerate_standard(lam):
-                total += 1
-                lhs = 2 * (tab.odd_vertical() - tab.even_vertical())
-                if lhs != odd_rows(lam) - odd_rows(base):
-                    bad.append(str(tab))
-    return _violations(
-        "vertical-parity-difference", {"max_dominoes": max_dominoes, "core": core}, bad, total, started
-    )
+
+    def violations(case):
+        lam, tab = case
+        lhs = 2 * (tab.odd_vertical() - tab.even_vertical())
+        return _failures(str(tab), [lhs == odd_rows(lam) - odd_rows(base)])
+
+    shapes = series.shapes_up_to(core, max_dominoes)
+    tabs = ((lam, tab) for lam in shapes for tab in tableaux.enumerate_standard(lam))
+    params = {"max_dominoes": max_dominoes, "core": core}
+    return _exhaustive("vertical-parity-difference", params, tabs, violations)
 
 
 def check_max_spin_split(max_dominoes, core):
-    started = time.perf_counter()
-    bad = []
-    total = 0
-    for n in range(max_dominoes + 1):
-        for lam in enumerate_with_core(core, n):
-            total += 1
-            tabs = tableaux.enumerate_standard(lam)
-            best = max(2 * t.spin() for t in tabs)
-            if best != tableaux.max_odd_vertical(lam) + tableaux.max_even_vertical(lam):
-                bad.append(lam)
-            for t in tabs:
-                tableaux.cospin(t)  # raises if not an integer
-    return _violations("max-spin-split", {"max_dominoes": max_dominoes, "core": core}, bad, total, started)
+    def violations(lam):
+        tabs = tableaux.enumerate_standard(lam)
+        best = max(2 * t.spin() for t in tabs)
+        for t in tabs:
+            tableaux.cospin(t)  # raises if not an integer
+        return _failures(lam, [best == tableaux.max_odd_vertical(lam) + tableaux.max_even_vertical(lam)])
+
+    shapes = series.shapes_up_to(core, max_dominoes)
+    return _exhaustive("max-spin-split", {"max_dominoes": max_dominoes, "core": core}, shapes, violations)
 
 
 def check_spin_square_sum(n, core):
-    started = time.perf_counter()
     return _record(
         "spin-square-sum",
         {"n": n, "core": core},
-        involutions.spin_square_sum(n, core),
-        involutions.spin_square_target(n),
-        started,
+        lambda: (involutions.spin_square_sum(n, core), involutions.spin_square_target(n)),
     )
 
 
 def check_involution_poly(n, cores=(0, 1, 2)):
-    started = time.perf_counter()
-    reference = involutions.involution_poly_recursive(n)
-    sides = [involutions.involution_poly_direct(n), involutions.involution_poly_egf(n)]
-    sides.extend(involutions.involution_poly(n, core) for core in cores)
-    lhs = " == ".join(str(side) for side in sides)
-    rhs = " == ".join(str(reference) for _ in sides)
-    return _record("involution-poly", {"n": n, "cores": list(cores)}, lhs, rhs, started)
+    def sides():
+        reference = involutions.involution_poly_recursive(n)
+        polys = [involutions.involution_poly_direct(n), involutions.involution_poly_egf(n)]
+        polys.extend(involutions.involution_poly(n, core) for core in cores)
+        return " == ".join(str(poly) for poly in polys), " == ".join(str(reference) for _ in polys)
+
+    return _record("involution-poly", {"n": n, "cores": list(cores)}, sides)
 
 
 def check_classical_counts(n):
-    started = time.perf_counter()
-    counts = involutions.classical_counts(n)
-    lhs = f"{counts['sum_fsq']}, {counts['sum_f']}"
-    rhs = f"{counts['factorial']}, {counts['involutions']}"
-    return _record("classical-counts", {"n": n}, lhs, rhs, started)
+    def sides():
+        counts = involutions.classical_counts(n)
+        return f"{counts['sum_fsq']}, {counts['sum_f']}", f"{counts['factorial']}, {counts['involutions']}"
+
+    return _record("classical-counts", {"n": n}, sides)
 
 
 def check_spin_poly_examples():
-    started = time.perf_counter()
-    lhs = f"{tableaux.spin_poly((3, 1, 1))}; {tableaux.spin_poly((2, 2))}"
-    rhs = "2*s; 1 + s^2"
-    return _record("spin-poly-examples", {}, lhs, rhs, started)
+    return _record(
+        "spin-poly-examples",
+        {},
+        lambda: (f"{tableaux.spin_poly((3, 1, 1))}; {tableaux.spin_poly((2, 2))}", "2*s; 1 + s^2"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -508,65 +433,82 @@ def check_spin_poly_examples():
 
 
 def check_domino_function_examples():
-    started = time.perf_counter()
-    q = MPoly.var("s", PARAMS, power=2)
-    s = MPoly.var("s", PARAMS)
-    lhs = series.domino_function((2, 2), 2, 4)
-    rhs = series.schur((2,), 2, 4) * q + series.schur((1, 1), 2, 4)
-    lhs2 = series.domino_function((3, 1, 1), 2, 4)
-    rhs2 = (series.schur((2,), 2, 4) + series.schur((1, 1), 2, 4)) * s
-    left = f"{lhs}\n--\n{lhs2}"
-    right = f"{rhs}\n--\n{rhs2}"
-    return _record("domino-function-examples", {"vars": 2}, left, right, started)
+    def sides():
+        q = MPoly.var("s", PARAMS, power=2)
+        s = MPoly.var("s", PARAMS)
+        lhs = series.domino_function((2, 2), 2, 4)
+        rhs = series.schur((2,), 2, 4) * q + series.schur((1, 1), 2, 4)
+        lhs2 = series.domino_function((3, 1, 1), 2, 4)
+        rhs2 = (series.schur((2,), 2, 4) + series.schur((1, 1), 2, 4)) * s
+        return f"{lhs}\n--\n{lhs2}", f"{rhs}\n--\n{rhs2}"
+
+    return _record("domino-function-examples", {"vars": 2}, sides)
+
+
+def _sum_product(identity, sum_side, product_side, core, nx, bound):
+    params = {"core": core, "vars": nx, "degree": bound}
+    return _record(identity, params, lambda: (sum_side(core, nx, bound), product_side(nx, bound)))
 
 
 def check_cauchy(core, nx, bound):
-    started = time.perf_counter()
-    lhs, rhs = series.check_cauchy(core, nx, bound)
-    return _record("cauchy", {"core": core, "vars": nx, "degree": bound}, lhs, rhs, started)
+    return _sum_product("cauchy", series.cauchy_sum, series.cauchy_product, core, nx, bound)
 
 
 def check_dual_cauchy(core, nx, bound):
-    started = time.perf_counter()
-    lhs, rhs = series.check_dual_cauchy(core, nx, bound)
-    return _record("dual-cauchy", {"core": core, "vars": nx, "degree": bound}, lhs, rhs, started)
+    return _sum_product("dual-cauchy", series.dual_cauchy_sum, series.dual_cauchy_product, core, nx, bound)
 
 
 def check_weighted_series(core, nx, bound):
-    started = time.perf_counter()
-    lhs, rhs = series.check_weighted_sum(core, nx, bound)
-    return _record("weighted-series-product", {"core": core, "vars": nx, "degree": bound}, lhs, rhs, started)
+    return _sum_product(
+        "weighted-series-product", series.weighted_domino_sum, series.weighted_domino_product, core, nx, bound
+    )
 
 
 def check_series_core_independence(nx, bound, cores=(0, 1, 2)):
-    started = time.perf_counter()
-    sums = [series.weighted_domino_sum(core, nx, bound) for core in cores]
-    lhs = "\n==\n".join(str(s) for s in sums)
-    rhs = "\n==\n".join(str(sums[0]) for _ in sums)
-    return _record("series-core-independence", {"vars": nx, "degree": bound, "cores": list(cores)}, lhs, rhs, started)
+    def sides():
+        sums = [series.weighted_domino_sum(core, nx, bound) for core in cores]
+        return "\n==\n".join(str(s) for s in sums), "\n==\n".join(str(sums[0]) for _ in sums)
+
+    return _record("series-core-independence", {"vars": nx, "degree": bound, "cores": list(cores)}, sides)
 
 
 def check_specializations(nx, bound):
-    started = time.perf_counter()
-    results = []
-    lhs, rhs = series.specialization_square(nx, bound)
-    results.append(lhs == rhs)
-    l2, r2, p2 = series.specialization_zero_spin(nx, bound)
-    results.append(l2 == r2 == p2)
-    l3, r3 = series.specialization_even_rows(nx, bound)
-    results.append(l3 == r3)
-    l4, r4 = series.specialization_even_both(nx, bound)
-    results.append(l4 == r4)
-    lhs_text = ", ".join("equal" if ok else "DIFFERENT" for ok in results)
-    rhs_text = ", ".join("equal" for _ in results)
-    return _record("series-specializations", {"vars": nx, "degree": bound}, lhs_text, rhs_text, started)
+    def sides():
+        lhs, rhs = series.specialization_square(nx, bound)
+        l2, r2, p2 = series.specialization_zero_spin(nx, bound)
+        l3, r3 = series.specialization_even_rows(nx, bound)
+        l4, r4 = series.specialization_even_both(nx, bound)
+        results = [lhs == rhs, l2 == r2 == p2, l3 == r3, l4 == r4]
+        return ", ".join("equal" if ok else "DIFFERENT" for ok in results), ", ".join("equal" for _ in results)
+
+    return _record("series-specializations", {"vars": nx, "degree": bound}, sides)
 
 
 # ---------------------------------------------------------------------------
 # suite assembly
 
 
+SIZES = ("n", "length", "max_size", "vars", "degree", "poly_n", "cores")
+
+
 def suite_instances(suite, sizes):
+    """The (check name, kwargs) pairs of one suite at the given sizes.
+
+    An unknown or negative size is a ValueError, and so are sizes that leave
+    the suite nothing to check: no selection passes vacuously.
+    """
+    for key, value in sizes.items():
+        if key not in SIZES:
+            raise ValueError(f"unknown size {key!r}; the sizes are {', '.join(SIZES)}")
+        if any(v < 0 for v in (value if key == "cores" else (value,))):
+            raise ValueError(f"size {key} must not be negative, got {value}")
+    instances = list(_instances(suite, sizes))
+    if not instances:
+        raise ValueError(f"suite {suite} has nothing to check at sizes {sizes}")
+    return instances
+
+
+def _instances(suite, sizes):
     n_max = sizes.get("n", 4)
     cores = sizes.get("cores", (0, 1, 2))
     degree = sizes.get("degree", 3)

@@ -401,6 +401,20 @@ def enumerate_involutions(n):
     return results
 
 
+def enumerate_biwords(max_top, max_bottom, length, kind=COLORED, multiplicity_free=False):
+    """Every biword of the given kind and length whose top letters are at most
+    max_top and whose bottom letters, barred or not, are at most max_bottom;
+    with ``multiplicity_free`` no biletter repeats."""
+    types = [
+        Biletter(Letter(t), Letter(b, bar))
+        for t in range(1, max_top + 1)
+        for b in range(1, max_bottom + 1)
+        for bar in (False, True)
+    ]
+    pick = itertools.combinations if multiplicity_free else itertools.combinations_with_replacement
+    return [biword(combo, kind) for combo in pick(types, length)]
+
+
 def to_json(word):
     if isinstance(word, ColoredBiword):
         return {

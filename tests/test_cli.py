@@ -64,8 +64,6 @@ def test_growth_cells(capsys):
 def test_empty_word_edge_cases(capsys):
     code, out, _ = run_cli(capsys, "growth", "", "--core", "1")
     assert code == 0 and out.strip() == "(1)"
-    code, out, _ = run_cli(capsys, "verify", "insertion", "--n", "0")
-    assert code == 0 and "0/0 checks passed" in out
 
 
 def test_imbalance(capsys):
@@ -94,7 +92,16 @@ def test_series_check(capsys):
         capsys, "series", "check", "--vars", "2", "--degree", "2", "--cores", "0,1"
     )
     assert code == 0
-    assert "8/8 checks passed" in out
+    assert "9/9 checks passed" in out
+
+    def records(*command):
+        argv = (*command, "--vars", "2", "--degree", "2", "--cores", "0,1", "--format", "json")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        return [{k: v for k, v in json.loads(line).items() if k != "ms"} for line in out.splitlines()]
+
+    # the same records as the series suite at the same sizes, apart from ms
+    assert records("series", "check") == records("verify", "series")
 
 
 def test_enumerate(capsys):
@@ -132,6 +139,31 @@ def test_verify_defaults_match_library(capsys):
     cli = {(rec["identity"], json.dumps(rec["params"], sort_keys=True)) for rec in map(json.loads, out.splitlines())}
     library = {(rec["identity"], json.dumps(rec["params"], sort_keys=True)) for rec in run_suite("dual")}
     assert cli == library
+
+
+@pytest.mark.parametrize(
+    "suite, sizes, flags",
+    [
+        ("insertion", {"n": -1}, ["--n", "-1"]),
+        ("sym", {"n": -1}, ["--n", "-1"]),
+        ("semistandard", {"length": -1}, ["--length", "-1"]),
+        ("series", {"degree": -1}, ["--degree", "-1"]),
+        ("sign", {"max_size": -1}, ["--max-size", "-1"]),
+        ("insertion", {"cores": (0, -1)}, ["--cores", "0,-1"]),
+        ("insertion", {"n": 0}, ["--n", "0"]),  # no records at all
+        ("insertion", {"nn": 2}, None),  # no such size; the CLI has no such flag
+    ],
+)
+def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
+    # a bad selection must not pass vacuously: the library raises, the CLI exits 2
+    from dominsert.verify import run_suite
+
+    with pytest.raises(ValueError):
+        run_suite(suite, sizes)
+    if flags is not None:
+        code, out, err = run_cli(capsys, "verify", suite, *flags)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_verify_jobs_flag(capsys):

@@ -3,9 +3,11 @@ import pytest
 from dominsert.insertion import biword_insert, biword_reverse, insert_word
 from dominsert.partitions import DominoShape
 from dominsert.tableaux import DominoTableau
-from dominsert.verify import all_colored_biwords, check_semistandard
+from dominsert.verify import check_semistandard
 from dominsert.words import (
+    DUAL,
     colored_word,
+    enumerate_biwords,
     invert_colored,
     parse_biword,
     parse_word,
@@ -103,6 +105,9 @@ def test_exhaustive_small():
 
 
 def test_biword_pool_sizes():
-    assert len(all_colored_biwords(2, 2, 0)) == 1
-    assert len(all_colored_biwords(2, 2, 1)) == 8
-    assert len(all_colored_biwords(2, 2, 4)) == 330
+    assert len(enumerate_biwords(2, 2, 0)) == 1
+    assert len(enumerate_biwords(2, 2, 1)) == 8
+    assert len(enumerate_biwords(2, 2, 4)) == 330
+    # multiplicity-free: 4 of the 8 biletters, of either kind
+    assert len(enumerate_biwords(2, 2, 4, multiplicity_free=True)) == 70
+    assert len(enumerate_biwords(2, 2, 4, DUAL, multiplicity_free=True)) == 70

@@ -4,16 +4,18 @@ from dominsert.polynomials import MPoly, PARAMS
 from dominsert.series import (
     Factor,
     TruncatedSeries,
-    check_cauchy,
-    check_dual_cauchy,
-    check_weighted_sum,
+    cauchy_product,
+    cauchy_sum,
     domino_function,
+    dual_cauchy_product,
+    dual_cauchy_sum,
     expand_product,
     schur,
     specialization_even_both,
     specialization_even_rows,
     specialization_square,
     specialization_zero_spin,
+    weighted_domino_product,
     weighted_domino_sum,
 )
 
@@ -81,29 +83,25 @@ def test_doubled_shape_has_even_rows():
 
 def test_cauchy_identities():
     for core in (0, 1, 2):
-        lhs, rhs = check_cauchy(core, 1, 2)
-        assert lhs == rhs, core
-        lhs, rhs = check_dual_cauchy(core, 1, 2)
-        assert lhs == rhs, core
-    lhs, rhs = check_cauchy(0, 2, 2)
-    assert lhs == rhs
-    lhs, rhs = check_dual_cauchy(0, 2, 2)
-    assert lhs == rhs
+        assert cauchy_sum(core, 1, 2) == cauchy_product(1, 2), core
+        assert dual_cauchy_sum(core, 1, 2) == dual_cauchy_product(1, 2), core
+    assert cauchy_sum(0, 2, 2) == cauchy_product(2, 2)
+    assert dual_cauchy_sum(0, 2, 2) == dual_cauchy_product(2, 2)
 
 
 def test_weighted_sum_product_and_core_independence():
     reference = None
     for core in (0, 1, 2):
-        lhs, rhs = check_weighted_sum(core, 2, 3)
-        assert lhs == rhs, core
+        lhs = weighted_domino_sum(core, 2, 3)
+        assert lhs == weighted_domino_product(2, 3), core
         if reference is None:
             reference = lhs
         assert lhs == reference, core
 
 
 def test_degree_zero_terms():
-    lhs, rhs = check_cauchy(0, 2, 0)
-    assert lhs == rhs
+    lhs = cauchy_sum(0, 2, 0)
+    assert lhs == cauchy_product(2, 0)
     assert lhs.terms == {(0, 0, 0, 0): ONE}
 
 

@@ -1,0 +1,76 @@
+"""The shared skeleton of the verify checks: failures surface, records stay fixed."""
+
+import importlib.util
+import json
+from collections import Counter
+from pathlib import Path
+
+from dominsert import insertion, involutions, verify, words
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_records_match_the_reference_digests():
+    # every record at default sizes, ms dropped, against perfbench/expected.json
+    workloads = _load_workloads()
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())["records"]["verify-all"]
+    got = {
+        workloads.record_key(*instance): workloads.record_digest(verify.run_instance(instance))
+        for _, instance in workloads.verify_instances(verify)
+    }
+    assert got == expected
+
+
+def _assert_fails(record, cases):
+    assert record["pass"] is False
+    assert record["rhs"] == f"0 violations in {cases} cases"
+    found = int(record["lhs"].split()[0])
+    assert found > 0 and record["lhs"].startswith(f"{found} violations in {cases} cases: ")
+
+
+def test_exhaustive_checks_report_a_wrong_library(monkeypatch):
+    cases = 2**3 * 6
+    for check in ("check_standard_bijection", "check_oracle_equivalence", "check_inverse_symmetry"):
+        assert verify.run_instance((check, {"n": 3, "core": 1}))["pass"]
+
+    real_reverse = insertion.growth_reverse_word
+    monkeypatch.setattr(insertion, "growth_reverse_word", lambda p, q: real_reverse(p, q)[::-1])
+    _assert_fails(verify.check_standard_bijection(3, 1), cases)
+
+    real_growth = insertion.growth
+    monkeypatch.setattr(insertion, "growth", lambda word, core: real_growth(word[::-1], core))
+    _assert_fails(verify.check_oracle_equivalence(3, 1), cases)
+
+    monkeypatch.setattr(words, "group_inverse", lambda pi: pi)
+    _assert_fails(verify.check_inverse_symmetry(3, 1), cases)
+
+
+def test_closing_comparison_reports_a_wrong_image_size(monkeypatch):
+    real_count = involutions.standard_tableau_count
+    monkeypatch.setattr(involutions, "standard_tableau_count", lambda lam: real_count(lam) + 1)
+    record = verify.check_standard_bijection(2, 0)
+    _assert_fails(record, 2**2 * 2)
+    assert "image sizes" in record["lhs"]
+
+
+def test_insertion_suite_inserts_each_word_once_per_check(monkeypatch):
+    calls = Counter()
+    real_insert = insertion.insert_word
+
+    def counted(word, core):
+        calls[word, core] += 1
+        return real_insert(word, core)
+
+    monkeypatch.setattr(insertion, "insert_word", counted)
+    records = verify.run_suite("insertion", {"n": 3})
+    assert all(record["pass"] for record in records)
+    # 2 + 8 + 48 signed permutations of n <= 3, at three cores; five checks
+    assert len(calls) == (2 + 8 + 48) * 3
+    assert set(calls.values()) == {5}
