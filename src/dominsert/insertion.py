@@ -6,21 +6,23 @@ square-for-square in the test suite.
 
 Each edge of a growth diagram is labelled by the domino it adds, a plain
 ``(row, col, orient)`` tuple, or None.  A square's local rule reads its two
-near labels and at most one row or column length of a corner.  Growth runs
-row by row; the reverse keeps one row of shapes and validates once, by
-regrowing the recovered matrix.
+near labels and at most one row or column length of a corner.  Growth and
+its reverse run row by row on one list of row lengths per column; the
+reverse checks each square it peels off.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .partitions import (
     HORIZONTAL,
     VERTICAL,
     DominoShape,
+    add_domino,
     as_partition,
     col_height,
     domino_of_cells,
@@ -32,7 +34,7 @@ from .partitions import (
     staircase,
     staircase_order,
 )
-from .tableaux import DominoTableau, empty_tableau, tableau_from_chain, tiled_shape
+from .tableaux import DominoTableau, tableau_from_chain, tiled_shape
 from .words import (
     COLORED,
     DUAL,
@@ -52,23 +54,24 @@ from .words import (
 # bumping
 
 
-def insert_letter(tab, letter):
+def _bump(core, entries, letter):
     """Insert one letter: a horizontal seed in row 1 for an unbarred letter,
     a vertical seed in column 1 for a barred one, then replay the bumps.
 
     Each displaced domino is compared against the current shape: disjoint
     dominoes stay put, a one-cell overlap slides the free cell to the
     diagonal neighbour, and a fully covered domino bumps to the next row
-    (horizontal) or column (vertical).
+    (horizontal) or column (vertical).  Returns the new sorted entries and
+    row lengths; ``place_domino`` checks every placement.
     """
     value = letter.value
-    split = bisect_left(tab.entries, value, key=itemgetter(0))
-    if split < len(tab) and tab.entries[split][0] == value:
+    split = bisect_left(entries, value, key=itemgetter(0))
+    if split < len(entries) and entries[split][0] == value:
         raise ValueError(f"value {value} already present")
-    lower, upper = tab.entries[:split], tab.entries[split:]
+    lower, upper = entries[:split], entries[split:]
 
     placed = list(lower)
-    rows = list(tiled_shape(tab.core, lower))
+    rows = list(tiled_shape(core, lower))
 
     if letter.barred:
         seed = DominoShape(len(rows) + 1, 1, "v")
@@ -94,34 +97,47 @@ def insert_letter(tab, letter):
         place_domino(rows, new.row, new.col, new.orient)
         placed.append((other_value, new))
 
-    return DominoTableau(tab.core, tuple(placed))
+    return tuple(placed), rows
+
+
+def insert_letter(tab, letter):
+    """Insert one letter into a standard tableau; see ``_bump``."""
+    return DominoTableau(tab.core, _bump(tab.core, tab.entries, letter)[0])
 
 
 @dataclass(frozen=True)
 class InsertionResult:
     p: DominoTableau
     q: DominoTableau
-    frames: tuple  # insertion tableau after each step
+    steps: tuple  # entries of the insertion tableau after each step
 
     @property
     def shape(self):
         return self.p.shape()
 
+    @property
+    def frames(self):
+        return tuple(DominoTableau(self.p.core, entries) for entries in self.steps)
+
 
 def insert_word(letters, core=0):
-    """Insert a signed permutation; the recording tableau tracks the shapes."""
+    """Insert a signed permutation; the recording tableau holds the domino
+    each step adds."""
     letters = tuple(letters)
     if not is_signed_permutation(letters):
         raise ValueError("insert_word expects a signed permutation")
-    tab = empty_tableau(core)
-    frames = []
-    shapes = [tab.shape()]
-    for letter in letters:
-        tab = insert_letter(tab, letter)
-        frames.append(tab)
-        shapes.append(tab.shape())
-    q = tableau_from_chain(shapes)
-    return InsertionResult(tab, q, tuple(frames))
+    base = staircase(core)
+    entries, shape = (), base
+    steps, recording = [], []
+    for value, letter in enumerate(letters, start=1):
+        entries, rows = _bump(base, entries, letter)
+        dom = skew_domino(rows, shape)
+        if dom is None:
+            raise ValueError(f"step {value} of the insertion does not add a domino")
+        recording.append((value, dom))
+        steps.append(entries)
+        shape = rows
+    return InsertionResult(DominoTableau(base, entries), DominoTableau(base, tuple(recording)), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -181,96 +197,103 @@ def _shift(dom, step):
     return (row + step, col, orient) if orient == HORIZONTAL else (row, col + step, orient)
 
 
-def _with(lam, *doms):
-    rows = list(lam)
-    for dom in doms:
-        place_domino(rows, *dom)
-    return tuple(rows)
-
-
-def _grow(lam, mu, nu, a, b, entry):
-    """Forward rule on edge labels: a = mu/lam and b = nu/lam give (rho,
-    rho/mu, rho/nu).  Only a +-1 seed or a bump reads lam, and then one row
-    or column length."""
+def _grow(nu, a, b, entry):
+    """Forward rule on edge labels: a = mu/lam and b = nu/lam give (rho/mu,
+    rho/nu).  Only a +-1 seed or a bump reads a shape, and then one row
+    length or column height of nu, which agrees with lam there."""
     if entry:
         if a or b:
             raise ValueError("a +-1 square needs three equal corners")
-        seed = (1, part(lam, 1) + 1, HORIZONTAL) if entry == 1 else (len(lam) + 1, 1, VERTICAL)
-        return _with(lam, seed), seed, seed
+        seed = (1, part(nu, 1) + 1, HORIZONTAL) if entry == 1 else (len(nu) + 1, 1, VERTICAL)
+        return seed, seed
     if a is None:
-        return nu, b, None
+        return b, None
     if b is None:
-        return mu, None, a
+        return None, a
     if a == b:
         # bump below (horizontal) or to the right (vertical)
         row, col, orient = a
         if orient == HORIZONTAL:
-            bumped = (row + 1, part(lam, row + 1) + 1, HORIZONTAL)
+            bumped = (row + 1, part(nu, row + 1) + 1, HORIZONTAL)
         else:
-            bumped = (col_height(lam, col + 1) + 1, col + 1, VERTICAL)
-        return _with(lam, a, bumped), bumped, bumped
+            bumped = (col_height(nu, col + 1) + 1, col + 1, VERTICAL)
+        return bumped, bumped
     if a[:2] == b[:2]:
         # one-cell overlap: the 2x2 block at the shared cell fills up
-        return _with(lam, a, _shift(a, 1)), _shift(a, 1), _shift(b, 1)
-    return _with(lam, a, b), b, a
+        return _shift(a, 1), _shift(b, 1)
+    return b, a
 
 
-def _shrink(mu, c, d):
+def _shrink(rows, c, d):
     """Reverse rule on edge labels, the inverse of ``_grow``: c = rho/mu and
-    d = rho/nu give (lam, entry, mu/lam, nu/lam)."""
+    d = rho/nu give (entry, mu/lam, nu/lam), and ``rows`` goes from mu to
+    lam in place."""
     if d is None:
-        return mu, 0, None, c
+        return 0, None, c
     a, b = d, c
     if c == d:
         row, col, orient = c
         if orient == HORIZONTAL:
             if row == 1:
-                return mu, 1, None, None
-            a = b = (row - 1, part(mu, row - 1) - 1, HORIZONTAL)
+                return 1, None, None
+            a = b = (row - 1, part(rows, row - 1) - 1, HORIZONTAL)
         else:
             if col == 1:
-                return mu, -1, None, None
-            a = b = (col_height(mu, col - 1) - 1, col - 1, VERTICAL)
+                return -1, None, None
+            a = b = (col_height(rows, col - 1) - 1, col - 1, VERTICAL)
     elif c is not None and c[2] != d[2] and _shift(c, -1)[:2] == _shift(d, -1)[:2]:
         a, b = _shift(c, -1), _shift(d, -1)
-    rows = list(mu)
     lift_domino(rows, *a)
-    return tuple(rows), 0, a, b
+    return 0, a, b
 
 
 def local_rule(lam, mu, nu, entry):
     """Forward local rule: the fourth corner of a square from the other three."""
     if entry not in (-1, 0, 1):
         raise ValueError(f"square entry must be 0 or +-1, got {entry}")
-    return _grow(lam, mu, nu, _label(mu, lam), _label(nu, lam), entry)[0]
+    _, d = _grow(nu, _label(mu, lam), _label(nu, lam), entry)
+    return add_domino(nu, DominoShape(*d)) if d else nu
 
 
 def local_rule_reverse(rho, mu, nu):
     """Recover (lam, entry) from the other three corners of a square."""
-    lam, entry, _, _ = _shrink(mu, _label(rho, mu), _label(rho, nu))
-    if local_rule(lam, mu, nu, entry) != rho:
+    lam = list(mu)
+    entry, _, _ = _shrink(lam, _label(rho, mu), _label(rho, nu))
+    if local_rule(tuple(lam), mu, nu, entry) != rho:
         raise ValueError("square does not match any local rule")
-    return lam, entry
+    return tuple(lam), entry
 
 
 @dataclass(frozen=True)
 class GrowthDiagram:
-    """(n+1) x (n+1) grid of shapes; grid[i][j] holds the shape after the
-    first i insertions restricted to values at most j."""
+    """Growth diagram of a signed permutation matrix, kept as its boundary
+    chains and the labels of its vertical edges."""
 
-    grid: tuple
     matrix: tuple
     core_order: int
+    p_shapes: tuple
+    q_shapes: tuple
+    vertical: tuple  # vertical[i][j] labels grid[i + 1][j] / grid[i][j]
 
     @property
     def n(self):
         return len(self.matrix)
 
+    @cached_property
+    def grid(self):
+        """(n+1) x (n+1) grid of shapes replayed from the labels; grid[i][j]
+        holds the shape after the first i insertions restricted to values at
+        most j."""
+        grid = [(staircase(self.core_order),) * (self.n + 1)]
+        for labels in self.vertical:
+            grid.append(tuple(add_domino(s, DominoShape(*dom)) if dom else s for s, dom in zip(grid[-1], labels)))
+        return tuple(grid)
+
     def p_chain(self):
-        return self.grid[self.n]
+        return self.p_shapes
 
     def q_chain(self):
-        return tuple(self.grid[i][self.n] for i in range(self.n + 1))
+        return self.q_shapes
 
     def p_tableau(self):
         return tableau_from_chain(self.p_chain())
@@ -312,41 +335,38 @@ def _vertical_growth(inner, outer):
     return 1 if dom and dom[2] == VERTICAL else 0
 
 
-def _grow_rows(matrix, base):
-    """Yield the rows grid[0], ..., grid[n] of the growth diagram, keeping
-    only the previous row's shapes and horizontal labels and the label of
-    the vertical edge left of the current square."""
-    n = len(matrix)
-    shapes = (base,) * (n + 1)
-    labels = [None] * n
-    yield shapes
-    for entries in matrix:
-        row = [base]
-        left = None
-        for j in range(n):
-            rho, labels[j], left = _grow(
-                shapes[j], row[j], shapes[j + 1], left, labels[j], entries[j]
-            )
-            row.append(rho)
-        shapes = tuple(row)
-        yield shapes
-
-
 def growth(matrix_or_word, core=0):
-    """Fill the growth diagram of a signed permutation row by row."""
+    """Fill the growth diagram of a signed permutation row by row, on one list
+    of row lengths per column: column j holds grid[i][j] and takes its
+    vertical label in place, so a square reads the column to its right."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         matrix = word_matrix(matrix_or_word)
     else:
         matrix = tuple(tuple(row) for row in matrix_or_word)
     validate_matrix(matrix)
-    return GrowthDiagram(tuple(_grow_rows(matrix, staircase(core))), matrix, core)
+    n, base = len(matrix), staircase(core)
+    columns = [list(base) for _ in range(n + 1)]
+    horizontal = [None] * n
+    q_chain, vertical = [base], []
+    for entries in matrix:
+        left, labels = None, [None]
+        for j, entry in enumerate(entries):
+            horizontal[j], left = _grow(columns[j + 1], left, horizontal[j], entry)
+            if left:
+                place_domino(columns[j + 1], *left)
+            labels.append(left)
+        q_chain.append(tuple(columns[n]))
+        vertical.append(tuple(labels))
+    return GrowthDiagram(matrix, core, tuple(map(tuple, columns)), tuple(q_chain), tuple(vertical))
 
 
 def growth_reverse(p_chain, q_chain):
     """Rebuild the matrix whose growth diagram has the given boundary chains.
 
-    Rows are peeled off from the P chain down, keeping one row of shapes and
-    its horizontal labels; the recovered matrix must regrow to both chains.
+    Rows are peeled off from the P chain down, on one list of row lengths
+    per column.  Each square whose right label is set must grow back to its
+    outer labels, each row must end at the core, and so must every column
+    and the P labels; by induction the matrix then grows to both chains.
     """
     p_chain = tuple(as_partition(s) for s in p_chain)
     q_chain = tuple(as_partition(s) for s in q_chain)
@@ -355,22 +375,25 @@ def growth_reverse(p_chain, q_chain):
     if p_chain[0] != q_chain[0] or staircase_order(p_chain[0]) is None:
         raise ValueError("chains must start at the same staircase core")
     n = len(p_chain) - 1
-    shapes = list(p_chain)
+    columns = [list(shape) for shape in p_chain]
     labels = [_label(outer, inner) for inner, outer in zip(p_chain, p_chain[1:])]
     matrix = [None] * n
     for i in range(n - 1, -1, -1):
         entries = [0] * n
         right = _label(q_chain[i + 1], q_chain[i])
+        columns[n] = list(q_chain[i])
         for j in range(n - 1, -1, -1):
-            shapes[j], entries[j], right, labels[j] = _shrink(shapes[j], labels[j], right)
+            c, d = labels[j], right
+            entries[j], right, labels[j] = _shrink(columns[j], c, d)
+            if d and _grow(columns[j + 1], right, labels[j], entries[j]) != (c, d):
+                raise ValueError(f"square ({i + 1}, {j + 1}) matches no local rule")
+        if right:
+            raise ValueError(f"row {i + 1} does not start at the core")
         matrix[i] = tuple(entries)
+    if any(labels) or any(column != columns[n] for column in columns):
+        raise ValueError("chains do not come from an insertion")
     matrix = tuple(matrix)
     validate_matrix(matrix)
-    regrown_q = []
-    for row in _grow_rows(matrix, p_chain[0]):
-        regrown_q.append(row[n])
-    if row != p_chain or tuple(regrown_q) != q_chain:
-        raise ValueError("chains do not come from an insertion")
     return matrix
 
 

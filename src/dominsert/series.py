@@ -33,6 +33,8 @@ class TruncatedSeries:
     __slots__ = ("nx", "ny", "bound", "terms")
 
     def __init__(self, nx, ny, bound, terms=None):
+        if nx < 0 or ny < 0 or bound < 0:
+            raise ValueError(f"series sizes must be nonnegative, got nx={nx}, ny={ny}, bound={bound}")
         self.nx = nx
         self.ny = ny
         self.bound = bound

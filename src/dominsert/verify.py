@@ -9,6 +9,7 @@ so their output is reproducible.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -500,8 +501,9 @@ def suite_instances(suite, sizes):
     for key, value in sizes.items():
         if key not in SIZES:
             raise ValueError(f"unknown size {key!r}; the sizes are {', '.join(SIZES)}")
-        if any(v < 0 for v in (value if key == "cores" else (value,))):
-            raise ValueError(f"size {key} must not be negative, got {value}")
+        low = 1 if key == "vars" else 0  # a series in no variables is a constant
+        if any(v < low for v in (value if key == "cores" else (value,))):
+            raise ValueError(f"size {key} must be at least {low}, got {value}")
     instances = list(_instances(suite, sizes))
     if not instances:
         raise ValueError(f"suite {suite} has nothing to check at sizes {sizes}")
@@ -582,14 +584,17 @@ def run_instance(instance):
 
 
 def run_suite(suite, sizes=None, jobs=1):
-    """Run one suite (or 'all'); returns records sorted canonically."""
+    """Run one suite (or 'all') in at most ``jobs`` processes; returns records sorted canonically."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     sizes = sizes or {}
     names = SUITES if suite == "all" else (suite,)
     instances = []
     for name in names:
         instances.extend(suite_instances(name, sizes))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, os.cpu_count() or 1, len(instances))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_instance, instances))
     else:
         records = [run_instance(instance) for instance in instances]

@@ -375,6 +375,8 @@ def enumerate_signed_permutations(n):
 
 def enumerate_involutions(n):
     """All signed involutions in B_n, built from fixed points and two-cycles."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     results = []
 
     def build(remaining, assignment):

@@ -152,6 +152,7 @@ def test_verify_defaults_match_library(capsys):
         ("insertion", {"cores": (0, -1)}, ["--cores", "0,-1"]),
         ("insertion", {"n": 0}, ["--n", "0"]),  # no records at all
         ("insertion", {"nn": 2}, None),  # no such size; the CLI has no such flag
+        ("series", {"vars": 0}, ["--vars", "0"]),  # series in no variables are constants
     ],
 )
 def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
@@ -164,6 +165,24 @@ def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
         code, out, err = run_cli(capsys, "verify", suite, *flags)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "expand", "--degree", "-1"],
+        ["series", "expand", "--vars", "-1"],
+        ["series", "check", "--vars", "0", "--degree", "1"],
+        ["enumerate", "involutions", "--n", "-1"],
+        ["verify", "counting", "--jobs", "-3"],
+        ["verify", "counting", "--jobs", "0"],
+    ],
+)
+def test_bad_sizes_exit_2(capsys, argv):
+    # a negative size, a series in no variables or fewer than one job is an error, not an empty pass
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_verify_jobs_flag(capsys):

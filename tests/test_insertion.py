@@ -14,7 +14,7 @@ from dominsert.insertion import (
     matrix_word,
     word_matrix,
 )
-from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard
+from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard, tableau_from_chain
 from dominsert.words import (
     Letter,
     enumerate_signed_permutations,
@@ -277,8 +277,8 @@ def test_growth_str_shapes():
 
 
 @st.composite
-def signed_permutations(draw, max_n=60):
-    n = draw(st.integers(min_value=0, max_value=max_n))
+def signed_permutations(draw, max_n=60, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     values = draw(st.permutations(range(1, n + 1)))
     bars = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return tuple(Letter(value, barred) for value, barred in zip(values, bars))
@@ -340,3 +340,75 @@ def test_growth_reverse_rejects_corrupted_chains(word, core, corruption, data):
             chain.insert(k, chain[k])
     with pytest.raises(ValueError):
         growth_reverse(p, q)
+
+
+def test_growth_reverse_on_all_small_chain_pairs():
+    """Every pair of chains with at most 3 dominoes over cores 0-2: the reverse
+    succeeds exactly when both chains end at the same shape (the bijection),
+    and then the recovered matrix grows back to both chains."""
+    from dominsert.partitions import enumerate_with_core
+
+    pairs = 0
+    for core in (0, 1, 2):
+        for n in range(4):
+            chains = [tab.chain() for lam in enumerate_with_core(core, n) for tab in enumerate_standard(lam)]
+            for p in chains:
+                for q in chains:
+                    pairs += 1
+                    if p[-1] == q[-1]:
+                        diagram = growth(growth_reverse(p, q), core)
+                        assert (diagram.p_chain(), diagram.q_chain()) == (p, q)
+                    else:
+                        with pytest.raises(ValueError):
+                            growth_reverse(p, q)
+    assert pairs == 1323
+
+
+@settings(max_examples=30)
+@given(signed_permutations(), cores)
+def test_insert_word_steps_match_insert_letter(word, core):
+    """insert_word threads one entries list; letter-by-letter insertion into
+    validated tableaux gives the same frames, and Q is the chain of their shapes."""
+    frames = [empty_tableau(core)]
+    for letter in word:
+        frames.append(insert_letter(frames[-1], letter))
+    result = insert_word(word, core)
+    assert result.frames == tuple(frames[1:])
+    assert result.p == frames[-1]
+    assert result.q == tableau_from_chain([frame.shape() for frame in frames])
+
+
+@settings(max_examples=60)
+@given(
+    signed_permutations(),
+    cores,
+    st.sampled_from(("swap", "repeat", "other-q")),
+    st.booleans(),
+    st.data(),
+)
+def test_growth_reverse_rejects_damaged_chains(word, core, damage, on_p, data):
+    """A chain damaged at one step raises ValueError.  A Q chain taken from
+    another word of the same length does exactly when it ends elsewhere."""
+    diagram = growth(word, core)
+    chains = [list(diagram.p_chain()), list(diagram.q_chain())]
+    n = len(word)
+    if damage == "other-q":
+        other = data.draw(signed_permutations(max_n=n, min_n=n))
+        p, q = diagram.p_chain(), growth(other, core).q_chain()
+        if p[-1] == q[-1]:
+            regrown = growth(growth_reverse(p, q), core)
+            assert (regrown.p_chain(), regrown.q_chain()) == (p, q)
+        else:
+            with pytest.raises(ValueError):
+                growth_reverse(p, q)
+        return
+    if n < 2:
+        return
+    chain = chains[0 if on_p else 1]
+    k = data.draw(st.integers(min_value=1, max_value=n - 1 if damage == "swap" else n))
+    if damage == "swap":
+        chain[k], chain[k + 1] = chain[k + 1], chain[k]
+    else:
+        chain[k] = chain[k - 1]  # step k adds nothing
+    with pytest.raises(ValueError):
+        growth_reverse(*chains)

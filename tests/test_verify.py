@@ -5,6 +5,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from dominsert import insertion, involutions, verify, words
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,3 +76,34 @@ def test_insertion_suite_inserts_each_word_once_per_check(monkeypatch):
     # 2 + 8 + 48 signed permutations of n <= 3, at three cores; five checks
     assert len(calls) == (2 + 8 + 48) * 3
     assert set(calls.values()) == {5}
+
+
+def test_run_suite_caps_its_workers(monkeypatch):
+    # a stand-in pool records its size and runs in this process, so no large pool ever starts
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    sizes = {"n": 1, "cores": (0,)}  # five records
+    serial = verify.run_suite("insertion", sizes)
+    for cpus, jobs, pool in ((64, 10**9, 5), (3, 10**9, 3), (64, 2, 2), (None, 8, None), (64, 1, None)):
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        started.clear()
+        records = verify.run_suite("insertion", sizes, jobs=jobs)
+        assert started == ([] if pool is None else [pool])
+        assert [{**r, "ms": 0} for r in records] == [{**r, "ms": 0} for r in serial]
+    for jobs in (0, -3):
+        with pytest.raises(ValueError):
+            verify.run_suite("insertion", sizes, jobs=jobs)
