@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import insertion, series, signimbalance, tableaux, verify, words
-from .partitions import as_partition, partition_str
+from .partitions import as_partition, json_int, partition_str
 from .polynomials import PARAMS
 from .render import render_tableau
 from .words import ColoredBiword
@@ -108,10 +108,7 @@ def cmd_reverse(args):
         raise ValueError("reverse expects a JSON object with P and Q")
     p = tableaux.DominoTableau.from_json(payload["P"])
     q = tableaux.DominoTableau.from_json(payload["Q"])
-    try:
-        core = int(payload.get("core", args.core))
-    except TypeError:
-        raise ValueError(f"core must be an integer, got {payload['core']!r}") from None
+    core = json_int(payload.get("core", args.core), "core")
     word = insertion.biword_reverse(p, q, core)
     perm = [bl.bottom for bl in word.letters]
     if words.is_signed_permutation(word.bottom) and all(

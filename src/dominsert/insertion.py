@@ -4,11 +4,13 @@ The growth-rule formulation is taken as the authoritative semantics; the
 bumping procedure is implemented independently and the two are compared
 square-for-square in the test suite.
 
-Each edge of a growth diagram is labelled by the domino it adds, a plain
-``(row, col, orient)`` tuple, or None.  A square's local rule reads its two
-near labels and at most one row or column length of a corner.  Growth and
-its reverse run row by row on one list of row lengths per column; the
-reverse checks each square it peels off.
+Each edge of a growth diagram is labelled by the domino it adds, or None.
+A label is the same ``(row, col, orient)`` triple as ``DominoShape``; the
+labels a local rule builds stay bare triples, and ``place_domino`` or
+``lift_domino`` checks each one.  A square's local rule reads its two near
+labels and at most one row or column length of a corner.  Growth and its
+reverse run row by row on one list of row lengths per column; the reverse
+checks each square it peels off.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ def _bump(core, entries, letter):
         seed = DominoShape(len(rows) + 1, 1, "v")
     else:
         seed = DominoShape(1, (rows[0] if rows else 0) + 1, "h")
-    place_domino(rows, seed.row, seed.col, seed.orient)
+    place_domino(rows, *seed)
     placed.append((value, seed))
 
     for other_value, dom in upper:
@@ -94,7 +96,7 @@ def _bump(core, entries, letter):
         else:
             target_col = dom.col + 1
             new = DominoShape(col_height(rows, target_col) + 1, target_col, "v")
-        place_domino(rows, new.row, new.col, new.orient)
+        place_domino(rows, *new)
         placed.append((other_value, new))
 
     return tuple(placed), rows
@@ -160,12 +162,12 @@ def word_matrix(letters):
 
 def matrix_word(matrix):
     validate_matrix(matrix)
-    letters = []
-    for row in matrix:
-        for j, entry in enumerate(row, start=1):
-            if entry:
-                letters.append(Letter(j, entry < 0))
-    return tuple(letters)
+    return _letters(matrix)
+
+
+def _letters(matrix):
+    """The word of a validated signed permutation matrix."""
+    return tuple(Letter(j, entry < 0) for row in matrix for j, entry in enumerate(row, start=1) if entry)
 
 
 def validate_matrix(matrix):
@@ -187,7 +189,7 @@ def _label(outer, inner):
     dom = skew_domino(outer, inner)
     if dom is None:
         raise ValueError(f"{partition_str(outer)}/{partition_str(inner)} is not a domino")
-    return (dom.row, dom.col, dom.orient)
+    return dom
 
 
 def _shift(dom, step):
@@ -252,7 +254,7 @@ def local_rule(lam, mu, nu, entry):
     if entry not in (-1, 0, 1):
         raise ValueError(f"square entry must be 0 or +-1, got {entry}")
     _, d = _grow(nu, _label(mu, lam), _label(nu, lam), entry)
-    return add_domino(nu, DominoShape(*d)) if d else nu
+    return add_domino(nu, d) if d else nu
 
 
 def local_rule_reverse(rho, mu, nu):
@@ -286,7 +288,7 @@ class GrowthDiagram:
         most j."""
         grid = [(staircase(self.core_order),) * (self.n + 1)]
         for labels in self.vertical:
-            grid.append(tuple(add_domino(s, DominoShape(*dom)) if dom else s for s, dom in zip(grid[-1], labels)))
+            grid.append(tuple(add_domino(s, dom) if dom else s for s, dom in zip(grid[-1], labels)))
         return tuple(grid)
 
     def p_chain(self):
@@ -399,8 +401,7 @@ def growth_reverse(p_chain, q_chain):
 
 def growth_reverse_word(p_tab, q_tab):
     """The signed permutation inserting to the given standard pair."""
-    matrix = growth_reverse(p_tab.chain(), q_tab.chain())
-    return matrix_word(matrix)
+    return _letters(growth_reverse(p_tab.chain(), q_tab.chain()))
 
 
 # ---------------------------------------------------------------------------

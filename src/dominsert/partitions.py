@@ -9,58 +9,52 @@ counted top-down, so the cell diagonally outwards from ``(k, l)`` is
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
-from operator import neg
+from operator import itemgetter, neg
 
 HORIZONTAL = "h"
 VERTICAL = "v"
 
 
-@dataclass(frozen=True, order=True)
-class DominoShape:
-    """Placement of a domino: topmost-leftmost cell plus orientation."""
+class DominoShape(namedtuple("DominoShape", "row col orient")):
+    """Placement of a domino: topmost-leftmost cell plus orientation.  It is
+    the ``(row, col, orient)`` triple itself, so it compares, hashes and sorts
+    as that triple, and a growth edge label is the same value."""
 
-    row: int
-    col: int
-    orient: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.row < 1 or self.col < 1 or self.orient not in (HORIZONTAL, VERTICAL):
+    def __new__(cls, row, col, orient):
+        self = tuple.__new__(cls, (row, col, orient))
+        if row < 1 or col < 1 or orient not in (HORIZONTAL, VERTICAL):
             raise ValueError(f"bad domino placement {self}")
+        return self
 
     def cells(self):
-        if self.orient == HORIZONTAL:
-            return ((self.row, self.col), (self.row, self.col + 1))
-        return ((self.row, self.col), (self.row + 1, self.col))
-
-    @property
-    def min_col(self):
-        return self.col
+        row, col, orient = self
+        return ((row, col), (row, col + 1) if orient == HORIZONTAL else (row + 1, col))
 
     @property
     def max_col(self):
         return self.col + 1 if self.orient == HORIZONTAL else self.col
 
-    @property
-    def min_row(self):
-        return self.row
-
-    @property
-    def max_row(self):
-        return self.row + 1 if self.orient == VERTICAL else self.row
-
     def transposed(self):
-        flip = VERTICAL if self.orient == HORIZONTAL else HORIZONTAL
-        return DominoShape(self.col, self.row, flip)
-
-    def to_json(self):
-        return {"row": self.row, "col": self.col, "orient": self.orient}
+        row, col, orient = self
+        return DominoShape(col, row, VERTICAL if orient == HORIZONTAL else HORIZONTAL)
 
     @classmethod
     def from_json(cls, data):
-        return cls(int(data["row"]), int(data["col"]), data["orient"])
+        """Inverse of ``_asdict``; row and col must be JSON integers."""
+        return cls(json_int(data["row"], "row"), json_int(data["col"], "col"), data["orient"])
+
+
+def json_int(value, name):
+    """A JSON integer; a float, bool or string raises ValueError."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def domino_of_cells(cell_a, cell_b):
@@ -164,13 +158,13 @@ def lift_domino(rows, row, col, orient):
 
 def add_domino(lam, dom):
     rows = list(lam)
-    place_domino(rows, dom.row, dom.col, dom.orient)
+    place_domino(rows, *dom)
     return tuple(rows)
 
 
 def remove_domino(lam, dom):
     rows = list(lam)
-    lift_domino(rows, dom.row, dom.col, dom.orient)
+    lift_domino(rows, *dom)
     return tuple(rows)
 
 
@@ -188,7 +182,7 @@ def domino_successors(lam):
         if part(lam, r + 1) == length and (r == 1 or part(lam, r - 1) >= length + 1):
             dom = DominoShape(r, length + 1, VERTICAL)
             out.append((add_domino(lam, dom), dom))
-    out.sort(key=lambda md: (md[1].row, md[1].col, md[1].orient))
+    out.sort(key=itemgetter(1))
     return out
 
 
@@ -203,22 +197,29 @@ def domino_predecessors(lam):
         if part(lam, r + 1) == length and part(lam, r + 2) <= length - 1:
             dom = DominoShape(r, length, VERTICAL)
             out.append((remove_domino(lam, dom), dom))
-    out.sort(key=lambda md: (md[1].row, md[1].col, md[1].orient))
+    out.sort(key=itemgetter(1))
     return out
 
 
-def two_core(lam):
-    """Strip rim dominoes until none remain; the terminal shape is a staircase.
+def _runners(lam):
+    """The two runners of lam's 2-abacus with an even bead count: the positions
+    b // 2 of the even and of the odd beta-numbers, largest first."""
+    beads = len(lam) + (len(lam) % 2)
+    beta = [part(lam, i) + (beads - i) for i in range(1, beads + 1)]
+    return [b // 2 for b in beta if b % 2 == 0], [b // 2 for b in beta if b % 2 == 1]
 
-    The result does not depend on the removal order (checked exhaustively in
-    the test suite), so the first available removal is taken at every step.
+
+def two_core(lam):
+    """The 2-core, read off the 2-abacus.
+
+    Removing a rim domino moves one bead one step down its runner, so the
+    core has every bead pushed to the bottom: k0 beads on the even runner and
+    k1 on the odd one.  That beta-set is staircase(k1 - k0) when k1 >= k0 and
+    staircase(k0 - k1 - 1) otherwise.
     """
-    lam = as_partition(lam)
-    while True:
-        preds = domino_predecessors(lam)
-        if not preds:
-            return lam
-        lam = preds[0][0]
+    even, odd = _runners(as_partition(lam))
+    excess = len(odd) - len(even)
+    return staircase(excess if excess >= 0 else -excess - 1)
 
 
 def two_quotient(lam):
@@ -228,17 +229,13 @@ def two_quotient(lam):
     ones; this fixed convention makes ``size(lam) == size(two_core(lam)) +
     2*(size(q0) + size(q1))`` hold with a stable component order.
     """
-    lam = as_partition(lam)
-    beads = len(lam) + (len(lam) % 2)
-    beta = [part(lam, i) + (beads - i) for i in range(1, beads + 1)]
-    evens = sorted((b // 2 for b in beta if b % 2 == 0), reverse=True)
-    odds = sorted((b // 2 for b in beta if b % 2 == 1), reverse=True)
 
     def from_positions(vals):
         k = len(vals)
         return as_partition(v - (k - 1 - i) for i, v in enumerate(vals))
 
-    return from_positions(evens), from_positions(odds)
+    even, odd = _runners(as_partition(lam))
+    return from_positions(even), from_positions(odd)
 
 
 def odd_rows(lam):

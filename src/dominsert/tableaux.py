@@ -20,6 +20,7 @@ from .partitions import (
     contains,
     domino_predecessors,
     domino_successors,
+    json_int,
     partition_str,
     place_domino,
     size,
@@ -43,13 +44,14 @@ def tiled_shape(core, entries):
     masks = [(2 << p) - 2 for p in core]
     cells = sum(core) + 2 * len(entries)
     for _, dom in entries:
-        if dom.row + dom.col > cells:  # far cell (r, c) with r * c > cells; keeps masks small
+        row, col, orient = dom
+        if row + col > cells:  # far cell (r, c) with r * c > cells; keeps masks small
             raise ValueError("cells do not tile a partition shape")
-        i = dom.row - 1
-        if dom.orient == HORIZONTAL:
-            j, bits = i, 3 << dom.col
+        i = row - 1
+        if orient == HORIZONTAL:
+            j, bits = i, 3 << col
         else:
-            j, bits = i + 1, 1 << dom.col
+            j, bits = i + 1, 1 << col
         if j >= len(masks):
             masks.extend([0] * (j + 1 - len(masks)))
         if masks[i] & bits or masks[j] & bits:
@@ -65,13 +67,15 @@ def tiled_shape(core, entries):
 @dataclass(frozen=True)
 class DominoTableau:
     core: tuple
-    entries: tuple  # (value, DominoShape) sorted by (value, row, col)
+    entries: tuple  # (value, DominoShape) pairs, sorted; values start at 1
     _shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if staircase_order(self.core) is None:
             raise ValueError(f"core {self.core} is not a staircase")
-        ordered = tuple(sorted(self.entries, key=lambda e: (e[0], e[1].row, e[1].col)))
+        ordered = tuple(sorted(self.entries))
+        if ordered and ordered[0][0] < 1:
+            raise ValueError(f"tableau values start at 1, got {ordered[0][0]}")
         object.__setattr__(self, "entries", ordered)
         object.__setattr__(self, "_shape", tiled_shape(self.core, ordered))
 
@@ -136,11 +140,11 @@ class DominoTableau:
         for value, dominoes in sorted(self.value_classes().items()):
             previous_max = 0
             for dom in sorted(dominoes, key=lambda d: d.col):
-                if dom.min_col <= previous_max:
+                if dom.col <= previous_max:
                     return False
                 previous_max = dom.max_col
                 try:
-                    place_domino(rows, dom.row, dom.col, dom.orient)
+                    place_domino(rows, *dom)
                 except ValueError:
                     return False
         return True
@@ -155,7 +159,7 @@ class DominoTableau:
         rows = list(self.core)
         shapes = [self.core]
         for _, dom in self.entries:
-            place_domino(rows, dom.row, dom.col, dom.orient)
+            place_domino(rows, *dom)
             shapes.append(tuple(rows))
         return tuple(shapes)
 
@@ -190,18 +194,15 @@ class DominoTableau:
         return {
             "core": list(self.core),
             "dominoes": [
-                {"value": value, **dom.to_json()} for value, dom in self.entries
+                {"value": value, **dom._asdict()} for value, dom in self.entries
             ],
         }
 
     @classmethod
     def from_json(cls, data):
         try:
-            core = as_partition(data["core"])
-            entries = tuple(
-                (int(d["value"]), DominoShape(int(d["row"]), int(d["col"]), d["orient"]))
-                for d in data["dominoes"]
-            )
+            core = as_partition(json_int(p, "core part") for p in data["core"])
+            entries = tuple((json_int(d["value"], "value"), DominoShape.from_json(d)) for d in data["dominoes"])
         except TypeError as exc:
             raise ValueError(f"malformed tableau: {exc}") from None
         return cls(core, entries)
@@ -259,7 +260,7 @@ def _strip_extensions(base, limit):
 
     def grow(shape, strip, min_col):
         for mu, dom in domino_successors(shape):
-            if dom.min_col > min_col and contains(limit, mu):
+            if dom.col > min_col and contains(limit, mu):
                 extended = strip + (dom,)
                 found.append((extended, mu))
                 grow(mu, extended, dom.max_col)

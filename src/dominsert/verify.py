@@ -135,7 +135,7 @@ def check_ascent_lemmas(n, core):
         for name, word, tab in (("Q", pi, result.q), ("P", words.group_inverse(pi), result.p)):
             doms = dict(tab.entries)
             for i in range(1, n):
-                if (word[i - 1].neg < word[i].neg) != (doms[i].max_col < doms[i + 1].min_col):
+                if (word[i - 1].neg < word[i].neg) != (doms[i].max_col < doms[i + 1].col):
                     yield (name, words.word_str(pi), i)
 
     return _insertion_check("ascent-lemmas", n, core, violations)

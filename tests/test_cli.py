@@ -227,6 +227,11 @@ def test_negative_core_rejected(capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+# each payload below is valid once its one bad number is made an integer
+ONE = {"value": 1, "row": 1, "col": 1, "orient": "h"}
+ON_CORE = {"core": [1], "dominoes": [{**ONE, "col": 2}]}
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -235,6 +240,20 @@ def test_negative_core_rejected(capsys):
         {"P": {"core": 5, "dominoes": []}, "Q": {"core": [], "dominoes": []}},
         {"P": {"core": [], "dominoes": [5]}, "Q": {"core": [], "dominoes": []}},
         {"P": {"core": [], "dominoes": []}, "Q": {"core": [], "dominoes": []}, "core": None},
+        *(
+            {"P": {"core": [], "dominoes": [domino]}, "Q": {"core": [], "dominoes": [ONE]}}
+            for domino in (
+                {**ONE, "value": 0},
+                {**ONE, "value": -1},
+                {**ONE, "value": 1.0},
+                {**ONE, "row": 1.5},
+                {**ONE, "col": True},
+                {**ONE, "row": "1"},
+            )
+        ),
+        {"P": {**ON_CORE, "core": [1.0]}, "Q": ON_CORE, "core": 1},
+        {"P": ON_CORE, "Q": ON_CORE, "core": 1.7},
+        {"P": ON_CORE, "Q": ON_CORE, "core": True},
     ],
 )
 def test_reverse_rejects_malformed_payload(capsys, monkeypatch, payload):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dominsert.partitions import DominoShape, staircase
+from dominsert.partitions import DominoShape, domino_successors, enumerate_with_core, skew_domino, staircase
 from dominsert.insertion import (
     growth,
     growth_reverse,
@@ -412,3 +412,23 @@ def test_growth_reverse_rejects_damaged_chains(word, core, damage, on_p, data):
         chain[k] = chain[k - 1]  # step k adds nothing
     with pytest.raises(ValueError):
         growth_reverse(*chains)
+
+
+def test_every_domino_is_a_domino_shape():
+    word = parse_word("5' 12 3 9' 1 11' 7 2' 10 4' 8 6'")
+    tableaux = []
+    for core in range(3):
+        result = insert_word(word, core)
+        tableaux += [result.p, result.q, growth(word, core).p_tableau()]
+    tableaux += enumerate_standard(insert_word(RUNNING_WORD).shape)
+    dominoes = [dom for tab in tableaux for _, dom in tab.entries]
+    dominoes += [dom for lam in enumerate_with_core(1, 3) for _, dom in domino_successors(lam)]
+    assert dominoes and all(type(dom) is DominoShape for dom in dominoes)
+
+
+@settings(max_examples=30)
+@given(signed_permutations(max_n=30), cores)
+def test_vertical_labels_are_the_grid_dominoes(word, core):
+    diagram = growth(word, core)
+    for labels, inner, outer in zip(diagram.vertical, diagram.grid, diagram.grid[1:]):
+        assert labels == tuple(None if o == i else skew_domino(o, i) for i, o in zip(inner, outer))

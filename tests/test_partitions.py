@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -52,6 +54,21 @@ def test_conjugate_involution(lam):
     assert size(conjugate(lam)) == size(lam)
 
 
+def test_domino_shape_is_its_triple():
+    triples = [(r, c, o) for r in (1, 2, 3) for c in (1, 2, 3) for o in ("h", "v")]
+    random.Random(0).shuffle(triples)
+    dominoes = [DominoShape(*t) for t in triples]
+    for dom, triple in zip(dominoes, triples):
+        assert dom == triple and hash(dom) == hash(triple)
+        copy = pickle.loads(pickle.dumps(dom))
+        assert copy == dom and type(copy) is DominoShape
+    assert sorted(dominoes) == sorted(triples)
+    assert [d < t for d in dominoes for t in triples] == [a < b for a in triples for b in triples]
+    for bad in ((0, 1, "h"), (1, 0, "v"), (1, 1, "x")):
+        with pytest.raises(ValueError, match="bad domino placement"):
+            DominoShape(*bad)
+
+
 def test_staircase():
     assert staircase(0) == ()
     assert staircase(1) == (1,)
@@ -88,6 +105,18 @@ def test_two_core_order_independent():
 
         explore(lam)
         assert terminals == {two_core(lam)}, lam
+
+
+def peeled_core(lam):
+    """Oracle: peel the first removable domino until none is left."""
+    while preds := domino_predecessors(lam):
+        lam = preds[0][0]
+    return lam
+
+
+def test_two_core_matches_peeling():
+    for lam in all_shapes(14):
+        assert two_core(lam) == peeled_core(lam), lam
 
 
 def test_two_quotient_examples():

@@ -99,6 +99,9 @@ def test_validation():
         DominoTableau((), ((1, DominoShape(2, 1, H)),))
     with pytest.raises(ValueError):  # core must be a staircase
         DominoTableau((2, 2), ())
+    for low in (0, -1):  # values start at 1
+        with pytest.raises(ValueError, match="start at 1"):
+            DominoTableau((), ((low, DominoShape(1, 1, H)), (3, DominoShape(1, 3, H))))
     # two same-value dominoes in one column are not semistandard
     stacked = DominoTableau(
         (), ((1, DominoShape(1, 1, V)), (1, DominoShape(3, 1, V)))
