@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -253,6 +254,9 @@ def cmd_verify(args):
     sizes = {name: getattr(args, name) for name in verify.SIZES if getattr(args, name) is not None}
     if "cores" in sizes:
         sizes["cores"] = _parse_cores(sizes["cores"])
+    if args.suite in ("insertion", "all") and (n := sizes.get("n", 0)) >= 7:
+        print(f"note: the insertion suite checks 2^n*n! = {2 ** n * math.factorial(n):,} signed permutations"
+              f" per core at n = {n}", file=sys.stderr)
     records = verify.run_suite(args.suite, sizes, jobs=args.jobs)
     return _emit_records(records, args.format)
 

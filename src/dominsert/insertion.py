@@ -10,7 +10,7 @@ labels a local rule builds stay bare triples, and ``place_domino`` or
 ``lift_domino`` checks each one.  A square's local rule reads its two near
 labels and at most one row or column length of a corner.  Growth and its
 reverse run row by row on one list of row lengths per column; the reverse
-checks each square it peels off.
+checks each square it peels off.  Both skip a row's squares that set no label.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def _bump(core, entries, letter):
     placed.append((value, seed))
 
     for other_value, dom in upper:
-        inside = [(r, c) for r, c in dom.cells() if c <= part(rows, r)]
+        inside = [(r, c) for r, c in dom.cells() if r <= len(rows) and c <= rows[r - 1]]
         if len(inside) == 0:
             new = dom
         elif len(inside) == 1:
@@ -173,9 +173,10 @@ def _letters(matrix):
 def validate_matrix(matrix):
     n = len(matrix)
     for row in matrix:
-        if len(row) != n or any(entry not in (-1, 0, 1) for entry in row):
+        zeros = row.count(0)
+        if len(row) != n or zeros + row.count(1) + row.count(-1) != n:
             raise ValueError("matrix entries must be 0 or +-1, in a square grid")
-        if n - row.count(0) != 1:
+        if n - zeros != 1:
             raise ValueError("each row needs exactly one nonzero entry")
     for column in zip(*matrix):
         if n - column.count(0) != 1:
@@ -340,7 +341,9 @@ def _vertical_growth(inner, outer):
 def growth(matrix_or_word, core=0):
     """Fill the growth diagram of a signed permutation row by row, on one list
     of row lengths per column: column j holds grid[i][j] and takes its
-    vertical label in place, so a square reads the column to its right."""
+    vertical label in place, so a square reads the column to its right.  A
+    row starts at its nonzero column: left of it the entries are 0 and the
+    left label stays None, so ``_grow`` passes the top label on unchanged."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         matrix = word_matrix(matrix_or_word)
     else:
@@ -351,9 +354,10 @@ def growth(matrix_or_word, core=0):
     horizontal = [None] * n
     q_chain, vertical = [base], []
     for entries in matrix:
-        left, labels = None, [None]
-        for j, entry in enumerate(entries):
-            horizontal[j], left = _grow(columns[j + 1], left, horizontal[j], entry)
+        start = entries.index(1) if 1 in entries else entries.index(-1)
+        left, labels = None, [None] * (start + 1)
+        for j in range(start, n):
+            horizontal[j], left = _grow(columns[j + 1], left, horizontal[j], entries[j])
             if left:
                 place_domino(columns[j + 1], *left)
             labels.append(left)
@@ -368,7 +372,9 @@ def growth_reverse(p_chain, q_chain):
     Rows are peeled off from the P chain down, on one list of row lengths
     per column.  Each square whose right label is set must grow back to its
     outer labels, each row must end at the core, and so must every column
-    and the P labels; by induction the matrix then grows to both chains.
+    and the P labels; by induction the matrix then grows to both chains.  A
+    row stops once its right label is None: further left ``_shrink`` returns
+    (0, None, c) for each square, which lifts and checks nothing.
     """
     p_chain = tuple(as_partition(s) for s in p_chain)
     q_chain = tuple(as_partition(s) for s in q_chain)
@@ -385,18 +391,19 @@ def growth_reverse(p_chain, q_chain):
         right = _label(q_chain[i + 1], q_chain[i])
         columns[n] = list(q_chain[i])
         for j in range(n - 1, -1, -1):
+            if right is None:
+                break
             c, d = labels[j], right
             entries[j], right, labels[j] = _shrink(columns[j], c, d)
-            if d and _grow(columns[j + 1], right, labels[j], entries[j]) != (c, d):
+            if _grow(columns[j + 1], right, labels[j], entries[j]) != (c, d):
                 raise ValueError(f"square ({i + 1}, {j + 1}) matches no local rule")
         if right:
             raise ValueError(f"row {i + 1} does not start at the core")
         matrix[i] = tuple(entries)
     if any(labels) or any(column != columns[n] for column in columns):
         raise ValueError("chains do not come from an insertion")
-    matrix = tuple(matrix)
     validate_matrix(matrix)
-    return matrix
+    return tuple(matrix)
 
 
 def growth_reverse_word(p_tab, q_tab):
@@ -443,15 +450,6 @@ def biword_insert(word, core=0):
     return p_tab, q_tab
 
 
-def _destandardize_value(weight, standard_value):
-    total = 0
-    for value, count in enumerate(weight, start=1):
-        total += count
-        if standard_value <= total:
-            return value
-    raise ValueError("standard value outside the weight")
-
-
 def biword_reverse(p_tab, q_tab, core=0):
     """Inverse of the semistandard correspondence.
 
@@ -461,15 +459,11 @@ def biword_reverse(p_tab, q_tab, core=0):
     """
     if p_tab.shape() != q_tab.shape():
         raise ValueError("shapes must agree")
-    lam_weight = p_tab.weight()
-    mu_weight = q_tab.weight()
+    p_values, q_values = sorted(p_tab.values()), sorted(q_tab.values())
     perm = growth_reverse_word(p_tab.standardized(), q_tab.standardized())
     letters = [
-        Biletter(
-            Letter(_destandardize_value(mu_weight, position)),
-            Letter(_destandardize_value(lam_weight, letter.value), letter.barred),
-        )
-        for position, letter in enumerate(perm, start=1)
+        Biletter(Letter(q_values[position]), Letter(p_values[letter.value - 1], letter.barred))
+        for position, letter in enumerate(perm)
     ]
     word = biword(letters, COLORED)
     if biword_insert(word, core) != (p_tab, q_tab):

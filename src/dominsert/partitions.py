@@ -127,16 +127,18 @@ def staircase_order(lam):
 def place_domino(rows, row, col, orient):
     """Add the domino (row, col, orient) to the row lengths ``rows`` in place,
     checking only the rows it touches and the row above; a partition stays a
-    partition, and ``rows`` is unchanged on error."""
+    partition, and ``rows`` is unchanged on error.  Rows past the end of the
+    list have length 0, as in ``part``."""
     last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
+    n = len(rows)
     if (
-        min(row, col) < 1
-        or part(rows, row) != col - 1
-        or part(rows, last) != col - 1
-        or (row > 1 and part(rows, row - 1) < end)
+        row < 1 or col < 1
+        or not (rows[row - 1] == rows[last - 1] == col - 1 if last <= n
+                else col == 1 and (row > n or not rows[row - 1]))
+        or (row > 1 and (row > n + 1 or rows[row - 2] < end))
     ):
         raise ValueError(f"cannot add {(row, col, orient)} to {tuple(rows)}")
-    rows.extend([0] * (last - len(rows)))
+    rows.extend([0] * (last - n))
     rows[row - 1] = rows[last - 1] = end
 
 
@@ -145,10 +147,10 @@ def lift_domino(rows, row, col, orient):
     inverse of ``place_domino``, dropping emptied rows."""
     last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
     if (
-        min(row, col) < 1
-        or part(rows, row) != end
-        or part(rows, last) != end
-        or part(rows, last + 1) >= col
+        row < 1 or col < 1
+        or last > len(rows)
+        or not (rows[row - 1] == rows[last - 1] == end)
+        or (last < len(rows) and rows[last] >= col)
     ):
         raise ValueError(f"cannot remove {(row, col, orient)} from {tuple(rows)}")
     rows[row - 1] = rows[last - 1] = col - 1

@@ -1,4 +1,7 @@
+import hashlib
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -274,3 +277,62 @@ def test_usage_error_exit_code():
 def test_seed_free_flag(capsys):
     code, out, _ = run_cli(capsys, "--seed-free", "imbalance", "2")
     assert code == 0 and out.strip() == "1"
+
+
+GOLDEN_WORD = "5' 12 3 9' 1 11' 7 2' 10 4' 8 6'"
+
+# sha256 of each output, so that a speed change cannot alter a byte unnoticed
+GOLDEN_DIGESTS = {
+    (0, "growth", "--format"): "764ae242b9df0f56d8319ee6b1d7acbd004be0cacb35e1f844eae7376f95945f",
+    (0, "growth", "--cells"): "d2321dbf56522041aea355302b9ccb5cf5546fa04854904755f3b7e25cc8c242",
+    (0, "insert", "--trace"): "211bd5d96bd96c34b69a32cdec6c4bb8092336026ba1bb7b41a0f143461f6a73",
+    (1, "growth", "--format"): "35038facca05184ba21a16c1d633db1b3d3ffbc564a77c5eb329dddd4c26aad8",
+    (1, "growth", "--cells"): "b63fe5590af36b67155d9b2a408b14dcacb0bda0f10aa2605fdcc6228d211346",
+    (1, "insert", "--trace"): "5d95bcaa44d76ca75c15e21354b8b33bd27318fc7d4f323ea2b43f37576c3f66",
+    (2, "growth", "--format"): "c7612733cf7b5f60f7bf1e1ba5374df626278c37960588672fc8d9af9bd5d82e",
+    (2, "growth", "--cells"): "d872242c0aa80f04ab813c5a59b67ca9aba1cc7d3f79383a467e068493085999",
+    (2, "insert", "--trace"): "82a2737b2a71ab7eb4012ac5444a8fb1d9cbae5c812fe8191f276416d27f4bca",
+}
+
+
+@pytest.mark.parametrize("core, command, flag", sorted(GOLDEN_DIGESTS))
+def test_output_bytes_are_unchanged(capsys, core, command, flag):
+    extra = {"--format": ["--format", "json"], "--cells": ["--cells"], "--trace": ["--trace", "--format", "json"]}
+    code, out, _ = run_cli(capsys, command, GOLDEN_WORD, *extra[flag], "--core", str(core))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[core, command, flag]
+
+
+def test_reverse_reads_sparse_values_without_a_dense_weight(capsys, monkeypatch):
+    payload = {
+        "P": {"core": [], "dominoes": [{**ONE, "value": 10**6}]},
+        "Q": {"core": [], "dominoes": [ONE]},
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "reverse")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out.strip() == "1/1000000"
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize(
+    "argv, count",
+    [
+        (["verify", "insertion", "--n", "7"], "645,120"),
+        (["verify", "all", "--n", "8", "--cores", "1"], "10,321,920"),
+        (["verify", "insertion", "--n", "6"], None),
+        (["verify", "counting", "--n", "7"], None),
+    ],
+)
+def test_verify_names_the_size_of_a_long_run(capsys, monkeypatch, argv, count):
+    # run_suite is a stub, so no large run starts
+    monkeypatch.setattr("dominsert.verify.run_suite", lambda *args, **kwargs: [])
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == "0/0 checks passed\n"
+    n = argv[argv.index("--n") + 1]
+    note = f"note: the insertion suite checks 2^n*n! = {count} signed permutations per core at n = {n}\n"
+    assert err == (note if count else "")

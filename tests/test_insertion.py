@@ -12,6 +12,7 @@ from dominsert.insertion import (
     local_rule,
     local_rule_reverse,
     matrix_word,
+    validate_matrix,
     word_matrix,
 )
 from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard, tableau_from_chain
@@ -432,3 +433,41 @@ def test_vertical_labels_are_the_grid_dominoes(word, core):
     diagram = growth(word, core)
     for labels, inner, outer in zip(diagram.vertical, diagram.grid, diagram.grid[1:]):
         assert labels == tuple(None if o == i else skew_domino(o, i) for i, o in zip(inner, outer))
+
+
+@settings(max_examples=30)
+@given(signed_permutations(), cores)
+def test_no_label_left_of_a_rows_nonzero_entry(word, core):
+    # growth starts each row at its nonzero column and the reverse leaves a
+    # row once its right label is None; the local-rule grid shows why
+    diagram = growth(word, core)
+    grid = grid_from_local_rule(word, core)
+    for i, letter in enumerate(word):
+        for j in range(letter.value):
+            assert diagram.vertical[i][j] is None
+            assert grid[i + 1][j] == grid[i][j]
+    assert growth_reverse(diagram.p_chain(), diagram.q_chain()) == diagram.matrix
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (((2, 0), (0, 1)), "matrix entries must be 0 or +-1, in a square grid"),
+        (((0.5, 0), (0, 1)), "matrix entries must be 0 or +-1, in a square grid"),
+        (((1, 0), (0,)), "matrix entries must be 0 or +-1, in a square grid"),
+        (((1, 1), (0, 0)), "each row needs exactly one nonzero entry"),
+        (((1, 0), (1, 0)), "each column needs exactly one nonzero entry"),
+    ],
+)
+def test_validate_matrix_messages(matrix, message):
+    with pytest.raises(ValueError) as info:
+        validate_matrix(matrix)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        growth(matrix)
+    assert str(info.value) == message
+
+
+def test_validate_matrix_compares_entries_by_value():
+    # True and 1.0 equal 1, as ``in`` and ``count`` both compare with ==
+    validate_matrix(((True, 0), (0, 1.0)))
