@@ -2,7 +2,8 @@
 
 The growth-rule formulation is taken as the authoritative semantics; the
 bumping procedure is implemented independently and the two are compared
-square-for-square in the test suite.
+square-for-square in the test suite.  Bumping works on a row index of the
+tableau and visits only the dominoes on its path; see ``_RowIndex.insert``.
 
 Each edge of a growth diagram is labelled by the domino it adds, or None.
 A label is the same ``(row, col, orient)`` triple as ``DominoShape``; the
@@ -15,10 +16,9 @@ checks each square it peels off.  Both skip a row's squares that set no label.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .partitions import (
     HORIZONTAL,
@@ -36,7 +36,7 @@ from .partitions import (
     staircase,
     staircase_order,
 )
-from .tableaux import DominoTableau, tableau_from_chain, tiled_shape
+from .tableaux import DominoTableau, tableau_from_chain
 from .words import (
     COLORED,
     DUAL,
@@ -56,55 +56,113 @@ from .words import (
 # bumping
 
 
-def _bump(core, entries, letter):
-    """Insert one letter: a horizontal seed in row 1 for an unbarred letter,
-    a vertical seed in column 1 for a barred one, then replay the bumps.
+class _RowIndex:
+    """A standard tableau indexed for bumping: per row, the values of its
+    non-core cells left to right, a sorted list since values weakly increase
+    along a row; the domino of each value; the sorted entries; the row
+    lengths.  Row r of staircase(k) has max(k + 1 - r, 0) core cells."""
 
-    Each displaced domino is compared against the current shape: disjoint
-    dominoes stay put, a one-cell overlap slides the free cell to the
-    diagonal neighbour, and a fully covered domino bumps to the next row
-    (horizontal) or column (vertical).  Returns the new sorted entries and
-    row lengths; ``place_domino`` checks every placement.
-    """
-    value = letter.value
-    split = bisect_left(entries, value, key=itemgetter(0))
-    if split < len(entries) and entries[split][0] == value:
-        raise ValueError(f"value {value} already present")
-    lower, upper = entries[:split], entries[split:]
+    __slots__ = ("order", "rows", "lengths", "dominoes", "entries")
 
-    placed = list(lower)
-    rows = list(tiled_shape(core, lower))
+    def __init__(self, core, entries, shape):
+        self.order, self.lengths = len(core), list(shape)
+        self.rows = [[] for _ in shape]
+        for value, dom in entries:
+            for r, _ in dom.cells():
+                self.rows[r - 1].append(value)
+        self.dominoes, self.entries = dict(entries), list(entries)
 
-    if letter.barred:
-        seed = DominoShape(len(rows) + 1, 1, "v")
-    else:
-        seed = DominoShape(1, (rows[0] if rows else 0) + 1, "h")
-    place_domino(rows, *seed)
-    placed.append((value, seed))
+    def length(self, r, below):
+        """Length of row r (0 off the rows) among the values below ``below``."""
+        if not 0 < r <= len(self.rows):
+            return 0
+        return max(self.order + 1 - r, 0) + bisect_left(self.rows[r - 1], below)
 
-    for other_value, dom in upper:
-        inside = [(r, c) for r, c in dom.cells() if r <= len(rows) and c <= rows[r - 1]]
-        if len(inside) == 0:
-            new = dom
-        elif len(inside) == 1:
-            (k, l) = inside[0]
-            free = next(cell for cell in dom.cells() if cell != (k, l))
-            new = domino_of_cells(free, (k + 1, l + 1))
-        elif dom.orient == "h":
-            target_row = dom.row + 1
-            new = DominoShape(target_row, part(rows, target_row) + 1, "h")
+    def height(self, c, below):
+        """Height of column c among the values below ``below``, by bisection:
+        the column is a prefix of the rows."""
+        lo, hi, k = max(self.order + 1 - c, 0), len(self.rows), self.order
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            row, i = self.rows[mid - 1], c - 1 - max(k + 1 - mid, 0)
+            lo, hi = (mid, hi) if i < len(row) and row[i] < below else (lo, mid - 1)
+        return lo
+
+    def insert(self, letter):
+        """Insert one letter and return the domino the step adds.
+
+        The seed ends row 1 (unbarred letter) or column 1 (barred) among the
+        values below the letter's.  Up to each value the new tableau exceeds
+        the old one, T, by one domino D, at first the seed.  The next domino
+        to move has the least value w under D: sharing one cell with D, its
+        free cell slides to the diagonal neighbour of that cell; equal to D,
+        it bumps to the next row (horizontal) or column (vertical).  Each
+        move is checked against T_{<w} + D with ``place_domino``'s row
+        conditions.  A domino d that D never meets stays unvisited: d is
+        addable to T_{<w}, and T_{<w} + D + d is the union of the partitions
+        T_{<w} + D and T_{<w} + d.  Once no cell of T lies under D,
+        ``place_domino`` adds D to T's row lengths, which proves that the
+        step adds exactly D.
+        """
+        rows, lengths, order = self.rows, self.lengths, self.order
+        dominoes, entries, n = self.dominoes, self.entries, len(lengths)
+        value = letter.value
+        if value in dominoes:
+            raise ValueError(f"value {value} already present")
+        if letter.barred:
+            dom = seed = DominoShape(self.height(1, value) + 1, 1, VERTICAL)
         else:
-            target_col = dom.col + 1
-            new = DominoShape(col_height(rows, target_col) + 1, target_col, "v")
-        place_domino(rows, *new)
-        placed.append((other_value, new))
-
-    return tuple(placed), rows
+            dom = seed = DominoShape(1, self.length(1, value) + 1, HORIZONTAL)
+        moves = []
+        while True:
+            row, col, orient = dom
+            if row > n or col > lengths[row - 1]:
+                break  # then D's second cell is off T too, as T is a shape
+            # the least value of T under D is in D's first cell, as values
+            # increase along rows and down columns; D covers no core cell
+            w = rows[row - 1][col - 1 - max(order + 1 - row, 0)]
+            old = dominoes[w]
+            if old != dom:
+                rest = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
+                free = next(cell for cell in old.cells() if cell != (row, col))
+                corner = (row + 1, col + 1)
+                new, grown = domino_of_cells(free, corner), domino_of_cells(rest, corner)
+            elif orient == HORIZONTAL:
+                new = grown = DominoShape(row + 1, self.length(row + 1, w) + 1, HORIZONTAL)
+            else:
+                new = grown = DominoShape(self.height(col + 1, w) + 1, col + 1, VERTICAL)
+            r, c, o = new
+            last, end = (r, c + 1) if o == HORIZONTAL else (r + 1, c)
+            d_rows = (row, row + (orient == VERTICAL))
+            above, top, bottom = (self.length(k, w) + d_rows.count(k) for k in (r - 1, r, last))
+            if not (top == bottom == c - 1 and (r == 1 or above >= end)):
+                raise ValueError(f"cannot move {old} to {new} in the insertion of {value}")
+            moves.append((w, old, new))
+            dom = grown
+        place_domino(lengths, *dom)
+        while len(rows) < len(lengths):
+            rows.append([])
+        for w, (r, _, o), new in moves:
+            for i in (r - 1, r - (o == HORIZONTAL)):
+                del rows[i][bisect_left(rows[i], w)]
+            entries[bisect_left(entries, (w,))] = (w, new)
+        entries.insert(bisect_left(entries, (value,)), (value, seed))
+        moves.append((value, None, seed))
+        for w, _, new in moves:
+            insort(rows[new.row - 1], w)
+            insort(rows[new.row - (new.orient == HORIZONTAL)], w)
+            dominoes[w] = new
+        return dom
 
 
 def insert_letter(tab, letter):
-    """Insert one letter into a standard tableau; see ``_bump``."""
-    return DominoTableau(tab.core, _bump(tab.core, tab.entries, letter)[0])
+    """Insert one letter into a tableau of distinct values whose prefixes are
+    shapes; see ``_RowIndex.insert``."""
+    index = _RowIndex(tab.core, tab.entries, tab.shape())
+    if len(index.dominoes) < len(tab.entries) or not tab.is_semistandard():
+        raise ValueError("insert_letter expects distinct values whose prefixes are shapes")
+    index.insert(letter)
+    return DominoTableau(tab.core, tuple(index.entries))
 
 
 @dataclass(frozen=True)
@@ -123,23 +181,19 @@ class InsertionResult:
 
 
 def insert_word(letters, core=0):
-    """Insert a signed permutation; the recording tableau holds the domino
-    each step adds."""
+    """Insert a signed permutation through one index; the recording tableau
+    holds the domino each step adds."""
     letters = tuple(letters)
     if not is_signed_permutation(letters):
         raise ValueError("insert_word expects a signed permutation")
     base = staircase(core)
-    entries, shape = (), base
+    index = _RowIndex(base, (), base)
     steps, recording = [], []
     for value, letter in enumerate(letters, start=1):
-        entries, rows = _bump(base, entries, letter)
-        dom = skew_domino(rows, shape)
-        if dom is None:
-            raise ValueError(f"step {value} of the insertion does not add a domino")
-        recording.append((value, dom))
-        steps.append(entries)
-        shape = rows
-    return InsertionResult(DominoTableau(base, entries), DominoTableau(base, tuple(recording)), tuple(steps))
+        recording.append((value, index.insert(letter)))
+        steps.append(tuple(index.entries))
+    p, q = DominoTableau(base, tuple(index.entries)), DominoTableau(base, tuple(recording))
+    return InsertionResult(p, q, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -515,41 +569,25 @@ def dual_insert_beta(word, core=0):
 
 
 def growth_str(diagram, cells=False):
-    """Figure layout: value index upward, insertion index rightward."""
-    n = diagram.n
+    """Figure layout: value index upward, insertion index rightward; figure
+    column i shows grid[i]."""
     if cells:
         return _growth_cells_str(diagram)
-    widths = [
-        max(len(partition_str(diagram.grid[i][j])) for j in range(n + 1))
-        for i in range(n + 1)
-    ]
-    lines = []
-    for j in range(n, -1, -1):
-        row = [partition_str(diagram.grid[i][j]).ljust(widths[i]) for i in range(n + 1)]
-        lines.append("  ".join(row).rstrip())
-    return "\n".join(lines)
+    texts = [[partition_str(shape) for shape in column] for column in diagram.grid]
+    widths = [max(map(len, column)) for column in texts]
+    return "\n".join(
+        "  ".join(column[j].ljust(width) for column, width in zip(texts, widths)).rstrip()
+        for j in range(diagram.n, -1, -1)
+    )
 
 
 def _growth_cells_str(diagram):
-    n = diagram.n
-    blocks = [[None] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            shape = diagram.grid[i][j]
-            blocks[i][j] = ["#" * p for p in shape] or ["."]
-    col_width = [
-        max(max((len(line) for line in blocks[i][j]), default=1) for j in range(n + 1))
-        for i in range(n + 1)
-    ]
+    blocks = [[["#" * p for p in shape] or ["."] for shape in column] for column in diagram.grid]
+    widths = [max(len(line) for block in column for line in block) for column in blocks]
     lines = []
-    for j in range(n, -1, -1):
-        height = max(len(blocks[i][j]) for i in range(n + 1))
-        for h in range(height):
-            row = []
-            for i in range(n + 1):
-                block = blocks[i][j]
-                text = block[h] if h < len(block) else ""
-                row.append(text.ljust(col_width[i]))
-            lines.append("  ".join(row).rstrip())
+    for j in range(diagram.n, -1, -1):
+        for h in range(max(len(column[j]) for column in blocks)):
+            texts = (column[j][h] if h < len(column[j]) else "" for column in blocks)
+            lines.append("  ".join(text.ljust(width) for text, width in zip(texts, widths)).rstrip())
         lines.append("")
     return "\n".join(lines).rstrip()

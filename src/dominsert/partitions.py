@@ -80,14 +80,6 @@ def as_partition(parts):
     return parts
 
 
-def is_partition(parts):
-    try:
-        as_partition(parts)
-    except ValueError:
-        return False
-    return True
-
-
 def size(lam):
     return sum(lam)
 

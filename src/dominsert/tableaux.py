@@ -112,16 +112,6 @@ class DominoTableau:
     def restricted(self, max_value):
         return DominoTableau(self.core, tuple(e for e in self.entries if e[0] <= max_value))
 
-    def with_entry(self, value, dom):
-        return DominoTableau(self.core, self.entries + ((value, dom),))
-
-    def cell_values(self):
-        out = {}
-        for value, dom in self.entries:
-            for cell in dom.cells():
-                out[cell] = value
-        return out
-
     def value_classes(self):
         classes = {}
         for value, dom in self.entries:
@@ -271,6 +261,8 @@ def _strip_extensions(base, limit):
 
 def enumerate_semistandard(lam, max_value):
     """All semistandard domino tableaux with entries at most max_value."""
+    if max_value < 0:
+        raise ValueError(f"max_value must be nonnegative, got {max_value}")
     lam = as_partition(lam)
     core = two_core(lam)
     results = []

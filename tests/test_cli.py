@@ -179,6 +179,7 @@ def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
         ["enumerate", "involutions", "--n", "-1"],
         ["verify", "counting", "--jobs", "-3"],
         ["verify", "counting", "--jobs", "0"],
+        ["enumerate", "ssdt", "4,2", "--max-value", "-5"],
     ],
 )
 def test_bad_sizes_exit_2(capsys, argv):

@@ -1,7 +1,25 @@
+import random
+import tracemalloc
+from bisect import bisect_left
+from collections import Counter
+from operator import itemgetter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dominsert.partitions import DominoShape, domino_successors, enumerate_with_core, skew_domino, staircase
+from dominsert import insertion
+from dominsert import tableaux as tableaux_module
+from dominsert.partitions import (
+    DominoShape,
+    col_height,
+    domino_of_cells,
+    domino_successors,
+    enumerate_with_core,
+    part,
+    place_domino,
+    skew_domino,
+    staircase,
+)
 from dominsert.insertion import (
     growth,
     growth_reverse,
@@ -15,7 +33,7 @@ from dominsert.insertion import (
     validate_matrix,
     word_matrix,
 )
-from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard, tableau_from_chain
+from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard, tableau_from_chain, tiled_shape
 from dominsert.words import (
     Letter,
     enumerate_signed_permutations,
@@ -106,6 +124,11 @@ def test_insert_rejects_duplicate_value():
     tab = insert_word(parse_word("1"), 0).p
     with pytest.raises(ValueError):
         insert_letter(tab, Letter(1))
+    # a tableau whose values repeat, or whose value 1 sits right of value 2
+    for entries in (((1, DominoShape(1, 1, H)), (1, DominoShape(1, 3, H))),
+                    ((2, DominoShape(1, 1, H)), (1, DominoShape(1, 3, H)))):
+        with pytest.raises(ValueError):
+            insert_letter(DominoTableau((), entries), Letter(3))
 
 
 def test_word_matrix_round_trip():
@@ -471,3 +494,106 @@ def test_validate_matrix_messages(matrix, message):
 def test_validate_matrix_compares_entries_by_value():
     # True and 1.0 equal 1, as ``in`` and ``count`` both compare with ==
     validate_matrix(((True, 0), (0, 1.0)))
+
+
+def replay_bump(core, entries, letter):
+    """Reference bumping that shares no code with the row index: rebuild the
+    shape below the letter's value, seed, then replay every larger domino
+    against the current shape.  Returns the new sorted entries."""
+    value = letter.value
+    split = bisect_left(entries, value, key=itemgetter(0))
+    if split < len(entries) and entries[split][0] == value:
+        raise ValueError(f"value {value} already present")
+    lower, upper = entries[:split], entries[split:]
+    placed = list(lower)
+    rows = list(tiled_shape(core, lower))
+    if letter.barred:
+        seed = DominoShape(len(rows) + 1, 1, "v")
+    else:
+        seed = DominoShape(1, (rows[0] if rows else 0) + 1, "h")
+    place_domino(rows, *seed)
+    placed.append((value, seed))
+    for other_value, dom in upper:
+        inside = [(r, c) for r, c in dom.cells() if r <= len(rows) and c <= rows[r - 1]]
+        if len(inside) == 0:
+            new = dom
+        elif len(inside) == 1:
+            (k, l) = inside[0]
+            free = next(cell for cell in dom.cells() if cell != (k, l))
+            new = domino_of_cells(free, (k + 1, l + 1))
+        elif dom.orient == "h":
+            new = DominoShape(dom.row + 1, part(rows, dom.row + 1) + 1, "h")
+        else:
+            new = DominoShape(col_height(rows, dom.col + 1) + 1, dom.col + 1, "v")
+        place_domino(rows, *new)
+        placed.append((other_value, new))
+    return tuple(placed)
+
+
+def test_insert_letter_matches_the_replay_on_small_tableaux():
+    """Every standard tableau with at most 4 dominoes over cores 0-2, its
+    values spaced out to 2, 4, ...: every odd value inserts, barred and
+    unbarred, as the replay does, and every present value raises."""
+    inserted = 0
+    for core in (0, 1, 2):
+        for n in range(5):
+            for lam in enumerate_with_core(core, n):
+                for tab in enumerate_standard(lam):
+                    spaced = DominoTableau(tab.core, tuple((2 * v, dom) for v, dom in tab.entries))
+                    for value in range(1, 2 * n + 2):
+                        for barred in (False, True):
+                            letter = Letter(value, barred)
+                            if value % 2:
+                                want = replay_bump(spaced.core, spaced.entries, letter)
+                                assert insert_letter(spaced, letter).entries == want
+                                inserted += 1
+                            else:
+                                with pytest.raises(ValueError):
+                                    insert_letter(spaced, letter)
+    assert inserted == 2898
+
+
+@settings(max_examples=40)
+@given(signed_permutations(), cores)
+def test_insert_word_steps_match_the_replay(word, core):
+    entries, steps = (), []
+    for letter in word:
+        entries = replay_bump(staircase(core), entries, letter)
+        steps.append(entries)
+    assert insert_word(word, core).steps == tuple(steps)
+
+
+def test_insertion_over_a_large_core_stays_small():
+    # core cells are never stored, so a 3000-row core costs its row lengths only
+    tracemalloc.start()
+    try:
+        insert_word(parse_word("3 1 2' 5 4'"), 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def test_bumping_places_a_bounded_number_of_dominoes(monkeypatch):
+    """Bumping visits only the dominoes on its path: a seeded signed
+    permutation of size 200 makes fewer than 4n calls that place a domino or
+    build a shape, where a replay of every larger domino makes about n^2/4."""
+    calls = Counter()
+    # insertion binds tiled_shape itself only if bumping rebuilds shapes again
+    for module, name in ((insertion, "place_domino"), (insertion, "tiled_shape"), (tableaux_module, "tiled_shape")):
+        original = getattr(module, name, None)
+        if original is not None:
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    rng = random.Random(200)
+    values = list(range(1, 201))
+    rng.shuffle(values)
+    word = tuple(Letter(v, rng.random() < 0.5) for v in values)
+    result = insert_word(word, 1)
+    assert sum(calls.values()) < 4 * len(word)
+    monkeypatch.undo()
+    assert result.p == growth(word, 1).p_tableau()

@@ -221,6 +221,11 @@ def test_enumerate_standard_counts():
 
 def test_enumerate_semistandard_small():
     assert len(enumerate_semistandard((2, 2), 2)) == 4
+    # no entries at all: only a bare core is tiled; a negative bound is an error
+    assert enumerate_semistandard((4, 2), 0) == []
+    assert [t.entries for t in enumerate_semistandard((2, 1), 0)] == [()]
+    with pytest.raises(ValueError):
+        enumerate_semistandard((4, 2), -5)
     assert len(enumerate_semistandard((2, 1, 1), 1)) == 0
     assert len(enumerate_semistandard((3, 1), 1)) == 1
     for tab in enumerate_semistandard((5, 5, 4, 1, 1), 4):
