@@ -13,9 +13,10 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import accumulate
 
 from . import insertion, series, signimbalance, tableaux, verify, words
-from .partitions import as_partition, json_int, partition_str
+from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_int, partition_str
 from .polynomials import PARAMS
 from .render import render_tableau
 from .words import ColoredBiword
@@ -36,17 +37,16 @@ def _spin_str(tab):
     return str(Fraction(tab.vertical_count(), 2))
 
 
-def _insert_payload(word, core):
+def _insert_payload(word, core, trace):
+    """Source text, P, Q and, if traced, ``insert_letter``'s tableau per letter."""
     if isinstance(word, ColoredBiword):
         p, q = insertion.biword_insert(word, core)
-        frames = None
-        source = str(word)
-    else:
-        result = insertion.insert_word(word, core)
-        p, q = result.p, result.q
-        frames = result.frames
-        source = words.word_str(word)
-    return source, p, q, frames
+        return str(word), p, q, None
+    result = insertion.insert_word(word, core)
+    frames = None
+    if trace:
+        frames = list(accumulate(word, insertion.insert_letter, initial=tableaux.empty_tableau(core)))[1:]
+    return words.word_str(word), result.p, result.q, frames
 
 
 def cmd_insert(args):
@@ -55,7 +55,7 @@ def cmd_insert(args):
         word = parsed.bottom
     else:
         word = parsed
-    source, p, q, frames = _insert_payload(word, args.core)
+    source, p, q, frames = _insert_payload(word, args.core, args.trace)
     if args.format == "json":
         payload = {
             "word": source,
@@ -67,7 +67,7 @@ def cmd_insert(args):
             "P": p.to_json(),
             "Q": q.to_json(),
         }
-        if args.trace and frames is not None:
+        if frames is not None:
             payload["frames"] = [f.to_json() for f in frames]
         print(json.dumps(payload, indent=2))
         return 0
@@ -126,7 +126,7 @@ def cmd_reverse(args):
 
 
 def cmd_imbalance(args):
-    if args.all_of:
+    if args.all_of is not None:
         m = args.all_of
         poly = signimbalance.imbalance_polynomial(m)
         target = signimbalance.imbalance_target(m)
@@ -183,41 +183,24 @@ def cmd_series(args):
 
 
 def cmd_enumerate(args):
-    if args.what == "shapes":
-        from .partitions import enumerate_with_core
-
-        items = enumerate_with_core(args.core, args.n)
+    if args.what in ("shapes", "partitions"):
+        items = enumerate_with_core(args.core, args.n) if args.what == "shapes" else enumerate_partitions(args.n)
         if args.format == "json":
             print(json.dumps([list(lam) for lam in items]))
         else:
             for lam in items:
                 print(partition_str(lam))
-    elif args.what == "partitions":
-        from .partitions import enumerate_partitions
-
-        items = enumerate_partitions(args.n)
-        if args.format == "json":
-            print(json.dumps([list(lam) for lam in items]))
-        else:
-            for lam in items:
-                print(partition_str(lam))
-    elif args.what == "sdt":
+    elif args.what in ("sdt", "ssdt"):
         lam = _parse_shape(args.shape)
-        tabs = tableaux.enumerate_standard(lam)
+        if args.what == "sdt":
+            tabs, title = tableaux.enumerate_standard(lam), f"standard tableaux of {partition_str(lam)}"
+        else:
+            tabs = tableaux.enumerate_semistandard(lam, args.max_value)
+            title = f"semistandard tableaux of {partition_str(lam)} with entries <= {args.max_value}"
         if args.format == "json":
             print(json.dumps([t.to_json() for t in tabs]))
         else:
-            print(f"{len(tabs)} standard tableaux of {partition_str(lam)}")
-            for t in tabs:
-                print(render_tableau(t))
-                print()
-    elif args.what == "ssdt":
-        lam = _parse_shape(args.shape)
-        tabs = tableaux.enumerate_semistandard(lam, args.max_value)
-        if args.format == "json":
-            print(json.dumps([t.to_json() for t in tabs]))
-        else:
-            print(f"{len(tabs)} semistandard tableaux of {partition_str(lam)} with entries <= {args.max_value}")
+            print(f"{len(tabs)} {title}")
             for t in tabs:
                 print(render_tableau(t))
                 print()

@@ -9,9 +9,10 @@ Each edge of a growth diagram is labelled by the domino it adds, or None.
 A label is the same ``(row, col, orient)`` triple as ``DominoShape``; the
 labels a local rule builds stay bare triples, and ``place_domino`` or
 ``lift_domino`` checks each one.  A square's local rule reads its two near
-labels and at most one row or column length of a corner.  Growth and its
-reverse run row by row on one list of row lengths per column; the reverse
-checks each square it peels off.  Both skip a row's squares that set no label.
+labels and at most one row or column length of a corner.  Growth reads
+the standard pair (P, Q) off its last labels, and its reverse takes that
+pair; both run row by row on one list of row lengths per column and skip a
+row's squares that set no label.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .partitions import (
     VERTICAL,
     DominoShape,
     add_domino,
-    as_partition,
     col_height,
     domino_of_cells,
     lift_domino,
@@ -34,9 +34,8 @@ from .partitions import (
     place_domino,
     skew_domino,
     staircase,
-    staircase_order,
 )
-from .tableaux import DominoTableau, tableau_from_chain
+from .tableaux import DominoTableau
 from .words import (
     COLORED,
     DUAL,
@@ -169,15 +168,10 @@ def insert_letter(tab, letter):
 class InsertionResult:
     p: DominoTableau
     q: DominoTableau
-    steps: tuple  # entries of the insertion tableau after each step
 
     @property
     def shape(self):
         return self.p.shape()
-
-    @property
-    def frames(self):
-        return tuple(DominoTableau(self.p.core, entries) for entries in self.steps)
 
 
 def insert_word(letters, core=0):
@@ -188,12 +182,8 @@ def insert_word(letters, core=0):
         raise ValueError("insert_word expects a signed permutation")
     base = staircase(core)
     index = _RowIndex(base, (), base)
-    steps, recording = [], []
-    for value, letter in enumerate(letters, start=1):
-        recording.append((value, index.insert(letter)))
-        steps.append(tuple(index.entries))
-    p, q = DominoTableau(base, tuple(index.entries)), DominoTableau(base, tuple(recording))
-    return InsertionResult(p, q, tuple(steps))
+    recording = [(value, index.insert(letter)) for value, letter in enumerate(letters, start=1)]
+    return InsertionResult(DominoTableau(base, tuple(index.entries)), DominoTableau(base, tuple(recording)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +313,13 @@ def local_rule_reverse(rho, mu, nu):
 
 @dataclass(frozen=True)
 class GrowthDiagram:
-    """Growth diagram of a signed permutation matrix, kept as its boundary
-    chains and the labels of its vertical edges."""
+    """Growth diagram of a signed permutation matrix, kept as its (P, Q)
+    pair and the labels of its vertical edges."""
 
     matrix: tuple
     core_order: int
-    p_shapes: tuple
-    q_shapes: tuple
+    p: DominoTableau  # domino j labels grid[n][j] / grid[n][j - 1]
+    q: DominoTableau  # domino i labels grid[i][n] / grid[i - 1][n]
     vertical: tuple  # vertical[i][j] labels grid[i + 1][j] / grid[i][j]
 
     @property
@@ -347,16 +337,16 @@ class GrowthDiagram:
         return tuple(grid)
 
     def p_chain(self):
-        return self.p_shapes
+        return self.p.chain()
 
     def q_chain(self):
-        return self.q_shapes
+        return self.q.chain()
 
     def p_tableau(self):
-        return tableau_from_chain(self.p_chain())
+        return self.p
 
     def q_tableau(self):
-        return tableau_from_chain(self.q_chain())
+        return self.q
 
     def spin_ledger_holds(self):
         """Per-square bookkeeping: vertical-domino growth on the two far edges
@@ -397,7 +387,9 @@ def growth(matrix_or_word, core=0):
     of row lengths per column: column j holds grid[i][j] and takes its
     vertical label in place, so a square reads the column to its right.  A
     row starts at its nonzero column: left of it the entries are 0 and the
-    left label stays None, so ``_grow`` passes the top label on unchanged."""
+    left label stays None, so ``_grow`` passes the top label on unchanged.
+    Q's domino i is row i's last vertical label, P's domino j the last label
+    of horizontal edge j."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         matrix = word_matrix(matrix_or_word)
     else:
@@ -406,8 +398,8 @@ def growth(matrix_or_word, core=0):
     n, base = len(matrix), staircase(core)
     columns = [list(base) for _ in range(n + 1)]
     horizontal = [None] * n
-    q_chain, vertical = [base], []
-    for entries in matrix:
+    recording, vertical = [], []
+    for i, entries in enumerate(matrix, start=1):
         start = entries.index(1) if 1 in entries else entries.index(-1)
         left, labels = None, [None] * (start + 1)
         for j in range(start, n):
@@ -415,54 +407,77 @@ def growth(matrix_or_word, core=0):
             if left:
                 place_domino(columns[j + 1], *left)
             labels.append(left)
-        q_chain.append(tuple(columns[n]))
+        recording.append((i, DominoShape(*left)))
         vertical.append(tuple(labels))
-    return GrowthDiagram(matrix, core, tuple(map(tuple, columns)), tuple(q_chain), tuple(vertical))
+    p = DominoTableau(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)))
+    return GrowthDiagram(matrix, core, p, DominoTableau(base, tuple(recording)), tuple(vertical))
 
 
-def growth_reverse(p_chain, q_chain):
-    """Rebuild the matrix whose growth diagram has the given boundary chains.
+def growth_reverse(p, q):
+    """The matrix whose growth diagram has the standard pair (P, Q), of one
+    shape over one core.
 
-    Rows are peeled off from the P chain down, on one list of row lengths
-    per column.  Each square whose right label is set must grow back to its
-    outer labels, each row must end at the core, and so must every column
-    and the P labels; by induction the matrix then grows to both chains.  A
-    row stops once its right label is None: further left ``_shrink`` returns
-    (0, None, c) for each square, which lifts and checks nothing.
+    Rows are peeled off from the top, on one list of row lengths per
+    column: column j starts at P's shape after j dominoes, horizontal label
+    j at P's domino j + 1, and row i's right label at Q's domino i + 1.
+    ``_shrink`` turns a square's top and right labels c and d into its
+    entry and its left and bottom labels a and b, and lifts a off column j.
+    A row stops once its right label is None: further left ``_shrink``
+    returns (0, None, c) for each square.  Only ``lift_domino`` and the
+    closing ``validate_matrix`` reject; checks 1-3 below are implied.
+
+    Write mu for column j before the square, rho = mu + c, nu = rho - d
+    and lam = mu - a.  From the top row down, rho is a shape and d is
+    removable from it: d is Q's domino and rho Q's shape (in the top row
+    P's, by the same-shape precondition), or d was just lifted off rho.
+
+    1. Each square grows back to (c, d), and lam + b = nu, so each new row
+       is a chain again.  By ``_shrink``'s branches, once the lift succeeded:
+       - c = d, so mu = nu.  A seed (c horizontal in row 1 or vertical in
+         column 1) keeps lam = mu, and ``_grow`` seeds the domino ending
+         row 1 or column 1 of nu: c.  Otherwise a = b is c moved up a row
+         (left a column) to the end of that row (column) of mu, and
+         ``_grow`` bumps it back to the end of c's row (column) of nu = mu,
+         which is c, as c is addable to mu.
+       - c and d differ in orientation and share a cell: a and b are them
+         shifted back, a + c = b + d is a 2x2 block, lam + b = rho - block
+         + b = nu, and ``_grow``'s overlap rule shifts a and b back.
+       - Otherwise a = d and b = c.  The lift puts d inside mu, so d shares
+         no cell with c, lam + c = rho - d = nu, and ``_grow`` swaps the
+         two back, or passes d on when c is None.
+    2. No row ends with its left label set: column 0 is the staircase core,
+       which has no removable domino, so there ``_shrink`` seeds or the
+       lift raises.
+    3. At the end no horizontal label is set and every column is the core:
+       each square keeps [c] + [d] = [a] + [b] + 2 [entry != 0], and a row
+       has its right label set, its left label unset (2) and one seed (the
+       right label turns None only there), so it sets one horizontal label
+       fewer, from n down to 0.  The bottom chain (1) is then column 0.
+
+    So ``growth`` of the matrix, from the core, rebuilds this grid: its top
+    row is P's chain and its right column Q's.
     """
-    p_chain = tuple(as_partition(s) for s in p_chain)
-    q_chain = tuple(as_partition(s) for s in q_chain)
-    if not p_chain or len(p_chain) != len(q_chain):
-        raise ValueError("chains must be nonempty and of equal length")
-    if p_chain[0] != q_chain[0] or staircase_order(p_chain[0]) is None:
-        raise ValueError("chains must start at the same staircase core")
-    n = len(p_chain) - 1
-    columns = [list(shape) for shape in p_chain]
-    labels = [_label(outer, inner) for inner, outer in zip(p_chain, p_chain[1:])]
+    if p.core != q.core or p.shape() != q.shape() or not (p.is_standard() and q.is_standard()):
+        raise ValueError("growth_reverse expects standard tableaux of one shape over one core")
+    n = len(p)
+    columns = [list(shape) for shape in p.chain()[:n]]
+    labels = [dom for _, dom in p.entries]
     matrix = [None] * n
     for i in range(n - 1, -1, -1):
         entries = [0] * n
-        right = _label(q_chain[i + 1], q_chain[i])
-        columns[n] = list(q_chain[i])
+        right = q.entries[i][1]
         for j in range(n - 1, -1, -1):
             if right is None:
                 break
-            c, d = labels[j], right
-            entries[j], right, labels[j] = _shrink(columns[j], c, d)
-            if _grow(columns[j + 1], right, labels[j], entries[j]) != (c, d):
-                raise ValueError(f"square ({i + 1}, {j + 1}) matches no local rule")
-        if right:
-            raise ValueError(f"row {i + 1} does not start at the core")
+            entries[j], right, labels[j] = _shrink(columns[j], labels[j], right)
         matrix[i] = tuple(entries)
-    if any(labels) or any(column != columns[n] for column in columns):
-        raise ValueError("chains do not come from an insertion")
     validate_matrix(matrix)
     return tuple(matrix)
 
 
 def growth_reverse_word(p_tab, q_tab):
     """The signed permutation inserting to the given standard pair."""
-    return _letters(growth_reverse(p_tab.chain(), q_tab.chain()))
+    return _letters(growth_reverse(p_tab, q_tab))
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +526,6 @@ def biword_reverse(p_tab, q_tab, core=0):
     the standard labels back into the two weights.  A final round trip
     guards against pairs outside the image.
     """
-    if p_tab.shape() != q_tab.shape():
-        raise ValueError("shapes must agree")
     p_values, q_values = sorted(p_tab.values()), sorted(q_tab.values())
     perm = growth_reverse_word(p_tab.standardized(), q_tab.standardized())
     letters = [

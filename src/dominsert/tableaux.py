@@ -35,13 +35,14 @@ from .polynomials import MPoly, SPIN
 def tiled_shape(core, entries):
     """Row lengths of a core plus (value, domino) entries, in one pass.
 
-    Each row is kept as a bit mask of its columns: a repeated cell shows as
-    a bit already set, the popcount is the row's cell count, and the row is
-    full when its mask is exactly the columns 1..count.  ValueError unless
+    A row's bit mask holds its cells past the core, bit k for column core
+    length + k, so a row with no domino holds 0.  A core cell or a set bit
+    is an overlap; a row is full when its mask is the bits 1..k for some k,
+    that is, when adding 2 carries through all of them.  ValueError unless
     no cell repeats, every row is full and the counts weakly decrease, that
     is, unless the cells tile a partition shape.
     """
-    masks = [(2 << p) - 2 for p in core]
+    base, masks = list(core), [0] * len(core)
     cells = sum(core) + 2 * len(entries)
     for _, dom in entries:
         row, col, orient = dom
@@ -49,17 +50,19 @@ def tiled_shape(core, entries):
             raise ValueError("cells do not tile a partition shape")
         i = row - 1
         if orient == HORIZONTAL:
-            j, bits = i, 3 << col
+            j, width = i, 3
         else:
-            j, bits = i + 1, 1 << col
+            j, width = i + 1, 1
         if j >= len(masks):
             masks.extend([0] * (j + 1 - len(masks)))
-        if masks[i] & bits or masks[j] & bits:
+            base.extend([0] * (j + 1 - len(base)))
+        top, bottom = col - base[i], col - base[j]
+        if top < 1 or bottom < 1 or masks[i] & (width << top) or masks[j] & (width << bottom):
             raise ValueError(f"overlapping cell in {dom}")
-        masks[i] |= bits
-        masks[j] |= bits
-    counts = [mask.bit_count() for mask in masks]
-    if masks != [(2 << n) - 2 for n in counts] or counts != sorted(counts, reverse=True):
+        masks[i] |= width << top
+        masks[j] |= width << bottom
+    counts = [length + mask.bit_count() for length, mask in zip(base, masks)]
+    if any([mask & (mask + 2) for mask in masks]) or counts != sorted(counts, reverse=True):
         raise ValueError("cells do not tile a partition shape")
     return tuple(counts)
 

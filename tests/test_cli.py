@@ -76,6 +76,12 @@ def test_imbalance(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run_cli(capsys, "imbalance", "--all-of", "6")
     assert code == 0 and "equal" in out
+    # m = 0 checks the identity too, rather than printing the empty shape's imbalance
+    code, out, _ = run_cli(capsys, "imbalance", "--all-of", "0")
+    lines = out.splitlines()
+    assert code == 0 and len(lines) == 3 and lines[-1] == "equal"
+    code, out, _ = run_cli(capsys, "imbalance", "--all-of", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["equal"] is True
 
 
 def test_series_expand(capsys):
@@ -266,6 +272,15 @@ def test_reverse_rejects_malformed_payload(capsys, monkeypatch, payload):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     code, _, err = run_cli(capsys, "reverse")
     assert code == 2
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_reverse_rejects_a_core_mismatch(capsys, monkeypatch):
+    # P over core 1 and Q over core 0 (each a valid tableau) exit 2 with one line
+    payload = {"P": ON_CORE, "Q": {"core": [], "dominoes": [ONE]}, "core": 1}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, "reverse")
+    assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 

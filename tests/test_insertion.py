@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
+from itertools import accumulate
 from operator import itemgetter
 
 import pytest
@@ -112,9 +113,16 @@ def test_insert_into_one_box_core():
     assert growth(parse_word("1'"), 1).p_tableau() == result.p
 
 
+def insertion_frames(word, core):
+    """The insertion tableau after each letter: insert_letter folded from the
+    empty tableau, as ``insert --trace`` prints it."""
+    return tuple(accumulate(word, insert_letter, initial=empty_tableau(core)))[1:]
+
+
 def test_running_example_frames():
     result = insert_word(RUNNING_WORD, 0)
-    assert tuple(f.entries for f in result.frames) == RUNNING_FRAMES
+    assert tuple(f.entries for f in insertion_frames(RUNNING_WORD, 0)) == RUNNING_FRAMES
+    assert result.p.entries == RUNNING_FRAMES[-1]
     assert result.p.shape() == (3, 3, 2)
     assert result.p.vertical_count() == 3
     assert result.q.vertical_count() == 1
@@ -185,14 +193,23 @@ def test_local_rule_reverse_squares():
 
 def test_growth_reverse_trivial():
     tab = insert_word(parse_word("1"), 0)
-    assert growth_reverse(tab.p.chain(), tab.q.chain()) == ((1,),)
+    assert growth_reverse(tab.p, tab.q) == ((1,),)
+    assert growth_reverse(empty_tableau(2), empty_tableau(2)) == ()
 
 
 def test_growth_reverse_rejects_bad_chains():
+    bad = [
+        (tableau_from_chain(((), (2,))), tableau_from_chain(((), (1, 1)))),  # unequal final shapes
+        (insert_word(parse_word("1"), 1).p, insert_word(parse_word("1'"), 0).p),  # cores 1 and 0
+        # values 1 and 2 tile (4), but value 1 alone is no shape: not standard
+        (DominoTableau((), ((1, DominoShape(1, 3, H)), (2, DominoShape(1, 1, H)))), tableau_from_chain(((), (2,), (4,)))),
+    ]
+    bad.append(bad[-1][::-1])
+    for p, q in bad:
+        with pytest.raises(ValueError, match="standard tableaux of one shape over one core"):
+            growth_reverse(p, q)
     with pytest.raises(ValueError):
-        growth_reverse(((), (2,)), ((), (1, 1)))  # unequal final shapes
-    with pytest.raises(ValueError):
-        growth_reverse(((2,), (2, 2)), ((2,), (2, 2)))  # core is not a staircase
+        tableau_from_chain(((2,), (2, 2)))  # core is not a staircase
 
 
 def test_bijection_small_exhaustive():
@@ -321,7 +338,7 @@ def test_labelled_growth_matches_shape_rule(word, core):
 @given(signed_permutations(), cores)
 def test_growth_reverse_inverts_growth(word, core):
     diagram = growth(word, core)
-    assert growth_reverse(diagram.p_chain(), diagram.q_chain()) == diagram.matrix
+    assert growth_reverse(diagram.p, diagram.q) == diagram.matrix
 
 
 @settings(max_examples=40)
@@ -341,7 +358,8 @@ def test_bumping_agrees_with_growth(word, core):
     st.data(),
 )
 def test_growth_reverse_rejects_corrupted_chains(word, core, corruption, data):
-    """A corrupted pair of chains is a ValueError, never an IndexError."""
+    """A corrupted pair of chains is a ValueError, never an IndexError, from
+    reading the chains as tableaux or from the reverse."""
     diagram = growth(word, core)
     p, q = list(diagram.p_chain()), list(diagram.q_chain())
     n = len(word)
@@ -363,41 +381,37 @@ def test_growth_reverse_rejects_corrupted_chains(word, core, corruption, data):
             k = data.draw(st.integers(min_value=0, max_value=n))
             chain.insert(k, chain[k])
     with pytest.raises(ValueError):
-        growth_reverse(p, q)
+        growth_reverse(tableau_from_chain(p), tableau_from_chain(q))
 
 
 def test_growth_reverse_on_all_small_chain_pairs():
-    """Every pair of chains with at most 3 dominoes over cores 0-2: the reverse
-    succeeds exactly when both chains end at the same shape (the bijection),
-    and then the recovered matrix grows back to both chains."""
-    from dominsert.partitions import enumerate_with_core
-
-    pairs = 0
+    """Every pair of standard tableaux with at most 4 dominoes over cores 0-2:
+    the reverse succeeds exactly when both have one shape (the bijection),
+    and then the recovered matrix grows back to both tableaux."""
+    pairs = same_shape = 0
     for core in (0, 1, 2):
-        for n in range(4):
-            chains = [tab.chain() for lam in enumerate_with_core(core, n) for tab in enumerate_standard(lam)]
-            for p in chains:
-                for q in chains:
+        for n in range(5):
+            tabs = [tab for lam in enumerate_with_core(core, n) for tab in enumerate_standard(lam)]
+            for p in tabs:
+                for q in tabs:
                     pairs += 1
-                    if p[-1] == q[-1]:
+                    if p.shape() == q.shape():
+                        same_shape += 1
                         diagram = growth(growth_reverse(p, q), core)
-                        assert (diagram.p_chain(), diagram.q_chain()) == (p, q)
+                        assert (diagram.p, diagram.q) == (p, q)
                     else:
                         with pytest.raises(ValueError):
                             growth_reverse(p, q)
-    assert pairs == 1323
+    assert (pairs, same_shape) == (18651, 1329)
 
 
 @settings(max_examples=30)
 @given(signed_permutations(), cores)
 def test_insert_word_steps_match_insert_letter(word, core):
     """insert_word threads one entries list; letter-by-letter insertion into
-    validated tableaux gives the same frames, and Q is the chain of their shapes."""
-    frames = [empty_tableau(core)]
-    for letter in word:
-        frames.append(insert_letter(frames[-1], letter))
+    validated tableaux ends at the same P, and Q is the chain of its shapes."""
+    frames = (empty_tableau(core),) + insertion_frames(word, core)
     result = insert_word(word, core)
-    assert result.frames == tuple(frames[1:])
     assert result.p == frames[-1]
     assert result.q == tableau_from_chain([frame.shape() for frame in frames])
 
@@ -411,17 +425,18 @@ def test_insert_word_steps_match_insert_letter(word, core):
     st.data(),
 )
 def test_growth_reverse_rejects_damaged_chains(word, core, damage, on_p, data):
-    """A chain damaged at one step raises ValueError.  A Q chain taken from
-    another word of the same length does exactly when it ends elsewhere."""
+    """A chain damaged at one step raises ValueError, read as a tableau or in
+    the reverse.  A Q tableau taken from another word of the same length
+    does exactly when its shape differs."""
     diagram = growth(word, core)
     chains = [list(diagram.p_chain()), list(diagram.q_chain())]
     n = len(word)
     if damage == "other-q":
         other = data.draw(signed_permutations(max_n=n, min_n=n))
-        p, q = diagram.p_chain(), growth(other, core).q_chain()
-        if p[-1] == q[-1]:
+        p, q = diagram.p, growth(other, core).q
+        if p.shape() == q.shape():
             regrown = growth(growth_reverse(p, q), core)
-            assert (regrown.p_chain(), regrown.q_chain()) == (p, q)
+            assert (regrown.p, regrown.q) == (p, q)
         else:
             with pytest.raises(ValueError):
                 growth_reverse(p, q)
@@ -435,7 +450,7 @@ def test_growth_reverse_rejects_damaged_chains(word, core, damage, on_p, data):
     else:
         chain[k] = chain[k - 1]  # step k adds nothing
     with pytest.raises(ValueError):
-        growth_reverse(*chains)
+        growth_reverse(*map(tableau_from_chain, chains))
 
 
 def test_every_domino_is_a_domino_shape():
@@ -469,7 +484,7 @@ def test_no_label_left_of_a_rows_nonzero_entry(word, core):
         for j in range(letter.value):
             assert diagram.vertical[i][j] is None
             assert grid[i + 1][j] == grid[i][j]
-    assert growth_reverse(diagram.p_chain(), diagram.q_chain()) == diagram.matrix
+    assert growth_reverse(diagram.p, diagram.q) == diagram.matrix
 
 
 @pytest.mark.parametrize(
@@ -556,11 +571,17 @@ def test_insert_letter_matches_the_replay_on_small_tableaux():
 @settings(max_examples=40)
 @given(signed_permutations(), cores)
 def test_insert_word_steps_match_the_replay(word, core):
+    """insert_letter folded letter by letter gives the replay's tableau after
+    every step, and insert_word ends at the replay's P and Q."""
     entries, steps = (), []
     for letter in word:
         entries = replay_bump(staircase(core), entries, letter)
         steps.append(entries)
-    assert insert_word(word, core).steps == tuple(steps)
+    assert tuple(frame.entries for frame in insertion_frames(word, core)) == tuple(steps)
+    shapes = [staircase(core)] + [tiled_shape(staircase(core), step) for step in steps]
+    result = insert_word(word, core)
+    assert result.p.entries == (steps[-1] if steps else ())
+    assert result.q == tableau_from_chain(shapes)
 
 
 def test_insertion_over_a_large_core_stays_small():
@@ -572,6 +593,23 @@ def test_insertion_over_a_large_core_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_insert_word_keeps_no_per_step_copies():
+    # one signed permutation of size 1000: a copy of the entries after every
+    # step would hold about n^2/2 entries
+    rng = random.Random(1000)
+    values = list(range(1, 1001))
+    rng.shuffle(values)
+    word = tuple(Letter(v, rng.random() < 0.5) for v in values)
+    tracemalloc.start()
+    try:
+        result = insert_word(word, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.p) == len(result.q) == 1000
+    assert peak < 2_000_000
 
 
 def test_bumping_places_a_bounded_number_of_dominoes(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -185,6 +186,31 @@ def test_construction_rejects_far_dominoes_without_building_them():
     for far in (DominoShape(1, 10**12, H), DominoShape(10**12, 1, V), DominoShape(3, 3, H)):
         with pytest.raises(ValueError):
             DominoTableau((1,), ((1, DominoShape(2, 1, V)), (2, far)))
+
+
+def test_construction_messages():
+    # a domino on a core cell overlaps it, as one on another domino's cell does
+    for dom in (DominoShape(1, 2, H), DominoShape(1, 1, V), DominoShape(1, 2, V), DominoShape(2, 1, V)):
+        with pytest.raises(ValueError, match=r"^overlapping cell in"):
+            DominoTableau((2, 1), ((1, dom),))
+    with pytest.raises(ValueError, match=r"^overlapping cell in"):
+        DominoTableau((2, 1), ((1, DominoShape(1, 3, H)), (2, DominoShape(1, 4, H))))
+    for dom in (DominoShape(2, 2, H), DominoShape(1, 4, H), DominoShape(3, 2, V)):
+        with pytest.raises(ValueError, match="cells do not tile a partition shape"):
+            DominoTableau((2, 1), ((1, dom),))
+
+
+def test_a_large_core_costs_no_bit_masks():
+    # a row's mask holds only the cells past its core, so an empty tableau
+    # over staircase(10000) keeps a 0 per row, not about k^2/2 bits
+    tracemalloc.start()
+    try:
+        tab = DominoTableau(staircase(10_000), ())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tab.shape() == staircase(10_000)
+    assert peak < 3_000_000
 
 
 def test_conjugation():

@@ -1,5 +1,6 @@
 """The shared skeleton of the verify checks: failures surface, records stay fixed."""
 
+import importlib
 import importlib.util
 import json
 from collections import Counter
@@ -7,16 +8,21 @@ from pathlib import Path
 
 import pytest
 
+import dominsert
 from dominsert import insertion, involutions, verify, words
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_workloads():
+    return _load_perfbench("workloads")
 
 
 def test_records_match_the_reference_digests():
@@ -28,6 +34,28 @@ def test_records_match_the_reference_digests():
         for _, instance in workloads.verify_instances(verify)
     }
     assert got == expected
+
+
+def test_roundtrip_workload_passes_at_seed_1():
+    # the benchmark's roundtrip-n200 ops (3 words of size 200) against perfbench/expected.json
+    workload = _load_workloads().WORKLOADS["roundtrip-n200"]
+    workload.build(dominsert, 1, json.loads((ROOT / "perfbench" / "expected.json").read_text()))
+    ops = workload.one_pass()
+    assert len(ops) == 3 and len(workload.digests) == 3
+    for op in ops:
+        assert op.check(op.call()), op.label
+
+
+def test_traced_names_resolve():
+    # every function the benchmark's tracer wraps or counts exists where it looks
+    spans = _load_perfbench("spans")
+    for module_name, path, *_ in spans.SPANS + spans.COUNTERS:
+        owner = importlib.import_module(f"dominsert.{module_name}")
+        if "." in path:
+            cls_name, method = path.split(".")
+            assert callable(vars(getattr(owner, cls_name))[method]), path
+        else:
+            assert callable(getattr(owner, path)), path
 
 
 def _assert_fails(record, cases):
