@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import accumulate
 
 from . import insertion, series, signimbalance, tableaux, verify, words
 from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_int, partition_str
@@ -38,14 +37,12 @@ def _spin_str(tab):
 
 
 def _insert_payload(word, core, trace):
-    """Source text, P, Q and, if traced, ``insert_letter``'s tableau per letter."""
+    """Source text, P, Q and, if traced, the insertion tableau per letter."""
     if isinstance(word, ColoredBiword):
         p, q = insertion.biword_insert(word, core)
         return str(word), p, q, None
     result = insertion.insert_word(word, core)
-    frames = None
-    if trace:
-        frames = list(accumulate(word, insertion.insert_letter, initial=tableaux.empty_tableau(core)))[1:]
+    frames = insertion.insert_frames(word, core) if trace else None
     return words.word_str(word), result.p, result.q, frames
 
 
@@ -111,17 +108,9 @@ def cmd_reverse(args):
     q = tableaux.DominoTableau.from_json(payload["Q"])
     core = json_int(payload.get("core", args.core), "core")
     word = insertion.biword_reverse(p, q, core)
-    perm = [bl.bottom for bl in word.letters]
-    if words.is_signed_permutation(word.bottom) and all(
-        bl.top.value == i for i, bl in enumerate(word.letters, start=1)
-    ):
-        text = words.word_str(perm)
-    else:
-        text = str(word)
-    if args.format == "json":
-        print(json.dumps({"word": text, "core": core}))
-    else:
-        print(text)
+    standard = all(bl.top.value == i for i, bl in enumerate(word.letters, start=1))
+    text = words.word_str(word.bottom) if standard and words.is_signed_permutation(word.bottom) else str(word)
+    print(json.dumps({"word": text, "core": core}) if args.format == "json" else text)
     return 0
 
 
@@ -140,17 +129,8 @@ def cmd_imbalance(args):
         return 0 if poly == target else 1
     lam = _parse_shape(args.shape)
     value = signimbalance.imbalance(lam)
-    if args.format == "json":
-        print(json.dumps({"shape": list(lam), "imbalance": value}))
-    else:
-        print(value)
+    print(json.dumps({"shape": list(lam), "imbalance": value}) if args.format == "json" else value)
     return 0
-
-
-def _apply_params(series_value, params):
-    if params:
-        series_value = series_value.subs(params)
-    return series_value
 
 
 def cmd_series(args):
@@ -171,7 +151,8 @@ def cmd_series(args):
             value = series.schur(lam, args.vars, args.degree)
         else:
             value = series.weighted_domino_sum(args.core, args.vars, args.degree)
-        value = _apply_params(value, params)
+        if params:
+            value = value.subs(params)
         if args.format == "json":
             print(json.dumps({"terms": {value.monomial_str(e): str(c) for e, c in sorted(value.terms.items())}}))
         else:
@@ -227,7 +208,6 @@ def _emit_records(records, fmt):
             if not rec["pass"]:
                 print(f"    lhs: {rec['lhs'][:400]}")
                 print(f"    rhs: {rec['rhs'][:400]}")
-    if fmt != "json":
         print(f"{len(records) - failures}/{len(records)} checks passed")
     return 1 if failures else 0
 

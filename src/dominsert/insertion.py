@@ -11,8 +11,8 @@ labels a local rule builds stay bare triples, and ``place_domino`` or
 ``lift_domino`` checks each one.  A square's local rule reads its two near
 labels and at most one row or column length of a corner.  Growth reads
 the standard pair (P, Q) off its last labels, and its reverse takes that
-pair; both run row by row on one list of row lengths per column and skip a
-row's squares that set no label.
+pair; both run row by row, on one list of row lengths per column of the
+values inserted so far, and visit only the squares whose top label is set.
 """
 
 from __future__ import annotations
@@ -162,6 +162,17 @@ def insert_letter(tab, letter):
         raise ValueError("insert_letter expects distinct values whose prefixes are shapes")
     index.insert(letter)
     return DominoTableau(tab.core, tuple(index.entries))
+
+
+def insert_frames(letters, core=0):
+    """The insertion tableau after each letter of a signed permutation: one
+    index takes every step, and each frame is a validated snapshot."""
+    base = staircase(core)
+    index, frames = _RowIndex(base, (), base), []
+    for letter in letters:
+        index.insert(letter)
+        frames.append(DominoTableau(base, tuple(index.entries)))
+    return frames
 
 
 @dataclass(frozen=True)
@@ -350,21 +361,20 @@ class GrowthDiagram:
 
     def spin_ledger_holds(self):
         """Per-square bookkeeping: vertical-domino growth on the two far edges
-        matches the two near edges plus 2 exactly on a -1 square."""
-        for i in range(self.n):
-            for j in range(self.n):
-                lam = self.grid[i][j]
-                mu = self.grid[i + 1][j]
-                nu = self.grid[i][j + 1]
-                rho = self.grid[i + 1][j + 1]
-                left = _vertical_growth(mu, rho) + _vertical_growth(nu, rho)
-                right = (
-                    _vertical_growth(lam, mu)
-                    + _vertical_growth(lam, nu)
-                    + (2 if self.matrix[i][j] == -1 else 0)
-                )
-                if left != right:
+        matches the two near edges plus 2 exactly on a -1 square.  Vertical
+        labels are read from ``vertical``; each horizontal edge's label is
+        derived once, from the grid."""
+        def vert(dom):
+            return 1 if dom and dom[2] == VERTICAL else 0
+
+        below = [0] * self.n  # the grid's bottom row is all core
+        for entries, labels, shapes in zip(self.matrix, self.vertical, self.grid[1:]):
+            above = [vert(_label(outer, inner)) for inner, outer in zip(shapes, shapes[1:])]
+            side = [vert(dom) for dom in labels]
+            for j, entry in enumerate(entries):
+                if above[j] + side[j + 1] != side[j] + below[j] + 2 * (entry == -1):
                     return False
+            below = above
         return True
 
     def to_json(self):
@@ -377,36 +387,36 @@ class GrowthDiagram:
         }
 
 
-def _vertical_growth(inner, outer):
-    dom = _label(outer, inner)
-    return 1 if dom and dom[2] == VERTICAL else 0
-
-
 def growth(matrix_or_word, core=0):
-    """Fill the growth diagram of a signed permutation row by row, on one list
-    of row lengths per column: column j holds grid[i][j] and takes its
-    vertical label in place, so a square reads the column to its right.  A
-    row starts at its nonzero column: left of it the entries are 0 and the
-    left label stays None, so ``_grow`` passes the top label on unchanged.
-    Q's domino i is row i's last vertical label, P's domino j the last label
-    of horizontal edge j."""
+    """Fill the growth diagram of a signed permutation row by row, keeping
+    for each value j + 1 inserted so far the row lengths of grid[i][j + 1],
+    which take its vertical label in place.  Row i copies its nonzero
+    column j from the kept column to its left, or the core, and visits it
+    and each kept column to its right: n + inv(|w|) squares in all.  Each
+    skipped square has top label None: left of the seed its left label is
+    None, and right of it ``_grow`` would pass the left label on and
+    ``place_domino`` repeat its last check on an equal list, so the label
+    is filled in.  Q's domino i is row i's last vertical label, P's domino
+    j the last label of horizontal edge j."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         matrix = word_matrix(matrix_or_word)
     else:
         matrix = tuple(tuple(row) for row in matrix_or_word)
     validate_matrix(matrix)
     n, base = len(matrix), staircase(core)
-    columns = [list(base) for _ in range(n + 1)]
+    present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
     horizontal = [None] * n
     recording, vertical = [], []
     for i, entries in enumerate(matrix, start=1):
         start = entries.index(1) if 1 in entries else entries.index(-1)
-        left, labels = None, [None] * (start + 1)
-        for j in range(start, n):
-            horizontal[j], left = _grow(columns[j + 1], left, horizontal[j], entries[j])
-            if left:
-                place_domino(columns[j + 1], *left)
-            labels.append(left)
+        k = bisect_left(present, start)
+        present.insert(k, start)
+        columns.insert(k, list(columns[k - 1] if k else base))
+        left, labels = None, [None] * (n + 1)
+        for j, column, end in zip(present[k:], columns[k:], present[k + 1:] + [n]):
+            horizontal[j], left = _grow(column, left, horizontal[j], entries[j])
+            place_domino(column, *left)
+            labels[j + 1:end + 1] = [left] * (end - j)
         recording.append((i, DominoShape(*left)))
         vertical.append(tuple(labels))
     p = DominoTableau(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)))
@@ -417,14 +427,18 @@ def growth_reverse(p, q):
     """The matrix whose growth diagram has the standard pair (P, Q), of one
     shape over one core.
 
-    Rows are peeled off from the top, on one list of row lengths per
-    column: column j starts at P's shape after j dominoes, horizontal label
-    j at P's domino j + 1, and row i's right label at Q's domino i + 1.
-    ``_shrink`` turns a square's top and right labels c and d into its
-    entry and its left and bottom labels a and b, and lifts a off column j.
-    A row stops once its right label is None: further left ``_shrink``
-    returns (0, None, c) for each square.  Only ``lift_domino`` and the
-    closing ``validate_matrix`` reject; checks 1-3 below are implied.
+    Rows are peeled off from the top, keeping only the columns whose top
+    label is set, as lists of row lengths: column j starts at P's shape
+    after j dominoes, horizontal label j at P's domino j + 1, and row i's
+    right label at Q's domino i + 1.  Right to left, ``_shrink`` turns a
+    kept square's top and right labels c and d into its entry and its left
+    and bottom labels a and b, and lifts a off column j; the seed drops
+    column j and ends the row.  A skipped square has c None and would lift
+    d off mu = rho: the last lift again, on an equal column, or right of
+    the kept ones Q's domino off Q's shape (below).  Left of them every
+    column is the core: a row out of kept columns lifts its right label off
+    it, which raises.  Only ``lift_domino`` and the closing
+    ``validate_matrix`` reject; checks 1-3 below are implied.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
@@ -446,7 +460,7 @@ def growth_reverse(p, q):
          no cell with c, lam + c = rho - d = nu, and ``_grow`` swaps the
          two back, or passes d on when c is None.
     2. No row ends with its left label set: column 0 is the staircase core,
-       which has no removable domino, so there ``_shrink`` seeds or the
+       which has no removable domino, so there a kept square seeds or the
        lift raises.
     3. At the end no horizontal label is set and every column is the core:
        each square keeps [c] + [d] = [a] + [b] + 2 [entry != 0], and a row
@@ -462,14 +476,18 @@ def growth_reverse(p, q):
     n = len(p)
     columns = [list(shape) for shape in p.chain()[:n]]
     labels = [dom for _, dom in p.entries]
-    matrix = [None] * n
+    present, matrix = list(range(n)), [None] * n
     for i in range(n - 1, -1, -1):
         entries = [0] * n
         right = q.entries[i][1]
-        for j in range(n - 1, -1, -1):
+        for k in range(len(present) - 1, -1, -1):
+            j = present[k]
+            entries[j], right, labels[j] = _shrink(columns[k], labels[j], right)
             if right is None:
+                del present[k], columns[k]
                 break
-            entries[j], right, labels[j] = _shrink(columns[j], labels[j], right)
+        else:
+            lift_domino(list(p.core), *right)
         matrix[i] = tuple(entries)
     validate_matrix(matrix)
     return tuple(matrix)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -26,6 +27,7 @@ from dominsert.insertion import (
     growth_reverse,
     growth_reverse_word,
     growth_str,
+    insert_frames,
     insert_letter,
     insert_word,
     local_rule,
@@ -416,6 +418,13 @@ def test_insert_word_steps_match_insert_letter(word, core):
     assert result.q == tableau_from_chain([frame.shape() for frame in frames])
 
 
+@settings(max_examples=30)
+@given(signed_permutations(), cores)
+def test_insert_frames_match_insert_letter(word, core):
+    # ``insert --trace`` snapshots one index; the fold validates every input tableau
+    assert tuple(insert_frames(word, core)) == insertion_frames(word, core)
+
+
 @settings(max_examples=60)
 @given(
     signed_permutations(),
@@ -635,3 +644,60 @@ def test_bumping_places_a_bounded_number_of_dominoes(monkeypatch):
     assert sum(calls.values()) < 4 * len(word)
     monkeypatch.undo()
     assert result.p == growth(word, 1).p_tableau()
+
+
+def _random_word(rng, n):
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    return tuple(Letter(v, rng.random() < 0.5) for v in values)
+
+
+def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
+    """Growth and its reverse run a local rule on a square only once its top
+    label is set: 1 + the number of larger earlier values per row, so
+    n + inv(|w|) squares, of the n(n + 1)/2 at or right of the rows'
+    nonzero entries."""
+    calls = Counter()
+    for name in ("_grow", "_shrink"):
+
+        def counted(*args, _name=name, _original=getattr(insertion, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(insertion, name, counted)
+    rng = random.Random(10)
+    for n in (0, 1, 2, 5, 17, 40):
+        for core in range(3):
+            word = _random_word(rng, n)
+            values = [letter.value for letter in word]
+            visits = n + sum(a > b for i, a in enumerate(values) for b in values[i + 1:])
+            calls.clear()
+            diagram = growth(word, core)
+            assert (calls["_grow"], calls["_shrink"]) == (visits, 0)
+            calls.clear()
+            assert growth_reverse(diagram.p, diagram.q) == diagram.matrix
+            assert (calls["_grow"], calls["_shrink"]) == (0, visits)
+
+
+def test_spin_ledger_derives_each_horizontal_label_once(monkeypatch):
+    """The ledger reads the vertical labels and derives each set horizontal
+    label once: edge j of grid row i is set when value j + 1 is among the
+    first i letters, on n(n + 1)/2 edges in all.  Flipping the sign of one
+    entry breaks the ledger."""
+    calls = Counter()
+
+    def counted(outer, inner, _original=insertion.skew_domino):
+        calls["skew_domino"] += 1
+        return _original(outer, inner)
+
+    monkeypatch.setattr(insertion, "skew_domino", counted)
+    rng = random.Random(30)
+    for n in (1, 4, 30):
+        for core in range(3):
+            diagram = growth(_random_word(rng, n), core)
+            calls.clear()
+            assert diagram.spin_ledger_holds()
+            assert calls["skew_domino"] == n * (n + 1) // 2
+            i = rng.randrange(n)
+            flipped = tuple(tuple(-e for e in row) if k == i else row for k, row in enumerate(diagram.matrix))
+            assert not dataclasses.replace(diagram, matrix=flipped).spin_ledger_holds()
