@@ -42,12 +42,9 @@ from .words import (
     Biletter,
     Letter,
     biword,
-    invert_colored,
-    invert_dual,
+    dual_standardize,
     is_signed_permutation,
-    signed_permutation,
-    standardize_top,
-    with_kind,
+    standardize,
 )
 
 
@@ -512,37 +509,32 @@ def _relabel(tab, labels, column_side=False):
     return out
 
 
+def _insert_standardized(word, std, core, p_columns=False, q_columns=False):
+    """One insertion of ``std``, the standardized ``word``; P's values go
+    back through the sorted bottom values and Q's through the top row, each
+    tableau column-semistandard if its ``*_columns`` flag is set."""
+    result = insert_word(std.bottom, core)
+    bottom = sorted(letter.value for letter in word.bottom)
+    return _relabel(result.p, bottom, p_columns), _relabel(result.q, [t.value for t in word.top], q_columns)
+
+
 def biword_insert(word, core=0):
-    """Semistandard correspondence: a colored biword to an equal-shape pair.
-
-    P records the insertion of the top-standardized inverse; Q is the P of
-    the inverse biword.  The pair carries the bottom and top weights and the
-    total color equals the sum of the spins.
-
-    Each tableau is the recording tableau of a top-standardized inverse,
-    relabelled by its top row.  Equal top labels force strictly increasing
-    neg-values below, so consecutive recording dominoes lie strictly left to
-    right and the relabelled tableau is semistandard.
-    """
+    """Semistandard correspondence: a colored biword to an equal-shape pair,
+    carrying the bottom and top weights, whose spins sum to twice the total
+    color.  P and Q are the insertion and recording tableaux of the
+    standardized word, relabelled (Shimozono-White, by Lam's standardization)."""
     if word.kind != COLORED:
         raise ValueError("biword_insert expects a colored biword")
-    pair = []
-    for side in (word, invert_colored(word)):
-        source = invert_colored(standardize_top(side))
-        recording = insert_word(signed_permutation(source), core).q
-        pair.append(_relabel(recording, [letter.value for letter in source.top]))
-    p_tab, q_tab = pair
-    if p_tab.shape() != q_tab.shape():
-        raise ValueError("insertion produced unequal shapes")
-    return p_tab, q_tab
+    return _insert_standardized(word, standardize(word), core)
 
 
 def biword_reverse(p_tab, q_tab, core=0):
     """Inverse of the semistandard correspondence.
 
     Rebuilds the signed permutation from the standardized pair, then merges
-    the standard labels back into the two weights.  A final round trip
-    guards against pairs outside the image.
+    the standard labels back into the two weights.  The closing round trip,
+    one insertion, is the one check of outside input (``dominsert reverse``):
+    the steps before it accept tableaux not semistandard or not over ``core``.
     """
     p_values, q_values = sorted(p_tab.values()), sorted(q_tab.values())
     perm = growth_reverse_word(p_tab.standardized(), q_tab.standardized())
@@ -561,38 +553,25 @@ def biword_reverse(p_tab, q_tab, core=0):
 
 
 def dual_insert_alpha(word, core=0):
-    """First dual correspondence, on multiplicity-free dual colored biwords.
-
-    P is semistandard, Q column-semistandard; both come from inserting the
-    top-standardized word, with Q's labels merged back into the top weight.
-    """
+    """First dual correspondence, on multiplicity-free dual colored biwords:
+    one insertion of the dual standardization, relabelled as in
+    ``biword_insert`` but with Q column-semistandard."""
     if word.kind != DUAL:
         raise ValueError("dual_insert_alpha expects a dual colored biword")
     if not word.is_multiplicity_free():
         raise ValueError("dual_insert_alpha needs a multiplicity-free biword")
-    as_colored = with_kind(standardize_top(word), COLORED)
-    p_tab, q_std = biword_insert(as_colored, core)
-    labels = [letter.value for letter in word.top]
-    q_tab = _relabel(q_std, labels, column_side=True)
-    return p_tab, q_tab
+    return _insert_standardized(word, dual_standardize(word), core, q_columns=True)
 
 
 def dual_insert_beta(word, core=0):
-    """Second dual correspondence, on multiplicity-free colored biwords.
-
-    P is column-semistandard, Q semistandard; both come from the insertion
-    of word^(inv_d ost inv_d), with P's labels merged into the bottom weight.
-    """
+    """Second dual correspondence, on multiplicity-free colored biwords:
+    one insertion of the dual standardization, relabelled as in
+    ``biword_insert`` but with P column-semistandard."""
     if word.kind != COLORED:
         raise ValueError("dual_insert_beta expects a colored biword")
     if not word.is_multiplicity_free():
         raise ValueError("dual_insert_beta needs a multiplicity-free biword")
-    rewritten = invert_dual(standardize_top(invert_dual(word)))
-    p_std, q_tab = biword_insert(rewritten, core)
-    bottom_sorted = sorted(word.bottom, key=lambda letter: letter.key())
-    labels = [letter.value for letter in bottom_sorted]
-    p_tab = _relabel(p_std, labels, column_side=True)
-    return p_tab, q_tab
+    return _insert_standardized(word, dual_standardize(word), core, p_columns=True)
 
 
 # ---------------------------------------------------------------------------

@@ -210,11 +210,6 @@ class MPoly:
         return f"MPoly({self.names!r}, {self.terms!r})"
 
 
-def spoly(coeffs):
-    """Polynomial in the single variable s from {exponent: coefficient}."""
-    return MPoly(SPIN, {(e,): c for e, c in coeffs.items()})
-
-
 def one_plus_q(names=SPIN):
     """The factor 1 + q written in s."""
     return MPoly.const(1, names) + MPoly.var("s", names, power=2)

@@ -8,7 +8,6 @@ dominoes, so bounding the shape size makes every truncated identity exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .partitions import (
@@ -114,24 +113,6 @@ class TruncatedSeries:
         if bound > self.bound:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.nx, self.ny, bound, self.terms)
-
-    def is_symmetric(self):
-        """Invariance under permuting the x-block and the y-block."""
-        for perm in itertools.permutations(range(self.nx)):
-            swapped = {}
-            for exps, coeff in self.terms.items():
-                key = tuple(exps[perm[i]] for i in range(self.nx)) + exps[self.nx:]
-                swapped[key] = coeff
-            if swapped != self.terms:
-                return False
-        for perm in itertools.permutations(range(self.ny)):
-            swapped = {}
-            for exps, coeff in self.terms.items():
-                key = exps[: self.nx] + tuple(exps[self.nx + perm[i]] for i in range(self.ny))
-                swapped[key] = coeff
-            if swapped != self.terms:
-                return False
-        return True
 
     def monomial_str(self, exps):
         names = [f"x{i+1}" for i in range(self.nx)] + [f"y{i+1}" for i in range(self.ny)]

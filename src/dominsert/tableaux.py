@@ -24,7 +24,6 @@ from .partitions import (
     partition_str,
     place_domino,
     size,
-    skew_domino,
     staircase,
     staircase_order,
     two_core,
@@ -207,21 +206,6 @@ class DominoTableau:
 
 def empty_tableau(core_order):
     return DominoTableau(staircase(core_order), ())
-
-
-def tableau_from_chain(shapes, values=None):
-    """Build a tableau from a chain of shapes differing by dominoes."""
-    shapes = [as_partition(s) for s in shapes]
-    values = values or range(1, len(shapes))
-    entries = []
-    for value, (inner, outer) in zip(values, zip(shapes, shapes[1:])):
-        if inner == outer:
-            raise ValueError("chain stalls")
-        dom = skew_domino(outer, inner)
-        if dom is None:
-            raise ValueError(f"{outer}/{inner} is not a domino")
-        entries.append((value, dom))
-    return DominoTableau(shapes[0], tuple(entries))
 
 
 def enumerate_standard(lam):

@@ -195,15 +195,6 @@ def total_color(word):
     return sum(letter.barred for letter in word)
 
 
-def strip_bars(word):
-    if isinstance(word, ColoredBiword):
-        return biword(
-            (Biletter(bl.top.unbarred(), bl.bottom.unbarred()) for bl in word.letters),
-            word.kind,
-        )
-    return tuple(letter.unbarred() for letter in word)
-
-
 def neg_values(letters):
     return tuple(letter.neg for letter in letters)
 
@@ -226,26 +217,24 @@ def invert(word):
     return biword((Biletter(bl.bottom, bl.top) for bl in word.letters), DOUBLY)
 
 
+def _swap_rows(word, kind):
+    """Swap the rows of each biletter, the bottom's bar staying on the bottom."""
+    swapped = (Biletter(bl.bottom.unbarred(), bl.top.with_bar(bl.bottom.barred)) for bl in word.letters)
+    return biword(swapped, kind)
+
+
 def invert_colored(word):
     """Inverse for colored biwords: move bars to the top row, then swap."""
     if word.kind != COLORED:
         raise ValueError("invert_colored expects a colored biword")
-    swapped = (
-        Biletter(bl.bottom.unbarred(), bl.top.with_bar(bl.bottom.barred))
-        for bl in word.letters
-    )
-    return biword(swapped, COLORED)
+    return _swap_rows(word, COLORED)
 
 
 def invert_dual(word):
     """Swap rows moving any bar down; exchanges colored and dual biwords."""
     if word.kind not in (COLORED, DUAL):
         raise ValueError("invert_dual expects a colored or dual biword")
-    swapped = (
-        Biletter(bl.bottom.unbarred(), bl.top.with_bar(bl.bottom.barred))
-        for bl in word.letters
-    )
-    return biword(swapped, DUAL if word.kind == COLORED else COLORED)
+    return _swap_rows(word, DUAL if word.kind == COLORED else COLORED)
 
 
 def standardize(word):

@@ -36,7 +36,7 @@ from dominsert.insertion import (
     validate_matrix,
     word_matrix,
 )
-from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard, tableau_from_chain, tiled_shape
+from dominsert.tableaux import DominoTableau, empty_tableau, enumerate_standard, tiled_shape
 from dominsert.words import (
     Letter,
     enumerate_signed_permutations,
@@ -44,6 +44,7 @@ from dominsert.words import (
     parse_word,
     total_color,
 )
+from support import tableau_from_chain
 
 H, V = "h", "v"
 

@@ -1,4 +1,4 @@
-from dominsert.polynomials import IMBALANCE, MPoly, PARAMS, SPIN, one_plus_q, spoly
+from dominsert.polynomials import IMBALANCE, MPoly, PARAMS, SPIN, one_plus_q
 
 
 def test_constants_and_vars():
@@ -45,7 +45,3 @@ def test_str_is_sorted_and_signed():
     assert str(x - y) == "-y + x"
     assert str(MPoly.zero(IMBALANCE)) == "0"
     assert str(2 * x * x) == "2*x^2"
-
-
-def test_spoly_helper():
-    assert spoly({0: 1, 2: 1}) == one_plus_q()

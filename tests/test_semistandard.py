@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given
 
 from dominsert.insertion import biword_insert, biword_reverse, insert_word
 from dominsert.partitions import DominoShape
@@ -14,6 +15,7 @@ from dominsert.words import (
     standardize,
     total_color,
 )
+from support import biword_insert_by_recording, colored_biwords, cores, count_insertions
 
 H, V = "h", "v"
 
@@ -111,3 +113,30 @@ def test_biword_pool_sizes():
     # multiplicity-free: 4 of the 8 biletters, of either kind
     assert len(enumerate_biwords(2, 2, 4, multiplicity_free=True)) == 70
     assert len(enumerate_biwords(2, 2, 4, DUAL, multiplicity_free=True)) == 70
+
+
+def test_equals_the_two_recording_construction():
+    """One insertion of the standardized word, relabelled, gives the pair
+    that recording the word and its inverse separately gives."""
+    pool = [w for length in range(5) for w in enumerate_biwords(2, 2, length)]
+    assert len(pool) == 495
+    for core in (0, 1, 2):
+        for w in pool:
+            assert biword_insert(w, core) == biword_insert_by_recording(w, core), w
+
+
+def test_one_insertion_per_biword(monkeypatch):
+    calls = count_insertions(monkeypatch)
+    biword_insert(W, 1)
+    assert len(calls) == 1
+
+
+@given(colored_biwords, cores)
+def test_correspondence_at_scale(w, core):
+    p, q = biword_insert(w, core)
+    assert p.is_semistandard() and q.is_semistandard() and p.shape() == q.shape()
+    assert p.weight() == w.bottom_weight() and q.weight() == w.top_weight()
+    assert 2 * total_color(w) == p.vertical_count() + q.vertical_count()
+    assert (p.standardized(), q.standardized()) == biword_insert(standardize(w), core)
+    assert biword_insert(invert_colored(w), core) == (q, p)
+    assert biword_reverse(p, q, core) == w

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from dominsert.partitions import enumerate_with_core, two_quotient
 from dominsert.polynomials import MPoly, PARAMS
 from dominsert.series import (
     Factor,
@@ -22,6 +25,25 @@ from dominsert.series import (
 ONE = MPoly.const(1, PARAMS)
 Q = MPoly.var("s", PARAMS, power=2)
 S = MPoly.var("s", PARAMS)
+
+
+def is_symmetric(series):
+    """Invariance under permuting the x-block and the y-block."""
+    for perm in itertools.permutations(range(series.nx)):
+        swapped = {}
+        for exps, coeff in series.terms.items():
+            key = tuple(exps[perm[i]] for i in range(series.nx)) + exps[series.nx:]
+            swapped[key] = coeff
+        if swapped != series.terms:
+            return False
+    for perm in itertools.permutations(range(series.ny)):
+        swapped = {}
+        for exps, coeff in series.terms.items():
+            key = exps[: series.nx] + tuple(exps[series.nx + perm[i]] for i in range(series.ny))
+            swapped[key] = coeff
+        if swapped != series.terms:
+            return False
+    return True
 
 
 def test_series_ring_basics():
@@ -70,10 +92,21 @@ def test_domino_function_examples():
 
 def test_domino_function_symmetry_and_zero_spin():
     for lam in ((2, 2), (3, 1), (4,), (3, 1, 1), (2, 2, 1, 1)):
-        assert domino_function(lam, 2, 4).is_symmetric()
+        assert is_symmetric(domino_function(lam, 2, 4))
     assert domino_function((4,), 2, 4).subs({"s": 0}) == schur((2,), 2, 4)
     assert domino_function((2, 2), 2, 4).subs({"s": 0}) == schur((1, 1), 2, 4)
     assert domino_function((3, 1), 2, 4).subs({"s": 0}) == TruncatedSeries.zero(2, 0, 4)
+
+
+def test_domino_function_at_q_one_factors_through_the_two_quotient():
+    """G_lam(X; 1) = s_lam0(X) s_lam1(X) for the 2-quotient (lam0, lam1)
+    (Stanton-White; Carre-Leclerc), checked by Schur polynomials of the
+    quotient rather than domino tableaux."""
+    shapes = [lam for core in (0, 1, 2) for n in range(5) for lam in enumerate_with_core(core, n)]
+    assert len(shapes) == 114
+    for lam in shapes:
+        lam0, lam1 = two_quotient(lam)
+        assert domino_function(lam, 2, 4).subs({"s": 1}) == schur(lam0, 2, 4) * schur(lam1, 2, 4), lam
 
 
 def test_doubled_shape_has_even_rows():

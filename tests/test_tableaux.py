@@ -18,10 +18,10 @@ from dominsert.tableaux import (
     max_odd_vertical,
     max_spin,
     spin_poly,
-    tableau_from_chain,
     tableau_sign,
 )
 from dominsert.involutions import standard_tableau_count
+from support import tableau_from_chain
 
 H, V = "h", "v"
 

@@ -24,7 +24,6 @@ from dominsert.words import (
     parse_word,
     standardize,
     standardize_top,
-    strip_bars,
     total_color,
     with_kind,
     word_str,
@@ -135,7 +134,6 @@ def test_standardize_nine_letter_involution():
 
 def test_total_color_and_strip():
     assert total_color(parse_word("2' 3' 1'")) == 3
-    assert word_str(strip_bars(parse_word("2 3' 1'"))) == "2 3 1"
     assert total_color(W) == total_color(standardize(W)) == 3
 
 
