@@ -39,6 +39,7 @@ from .insertion import (
     dual_insert_beta,
     growth,
     growth_reverse,
+    growth_reverse_word,
     insert_word,
 )
 

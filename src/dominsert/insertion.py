@@ -13,6 +13,10 @@ labels and at most one row or column length of a corner.  Growth reads
 the standard pair (P, Q) off its last labels, and its reverse takes that
 pair; both run row by row, on one list of row lengths per column of the
 values inserted so far, and visit only the squares whose top label is set.
+Both hold a signed permutation as its word: letter i puts its sign (-1
+when barred) in column value - 1 of row i.  The dense matrix is a view,
+built by ``word_matrix`` for ``GrowthDiagram.matrix`` and
+``growth_reverse``, and read back once by ``matrix_word``.
 """
 
 from __future__ import annotations
@@ -213,12 +217,8 @@ def word_matrix(letters):
 
 
 def matrix_word(matrix):
+    """The word of a signed permutation matrix, the inverse of ``word_matrix``."""
     validate_matrix(matrix)
-    return _letters(matrix)
-
-
-def _letters(matrix):
-    """The word of a validated signed permutation matrix."""
     return tuple(Letter(j, entry < 0) for row in matrix for j, entry in enumerate(row, start=1) if entry)
 
 
@@ -321,10 +321,11 @@ def local_rule_reverse(rho, mu, nu):
 
 @dataclass(frozen=True)
 class GrowthDiagram:
-    """Growth diagram of a signed permutation matrix, kept as its (P, Q)
-    pair and the labels of its vertical edges."""
+    """Growth diagram of a signed permutation, kept as its word, its (P, Q)
+    pair and the labels of its vertical edges; letter i puts its sign in
+    square (i, value - 1)."""
 
-    matrix: tuple
+    word: tuple
     core_order: int
     p: DominoTableau  # domino j labels grid[n][j] / grid[n][j - 1]
     q: DominoTableau  # domino i labels grid[i][n] / grid[i - 1][n]
@@ -332,7 +333,11 @@ class GrowthDiagram:
 
     @property
     def n(self):
-        return len(self.matrix)
+        return len(self.word)
+
+    @property
+    def matrix(self):
+        return word_matrix(self.word)
 
     @cached_property
     def grid(self):
@@ -360,16 +365,18 @@ class GrowthDiagram:
         """Per-square bookkeeping: vertical-domino growth on the two far edges
         matches the two near edges plus 2 exactly on a -1 square.  Vertical
         labels are read from ``vertical``; each horizontal edge's label is
-        derived once, from the grid."""
+        derived once, from the grid.  Square (i, j) is a -1 square exactly
+        when letter i is barred and j = value - 1."""
         def vert(dom):
             return 1 if dom and dom[2] == VERTICAL else 0
 
         below = [0] * self.n  # the grid's bottom row is all core
-        for entries, labels, shapes in zip(self.matrix, self.vertical, self.grid[1:]):
+        for letter, labels, shapes in zip(self.word, self.vertical, self.grid[1:]):
             above = [vert(_label(outer, inner)) for inner, outer in zip(shapes, shapes[1:])]
             side = [vert(dom) for dom in labels]
-            for j, entry in enumerate(entries):
-                if above[j] + side[j + 1] != side[j] + below[j] + 2 * (entry == -1):
+            minus = letter.value - 1 if letter.barred else -1  # the row's -1 column, if any
+            for j in range(self.n):
+                if above[j] + side[j + 1] != side[j] + below[j] + 2 * (j == minus):
                     return False
             below = above
         return True
@@ -387,7 +394,9 @@ class GrowthDiagram:
 def growth(matrix_or_word, core=0):
     """Fill the growth diagram of a signed permutation row by row, keeping
     for each value j + 1 inserted so far the row lengths of grid[i][j + 1],
-    which take its vertical label in place.  Row i copies its nonzero
+    which take its vertical label in place.  Row i reads its nonzero
+    column j = value - 1 and its sign (-1 when barred) off letter i; a
+    matrix is read as its word once, through ``matrix_word``.  Row i copies
     column j from the kept column to its left, or the core, and visits it
     and each kept column to its right: n + inv(|w|) squares in all.  Each
     skipped square has top label None: left of the seed its left label is
@@ -396,46 +405,50 @@ def growth(matrix_or_word, core=0):
     is filled in.  Q's domino i is row i's last vertical label, P's domino
     j the last label of horizontal edge j."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
-        matrix = word_matrix(matrix_or_word)
+        word = tuple(matrix_or_word)
+        if not is_signed_permutation(word):
+            raise ValueError("not a signed permutation")
     else:
-        matrix = tuple(tuple(row) for row in matrix_or_word)
-    validate_matrix(matrix)
-    n, base = len(matrix), staircase(core)
+        word = matrix_word(matrix_or_word)
+    n, base = len(word), staircase(core)
     present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
     horizontal = [None] * n
     recording, vertical = [], []
-    for i, entries in enumerate(matrix, start=1):
-        start = entries.index(1) if 1 in entries else entries.index(-1)
+    for i, letter in enumerate(word, start=1):
+        start, entry = letter.value - 1, -1 if letter.barred else 1
         k = bisect_left(present, start)
         present.insert(k, start)
         columns.insert(k, list(columns[k - 1] if k else base))
         left, labels = None, [None] * (n + 1)
         for j, column, end in zip(present[k:], columns[k:], present[k + 1:] + [n]):
-            horizontal[j], left = _grow(column, left, horizontal[j], entries[j])
+            horizontal[j], left = _grow(column, left, horizontal[j], entry)
             place_domino(column, *left)
             labels[j + 1:end + 1] = [left] * (end - j)
+            entry = 0
         recording.append((i, DominoShape(*left)))
         vertical.append(tuple(labels))
     p = DominoTableau(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)))
-    return GrowthDiagram(matrix, core, p, DominoTableau(base, tuple(recording)), tuple(vertical))
+    return GrowthDiagram(word, core, p, DominoTableau(base, tuple(recording)), tuple(vertical))
 
 
-def growth_reverse(p, q):
-    """The matrix whose growth diagram has the standard pair (P, Q), of one
-    shape over one core.
+def growth_reverse_word(p, q):
+    """The signed permutation whose growth diagram has the standard pair
+    (P, Q), of one shape over one core.
 
     Rows are peeled off from the top, keeping only the columns whose top
     label is set, as lists of row lengths: column j starts at P's shape
     after j dominoes, horizontal label j at P's domino j + 1, and row i's
     right label at Q's domino i + 1.  Right to left, ``_shrink`` turns a
     kept square's top and right labels c and d into its entry and its left
-    and bottom labels a and b, and lifts a off column j; the seed drops
-    column j and ends the row.  A skipped square has c None and would lift
-    d off mu = rho: the last lift again, on an equal column, or right of
-    the kept ones Q's domino off Q's shape (below).  Left of them every
-    column is the core: a row out of kept columns lifts its right label off
-    it, which raises.  Only ``lift_domino`` and the closing
-    ``validate_matrix`` reject; checks 1-3 below are implied.
+    and bottom labels a and b, and lifts a off column j; the seed sets
+    letter i to value j + 1, barred when its entry is -1, drops column j
+    and ends the row.  A skipped square has c None and would lift d off
+    mu = rho: the last lift again, on an equal column, or right of the kept
+    ones Q's domino off Q's shape (below).  Left of them every column is
+    the core: a row out of kept columns lifts its right label off it, which
+    raises.  Only ``lift_domino`` and the closing ``is_signed_permutation``
+    check reject; checks 1-3 below are implied, and 4 shows that the
+    closing check is ``validate_matrix`` of the dense matrix.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
@@ -464,8 +477,18 @@ def growth_reverse(p, q):
        has its right label set, its left label unset (2) and one seed (the
        right label turns None only there), so it sets one horizontal label
        fewer, from n down to 0.  The bottom chain (1) is then column 0.
+    4. Row i of the dense matrix holds the entries ``_shrink`` returned on
+       its kept squares and 0 on the others: 0 but at its seed, +-1 there,
+       so its entries are 0 or +-1 in a square grid.  Each row ends at
+       exactly one seed, as the right label turns None only there and a
+       row without one raises (2); the seed sets letter i, the one nonzero
+       entry of row i.  A column is dropped only at its seed, so no two
+       rows seed in one column, and n rows fill n columns: one nonzero
+       entry per column.  So ``validate_matrix`` passes exactly when the
+       values of the word are 1..n once each, which is
+       ``is_signed_permutation``.
 
-    So ``growth`` of the matrix, from the core, rebuilds this grid: its top
+    So ``growth`` of the word, from the core, rebuilds this grid: its top
     row is P's chain and its right column Q's.
     """
     if p.core != q.core or p.shape() != q.shape() or not (p.is_standard() and q.is_standard()):
@@ -473,26 +496,26 @@ def growth_reverse(p, q):
     n = len(p)
     columns = [list(shape) for shape in p.chain()[:n]]
     labels = [dom for _, dom in p.entries]
-    present, matrix = list(range(n)), [None] * n
+    present, word = list(range(n)), [None] * n
     for i in range(n - 1, -1, -1):
-        entries = [0] * n
         right = q.entries[i][1]
         for k in range(len(present) - 1, -1, -1):
             j = present[k]
-            entries[j], right, labels[j] = _shrink(columns[k], labels[j], right)
+            entry, right, labels[j] = _shrink(columns[k], labels[j], right)
             if right is None:
+                word[i] = Letter(j + 1, entry < 0)
                 del present[k], columns[k]
                 break
         else:
             lift_domino(list(p.core), *right)
-        matrix[i] = tuple(entries)
-    validate_matrix(matrix)
-    return tuple(matrix)
+    if not is_signed_permutation(word):
+        raise ValueError("not a signed permutation")
+    return tuple(word)
 
 
-def growth_reverse_word(p_tab, q_tab):
-    """The signed permutation inserting to the given standard pair."""
-    return _letters(growth_reverse(p_tab, q_tab))
+def growth_reverse(p, q):
+    """The signed permutation matrix of ``growth_reverse_word``."""
+    return word_matrix(growth_reverse_word(p, q))
 
 
 # ---------------------------------------------------------------------------

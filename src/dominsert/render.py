@@ -1,81 +1,44 @@
 """ASCII rendering of domino tableaux.
 
-Cells are drawn on a character canvas with shared borders; the wall between
-the two cells of a domino is omitted, which reproduces the usual picture of
-a tiling.  Core cells are hatched.
+Each cell is a box with shared borders; the wall between the two cells of
+a domino is omitted, which reproduces the usual picture of a tiling.  Core
+cells are hatched.  Each text line is joined once from its row's boxes (a
+left wall and an inside) or from the walls under a row, with a corner at
+every grid point.
 """
 
 from __future__ import annotations
 
-CELL_W = 4
-CELL_H = 2
+from itertools import zip_longest
+
+from .partitions import HORIZONTAL
+
+CELL_W = 4  # a box: its left wall and three characters inside
 
 
 def render_tableau(tab):
     lam = tab.shape()
     if not lam:
         return "(empty shape)"
-    rows = len(lam)
-    cols = lam[0]
-    width = cols * CELL_W + 1
-    height = rows * CELL_H + 1
-    canvas = [[" "] * width for _ in range(height)]
-
-    owner = {}
-    for value, dom in tab.entries:
-        for cell in dom.cells():
-            owner[cell] = (value, dom)
-    core_cells = set()
-    for r, length in enumerate(tab.core, start=1):
-        for c in range(1, length + 1):
-            core_cells.add((r, c))
-
-    def same_domino(cell_a, cell_b):
-        return cell_a in owner and cell_b in owner and owner[cell_a][1] is owner[cell_b][1]
-
-    def in_shape(cell):
-        r, c = cell
-        return 1 <= r <= rows and 1 <= c <= (lam[r - 1] if r <= rows else 0)
-
-    for r in range(1, rows + 1):
-        for c in range(1, lam[r - 1] + 1):
-            top = (r - 1) * CELL_H
-            left = (c - 1) * CELL_W
-            # horizontal walls
-            if not same_domino((r, c), (r - 1, c)):
-                for x in range(left, left + CELL_W + 1):
-                    canvas[top][x] = "-"
-            if not same_domino((r, c), (r + 1, c)) or not in_shape((r + 1, c)):
-                for x in range(left, left + CELL_W + 1):
-                    canvas[top + CELL_H][x] = "-"
-            # vertical walls
-            if not same_domino((r, c), (r, c - 1)):
-                for y in range(top, top + CELL_H + 1):
-                    canvas[y][left] = "|"
-            if not same_domino((r, c), (r, c + 1)) or not in_shape((r, c + 1)):
-                for y in range(top, top + CELL_H + 1):
-                    canvas[y][left + CELL_W] = "|"
-
-    # corners
-    for r in range(1, rows + 1):
-        for c in range(1, lam[r - 1] + 1):
-            top = (r - 1) * CELL_H
-            left = (c - 1) * CELL_W
-            for y in (top, top + CELL_H):
-                for x in (left, left + CELL_W):
-                    if canvas[y][x] in "-|":
-                        canvas[y][x] = "+"
-
-    # contents: value in the anchor cell of each domino, hatching for the core
-    for (r, c) in core_cells:
-        y = (r - 1) * CELL_H + 1
-        x = (c - 1) * CELL_W + 1
-        canvas[y][x : x + CELL_W - 1] = list(":::")
-    for value, dom in tab.entries:
-        r, c = dom.row, dom.col
-        y = (r - 1) * CELL_H + 1
-        x = (c - 1) * CELL_W + 1
+    boxes = [["|:::"] * k + ["|   "] * (length - k) for k, length in zip_longest(tab.core, lam, fillvalue=0)]
+    borders = [["---+"] * length for length in lam[:1] + lam]  # the line above row 1, then under each row
+    wide = [[] for _ in lam]  # values too long for their box
+    for value, (row, col, orient) in tab.entries:
+        if orient == HORIZONTAL:
+            boxes[row - 1][col] = "    "
+        else:
+            borders[row][col - 1] = "   +"
         text = str(value).rjust(2)
-        canvas[y][x : x + len(text)] = list(text)
-
-    return "\n".join("".join(line).rstrip() for line in canvas)
+        if len(text) < CELL_W:
+            boxes[row - 1][col - 1] = "|" + text.ljust(CELL_W - 1)
+        else:
+            wide[row - 1].append(((col - 1) * CELL_W + 1, text))
+    lines = ["+" + "".join(borders[0])]
+    for row, border, texts in zip(boxes, borders[1:], wide):
+        line = "".join(row) + "|"
+        # in value order, over the walls and boxes to its right; the values
+        # in their boxes are smaller, so they were written first anyway
+        for x, text in texts:
+            line = line[:x] + text + line[x + len(text):]
+        lines += [line, "+" + "".join(border)]
+    return "\n".join(lines)

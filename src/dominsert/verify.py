@@ -166,11 +166,12 @@ def check_semistandard(length, core, max_value=2):
 
     def violations(w):
         p, q = insertion.biword_insert(w, core)
+        std = insertion.growth(words.standardize(w).bottom, core)  # growth, independent of bumping
         claims = (
             p.is_semistandard() and q.is_semistandard() and p.shape() == q.shape(),
             p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
             2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
-            (p.standardized(), q.standardized()) == insertion.biword_insert(words.standardize(w), core),
+            (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau()),
             insertion.biword_insert(words.invert_colored(w), core) == (q, p),
             insertion.biword_reverse(p, q, core) == w,
             (p, q) not in image,
@@ -526,11 +527,11 @@ def _instances(suite, sizes):
                 yield ("check_inverse_symmetry", {"n": n, "core": core})
     elif suite == "semistandard":
         for length in range(0, sizes.get("length", 4) + 1):
-            for core in (0, 1):
+            for core in sizes.get("cores", (0, 1)):
                 yield ("check_semistandard", {"length": length, "core": core})
     elif suite == "dual":
         for length in range(0, sizes.get("length", 3) + 1):
-            for core in (0, 1):
+            for core in sizes.get("cores", (0, 1)):
                 yield ("check_dual", {"length": length, "core": core})
     elif suite == "sym":
         for n in range(0, n_max + 1):

@@ -297,6 +297,16 @@ def test_seed_free_flag(capsys):
 
 GOLDEN_WORD = "5' 12 3 9' 1 11' 7 2' 10 4' 8 6'"
 
+# the arguments after the command, by the last item of a GOLDEN_DIGESTS key
+GOLDEN_ARGUMENTS = {
+    "--format": [GOLDEN_WORD, "--format", "json"],
+    "--cells": [GOLDEN_WORD, "--cells"],
+    "--trace": [GOLDEN_WORD, "--trace", "--format", "json"],
+    "ascii-trace": [GOLDEN_WORD, "--trace"],
+    "biword": ["1/2' 1/3 2/4 3/1' 3/1'"],
+    "sdt": ["sdt", "4,4"],
+}
+
 # sha256 of each output, so that a speed change cannot alter a byte unnoticed
 GOLDEN_DIGESTS = {
     (0, "growth", "--format"): "764ae242b9df0f56d8319ee6b1d7acbd004be0cacb35e1f844eae7376f95945f",
@@ -308,13 +318,17 @@ GOLDEN_DIGESTS = {
     (2, "growth", "--format"): "c7612733cf7b5f60f7bf1e1ba5374df626278c37960588672fc8d9af9bd5d82e",
     (2, "growth", "--cells"): "d872242c0aa80f04ab813c5a59b67ca9aba1cc7d3f79383a467e068493085999",
     (2, "insert", "--trace"): "82a2737b2a71ab7eb4012ac5444a8fb1d9cbae5c812fe8191f276416d27f4bca",
+    (0, "insert", "ascii-trace"): "5a6135f2d8cd514aba2da19503dfa51a5331e08f0aaaa8ad51a90498e43f6a9e",
+    (1, "insert", "ascii-trace"): "e789554d4a9b19f13958951349507294c2bcad91c26a2b654c9776b5b919b031",
+    (2, "insert", "ascii-trace"): "6fb51f1330fe4c18a2905fdc61e57d935a688ba6e107b4aa557d20305b6ef036",
+    (0, "insert", "biword"): "8907cdbba4fb7f59a632a5de3a86d9fce8ab0910a7222e2fdc95076f75733ac0",
+    (0, "enumerate", "sdt"): "8d8a0c55e3e5888c9274ae1b05c2d29e3e32b4c6c0f7f4784f1639e262305bce",
 }
 
 
 @pytest.mark.parametrize("core, command, flag", sorted(GOLDEN_DIGESTS))
 def test_output_bytes_are_unchanged(capsys, core, command, flag):
-    extra = {"--format": ["--format", "json"], "--cells": ["--cells"], "--trace": ["--trace", "--format", "json"]}
-    code, out, _ = run_cli(capsys, command, GOLDEN_WORD, *extra[flag], "--core", str(core))
+    code, out, _ = run_cli(capsys, command, *GOLDEN_ARGUMENTS[flag], "--core", str(core))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[core, command, flag]
 

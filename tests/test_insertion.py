@@ -683,8 +683,8 @@ def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
 def test_spin_ledger_derives_each_horizontal_label_once(monkeypatch):
     """The ledger reads the vertical labels and derives each set horizontal
     label once: edge j of grid row i is set when value j + 1 is among the
-    first i letters, on n(n + 1)/2 edges in all.  Flipping the sign of one
-    entry breaks the ledger."""
+    first i letters, on n(n + 1)/2 edges in all.  Toggling the bar of one
+    letter, the sign of its entry, breaks the ledger."""
     calls = Counter()
 
     def counted(outer, inner, _original=insertion.skew_domino):
@@ -700,5 +700,54 @@ def test_spin_ledger_derives_each_horizontal_label_once(monkeypatch):
             assert diagram.spin_ledger_holds()
             assert calls["skew_domino"] == n * (n + 1) // 2
             i = rng.randrange(n)
-            flipped = tuple(tuple(-e for e in row) if k == i else row for k, row in enumerate(diagram.matrix))
-            assert not dataclasses.replace(diagram, matrix=flipped).spin_ledger_holds()
+            word = diagram.word
+            flipped = word[:i] + (word[i].with_bar(not word[i].barred),) + word[i + 1:]
+            assert not dataclasses.replace(diagram, word=flipped).spin_ledger_holds()
+
+
+def _peak(function, *args):
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_growth_holds_the_word_not_the_matrix():
+    # n = 1000: a dense matrix costs about 8 MB; what stays is the
+    # n x (n + 1) table of vertical labels
+    word = _random_word(random.Random(1000), 1000)
+    diagram, peak = _peak(growth, word, 1)
+    assert peak < 13_000_000
+    assert diagram.word == word
+
+
+def test_growth_reverse_builds_the_word_alone():
+    # n = 1000: a [0] * n row per letter costs about 8 MB; the peeling keeps
+    # only the present columns
+    word = _random_word(random.Random(1000), 1000)
+    result = insert_word(word, 1)
+    back, peak = _peak(growth_reverse_word, result.p, result.q)
+    assert back == word
+    assert peak < 2_000_000
+
+
+@settings(max_examples=10)
+@given(st.integers(min_value=0, max_value=500), st.randoms(use_true_random=False), cores)
+def test_round_trip_at_large_n(n, rng, core):
+    word = _random_word(rng, n)
+    result = insert_word(word, core)
+    diagram = growth(word, core)
+    assert (diagram.p, diagram.q) == (result.p, result.q)
+    assert growth_reverse_word(result.p, result.q) == word
+
+
+@settings(max_examples=30)
+@given(signed_permutations(max_n=20), cores)
+def test_the_matrix_is_a_view_of_the_word(word, core):
+    diagram = growth(word, core)
+    assert diagram.word == word
+    assert diagram.matrix == word_matrix(word)
+    assert growth(word_matrix(word), core) == diagram

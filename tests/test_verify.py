@@ -144,3 +144,10 @@ def test_run_suite_caps_its_workers(monkeypatch):
     for jobs in (0, -3):
         with pytest.raises(ValueError):
             verify.run_suite("insertion", sizes, jobs=jobs)
+
+
+@pytest.mark.parametrize("suite", ["semistandard", "dual"])
+def test_biword_suites_run_at_the_given_cores(suite):
+    records = verify.run_suite(suite, {"length": 1, "cores": (2,)})
+    assert len(records) == 2  # lengths 0 and 1
+    assert all(record["pass"] and record["params"]["core"] == 2 for record in records)
