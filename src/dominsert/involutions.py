@@ -18,61 +18,42 @@ cycle exactly one unit of the ``d`` statistic.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .insertion import insert_word
 from .partitions import d_stat, enumerate_with_core, odd_rows, conjugate, staircase, two_quotient, size
 from .polynomials import MPoly, PARAMS, SPIN, one_plus_q
 from .series import shape_weight
-from .tableaux import spin_poly
+from .tableaux import spin_poly, tableau_sign
 from .words import enumerate_involutions, involution_profile
 from .young import hook_count, involution_number
 
 
-@dataclass(frozen=True)
-class StatComparison:
-    name: str
-    lhs: object
-    rhs: object
-
-    @property
-    def holds(self):
-        return self.lhs == self.rhs
-
-
-def check_involution_stats(pi, core=0):
-    """The four shape-statistics equations for a signed involution."""
+def involution_statistics(pi, core=0):
+    """Each statistic of the insertion tableau of a signed involution against
+    its value from the cycle profile, as name -> (lhs, rhs).  The shape
+    statistics are taken relative to the core, and the vertical dominoes split
+    by column parity as ev = d and ov = b + d.  The sign of the tableau,
+    (-1)^d, is only defined over a core of at most one box, so
+    ``"insertion sign"`` is present exactly then."""
     profile = involution_profile(pi)
     result = insert_word(pi, core)
     if result.p != result.q:
         raise ValueError("insertion of an involution must be symmetric")
-    lam = result.p.shape()
-    base = staircase(core)
-    return (
-        StatComparison("double spin", result.p.vertical_count(), profile.barred_fixed + 2 * profile.barred_two_cycles),
-        StatComparison("odd rows", odd_rows(lam) - odd_rows(base), 2 * profile.barred_fixed),
-        StatComparison("odd columns", odd_rows(conjugate(lam)) - odd_rows(base), 2 * profile.fixed),
-        StatComparison("d statistic", d_stat(lam) - d_stat(base), profile.two_cycles + profile.barred_two_cycles),
-    )
-
-
-def check_vertical_split(pi, core=0):
-    """Vertical dominoes by column parity: ev = d and ov = b + d."""
-    profile = involution_profile(pi)
-    tab = insert_word(pi, core).p
-    return (
-        StatComparison("even vertical", tab.even_vertical(), profile.barred_two_cycles),
-        StatComparison("odd vertical", tab.odd_vertical(), profile.barred_fixed + profile.barred_two_cycles),
-    )
-
-
-def check_insertion_sign(pi, core=0):
-    """Sign of the insertion tableau equals (-1)^(barred two-cycles)."""
-    from .tableaux import tableau_sign
-
-    profile = involution_profile(pi)
-    tab = insert_word(pi, core).p
-    return StatComparison("insertion sign", tableau_sign(tab), (-1) ** profile.barred_two_cycles)
+    tab, base = result.p, staircase(core)
+    lam = tab.shape()
+    a, b = profile.fixed, profile.barred_fixed
+    c, d = profile.two_cycles, profile.barred_two_cycles
+    stats = {
+        "double spin": (tab.vertical_count(), b + 2 * d),
+        "odd rows": (odd_rows(lam) - odd_rows(base), 2 * b),
+        "odd columns": (odd_rows(conjugate(lam)) - odd_rows(base), 2 * a),
+        "d statistic": (d_stat(lam) - d_stat(base), c + d),
+        "even vertical": (tab.even_vertical(), d),
+        "odd vertical": (tab.odd_vertical(), b + d),
+    }
+    if core <= 1:
+        stats["insertion sign"] = (tableau_sign(tab), (-1) ** d)
+    return stats
 
 
 def involution_poly(n, core=0):

@@ -23,6 +23,7 @@ from .partitions import (
 )
 from .polynomials import MPoly, PARAMS
 from .tableaux import enumerate_semistandard
+from .words import value_weight
 from .young import enumerate_ssyt
 
 
@@ -187,19 +188,13 @@ def y_monomial(weight, nx, ny):
     return tuple(exps)
 
 
-def schur(lam, nx, bound, ny=0, block="x"):
-    """Schur polynomial by semistandard Young tableau enumeration."""
-    lam = as_partition(lam)
-    place = x_monomial if block == "x" else y_monomial
+def schur(lam, nx, bound):
+    """Schur polynomial in nx variables by semistandard Young tableau enumeration."""
     terms = {}
-    for tab in enumerate_ssyt(lam, nx if block == "x" else ny):
-        weight = [0] * (nx if block == "x" else ny)
-        for row in tab:
-            for value in row:
-                weight[value - 1] += 1
-        key = place(weight, nx, ny)
+    for tab in enumerate_ssyt(as_partition(lam), nx):
+        key = x_monomial(value_weight(value for row in tab for value in row), nx, 0)
         terms[key] = terms.get(key, MPoly.zero(PARAMS)) + 1
-    return TruncatedSeries(nx, ny, bound, terms)
+    return TruncatedSeries(nx, 0, bound, terms)
 
 
 def domino_function(lam, nx, bound, ny=0, block="x", complement=False):
@@ -215,10 +210,9 @@ def domino_function(lam, nx, bound, ny=0, block="x", complement=False):
     place = x_monomial if block == "x" else y_monomial
     terms = {}
     for tab in enumerate_semistandard(lam, entries):
-        weight = list(tab.weight()) + [0] * (entries - len(tab.weight()))
         v = tab.vertical_count()
         exponent = dominoes - v if complement else v
-        key = place(weight, nx, ny)
+        key = place(tab.weight(), nx, ny)
         coeff = terms.get(key, MPoly.zero(PARAMS)) + MPoly.var("s", PARAMS, power=exponent)
         terms[key] = coeff
     return TruncatedSeries(nx, ny, bound, terms)

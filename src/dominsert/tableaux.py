@@ -29,6 +29,7 @@ from .partitions import (
     two_core,
 )
 from .polynomials import MPoly, SPIN
+from .words import value_weight
 
 
 def tiled_shape(core, entries):
@@ -88,13 +89,7 @@ class DominoTableau:
         return tuple(value for value, _ in self.entries)
 
     def weight(self):
-        values = self.values()
-        if not values:
-            return ()
-        counts = [0] * max(values)
-        for value in values:
-            counts[value - 1] += 1
-        return tuple(counts)
+        return value_weight(self.values())
 
     def __len__(self):
         return len(self.entries)
@@ -252,17 +247,18 @@ def enumerate_semistandard(lam, max_value):
         raise ValueError(f"max_value must be nonnegative, got {max_value}")
     lam = as_partition(lam)
     core = two_core(lam)
-    results = []
-
-    def extend(shape, value, entries):
-        if value > max_value:
-            if shape == lam:
-                results.append(DominoTableau(core, tuple(entries)))
-            return
-        for strip, new_shape in _strip_extensions(shape, lam):
-            extend(new_shape, value + 1, entries + [(value, dom) for dom in strip])
-
-    extend(core, 1, [])
+    partial = [(core, ())]  # (shape, entries) with the values placed so far
+    strips = {}  # shape -> its strip extensions inside lam, the same for every value
+    for value in range(1, max_value + 1):
+        for shape, _ in partial:
+            if shape not in strips:
+                strips[shape] = _strip_extensions(shape, lam)
+        partial = [
+            (new_shape, entries + tuple((value, dom) for dom in strip))
+            for shape, entries in partial
+            for strip, new_shape in strips[shape]
+        ]
+    results = [DominoTableau(core, entries) for shape, entries in partial if shape == lam]
     results.sort(key=lambda t: t.entries)
     return results
 

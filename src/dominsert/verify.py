@@ -203,12 +203,12 @@ def check_dual(length, core, max_value=2):
         tag = "alpha" if alpha else "beta"
         p, q = (insertion.dual_insert_alpha if alpha else insertion.dual_insert_beta)(w, core)
         rows, columns = (p, q) if alpha else (q, p)
-        std = insertion.biword_insert(words.with_kind(words.dual_standardize(w), words.COLORED), core)
+        std = insertion.growth(words.dual_standardize(w).bottom, core)  # growth, independent of bumping
         claims = {
             tag: rows.is_semistandard() and columns.is_column_semistandard() and p.shape() == q.shape(),
             f"{tag}-weight": p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
             f"{tag}-spin": 2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
-            f"{tag}-std": (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == std,
+            f"{tag}-std": (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == (std.p, std.q),
             "alpha-beta-duality": not alpha or insertion.dual_insert_beta(words.invert_dual(w), core) == (q, p),
             f"{tag}-injective": (p, q) not in images[tag],
         }
@@ -234,8 +234,8 @@ def check_dual(length, core, max_value=2):
 
 def check_involution_statistics(n, core):
     def violations(pi):
-        comparisons = involutions.check_involution_stats(pi, core) + involutions.check_vertical_split(pi, core)
-        return [(words.word_str(pi), cmp.name) for cmp in comparisons if not cmp.holds]
+        stats = involutions.involution_statistics(pi, core)
+        return [(words.word_str(pi), name) for name, (lhs, rhs) in stats.items() if lhs != rhs]
 
     return _exhaustive("involution-statistics", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
 
@@ -305,7 +305,8 @@ def check_pairing_involution(max_size):
 
 def check_insertion_sign(n, core):
     def violations(pi):
-        return _failures(words.word_str(pi), [involutions.check_insertion_sign(pi, core).holds])
+        lhs, rhs = involutions.involution_statistics(pi, core)["insertion sign"]
+        return _failures(words.word_str(pi), [lhs == rhs])
 
     return _exhaustive("insertion-sign", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
 
@@ -336,18 +337,16 @@ def check_bar_toggle(n, core):
     """Toggling the bar on the lowest two-cycle reverses the sign and keeps
     the shape statistics."""
 
-    def stats(pi):
-        return [cmp.lhs for cmp in involutions.check_involution_stats(pi, core)[1:]]
-
     def violations(pi):
         profile = involutions.involution_profile(pi)
         if profile.two_cycles + profile.barred_two_cycles == 0:
             return []
         toggled = _toggle_lowest_two_cycle(pi)
+        before, after = (involutions.involution_statistics(w, core) for w in (pi, toggled))
         claims = (
             _toggle_lowest_two_cycle(toggled) == pi,
-            stats(pi) == stats(toggled),
-            involutions.check_insertion_sign(pi, core).lhs == -involutions.check_insertion_sign(toggled, core).lhs,
+            all(before[name][0] == after[name][0] for name in ("odd rows", "odd columns", "d statistic")),
+            before["insertion sign"][0] == -after["insertion sign"][0],
         )
         return _failures(words.word_str(pi), claims)
 

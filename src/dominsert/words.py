@@ -18,6 +18,7 @@ Three biword kinds share one representation:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -121,10 +122,10 @@ class ColoredBiword:
         return tuple(bl.bottom for bl in self.letters)
 
     def top_weight(self):
-        return _weight(self.top)
+        return value_weight(letter.value for letter in self.top)
 
     def bottom_weight(self):
-        return _weight(self.bottom)
+        return value_weight(letter.value for letter in self.bottom)
 
     def is_multiplicity_free(self):
         return len(set(self.letters)) == len(self.letters)
@@ -133,13 +134,12 @@ class ColoredBiword:
         return " ".join(str(bl) for bl in self.letters)
 
 
-def _weight(letters):
-    if not letters:
-        return ()
-    top = max(letter.value for letter in letters)
-    counts = [0] * top
-    for letter in letters:
-        counts[letter.value - 1] += 1
+def value_weight(values):
+    """How often each of 1, 2, ..., max(values) occurs among the values."""
+    values = tuple(values)
+    counts = [0] * max(values, default=0)
+    for value in values:
+        counts[value - 1] += 1
     return tuple(counts)
 
 
@@ -261,22 +261,21 @@ def dual_standardize(word):
     return step
 
 
-def signed_permutation(word):
-    """Bottom letters of a colored-permutation biword, in top order."""
-    if not is_signed_permutation(word.bottom):
-        raise ValueError("biword bottom is not a signed permutation")
-    return word.bottom
-
-
 def group_inverse(letters):
-    """Inverse of a signed permutation, as a word."""
-    return signed_permutation(invert_colored(colored_word(letters)))
+    """Inverse of a signed permutation, as a word: letter i with value j puts
+    i, barred as that letter is, at position j."""
+    inverse = [None] * len(letters)
+    for i, letter in enumerate(letters, start=1):
+        if letter.value > len(letters) or inverse[letter.value - 1] is not None:
+            raise ValueError(f"{word_str(letters)} is not a signed permutation")
+        inverse[letter.value - 1] = Letter(i, letter.barred)
+    return tuple(inverse)
 
 
 def is_involution(word):
     if isinstance(word, ColoredBiword):
         return word == invert_colored(word)
-    return colored_word(word) == invert_colored(colored_word(word))
+    return is_signed_permutation(word) and group_inverse(word) == tuple(word)
 
 
 @dataclass(frozen=True)
@@ -310,8 +309,6 @@ class CycleProfile:
 
 
 def cycle_profile(word):
-    if isinstance(word, tuple):
-        word = colored_word(word)
     if word != invert_colored(word):
         raise ValueError("cycle_profile expects a colored involution")
     fixed = {}
@@ -339,17 +336,16 @@ def cycle_profile(word):
 
 
 def involution_profile(letters):
-    """Cycle counts of a signed permutation with pi * pi = 1."""
+    """Cycle counts of a signed permutation with pi * pi = 1.  Letter i with
+    value j >= i is a fixed point when j = i and the two-cycle (i j)
+    otherwise, barred when the letter is."""
     letters = tuple(letters)
     if not is_involution(letters):
         raise ValueError("not an involution")
-    profile = cycle_profile(colored_word(letters))
-    return InvolutionProfile(
-        fixed=sum(profile.fixed.values()),
-        barred_fixed=sum(profile.barred_fixed.values()),
-        two_cycles=sum(profile.two_cycles.values()),
-        barred_two_cycles=sum(profile.barred_two_cycles.values()),
+    counts = Counter(
+        (letter.value == i, letter.barred) for i, letter in enumerate(letters, start=1) if letter.value >= i
     )
+    return InvolutionProfile(counts[True, False], counts[True, True], counts[False, False], counts[False, True])
 
 
 def enumerate_signed_permutations(n):

@@ -3,18 +3,20 @@ library no longer carries, and Hypothesis strategies for biwords."""
 
 from hypothesis import strategies as st
 
-from dominsert import insertion
+from dominsert import insertion, involutions
 from dominsert.partitions import as_partition, skew_domino
 from dominsert.tableaux import DominoTableau
 from dominsert.words import (
     COLORED,
     DUAL,
     Biletter,
+    InvolutionProfile,
     Letter,
     biword,
+    colored_word,
+    cycle_profile,
     invert_colored,
     invert_dual,
-    signed_permutation,
     standardize_top,
     with_kind,
 )
@@ -48,7 +50,7 @@ def biword_insert_by_recording(word, core=0):
     pair = []
     for side in (word, invert_colored(word)):
         source = invert_colored(standardize_top(side))
-        recording = insertion.insert_word(signed_permutation(source), core).q
+        recording = insertion.insert_word(source.bottom, core).q
         pair.append(insertion._relabel(recording, [letter.value for letter in source.top]))
     p_tab, q_tab = pair
     if p_tab.shape() != q_tab.shape():
@@ -72,7 +74,8 @@ def dual_beta_by_recording(word, core=0):
 
 
 def count_insertions(monkeypatch):
-    """Record every ``insertion.insert_word`` call for the rest of a test."""
+    """Record every ``insertion.insert_word`` call for the rest of a test,
+    also those made through the name ``involutions`` imports."""
     calls = []
     inner = insertion.insert_word
 
@@ -80,8 +83,36 @@ def count_insertions(monkeypatch):
         calls.append(letters)
         return inner(letters, core)
 
-    monkeypatch.setattr(insertion, "insert_word", counted)
+    for module in (insertion, involutions):
+        monkeypatch.setattr(module, "insert_word", counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# signed involutions through the colored biword with top row 1..n
+
+
+def group_inverse_by_biword(letters):
+    """The inverse read off the colored inverse of the biword 1..n over the word."""
+    return invert_colored(colored_word(letters)).bottom
+
+
+def is_involution_by_biword(letters):
+    word = colored_word(letters)
+    return word == invert_colored(word)
+
+
+def involution_profile_by_biword(letters):
+    """Cycle counts summed from ``cycle_profile`` of the biword 1..n over the word."""
+    if not is_involution_by_biword(letters):
+        raise ValueError("not an involution")
+    profile = cycle_profile(colored_word(letters))
+    return InvolutionProfile(
+        fixed=sum(profile.fixed.values()),
+        barred_fixed=sum(profile.barred_fixed.values()),
+        two_cycles=sum(profile.two_cycles.values()),
+        barred_two_cycles=sum(profile.barred_two_cycles.values()),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,20 @@ def test_bad_sizes_exit_2(capsys, argv):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["enumerate", "ssdt", "2", "--max-value", "1000"], 1 + 1000 * 4),
+        (["series", "expand", "--g-function", "2", "--vars", "1000", "--degree", "1"], 1000),
+    ],
+)
+def test_a_thousand_values_exit_0(capsys, argv, lines):
+    # one tableau per value: a term x_k per variable, or a picture of 3 lines and a blank after the header
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+
+
 def test_verify_jobs_flag(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "insertion", "--n", "1", "--cores", "0", "--jobs", "2"

@@ -1,19 +1,21 @@
 import pytest
 
 from dominsert.involutions import (
-    check_insertion_sign,
-    check_involution_stats,
-    check_vertical_split,
     classical_counts,
     involution_poly,
     involution_poly_direct,
     involution_poly_egf,
     involution_poly_recursive,
+    involution_statistics,
     spin_square_sum,
     spin_square_target,
 )
 from dominsert.polynomials import MPoly, PARAMS, one_plus_q
 from dominsert.words import enumerate_involutions, parse_word
+
+from support import count_insertions
+
+SHAPE_STATS = ("double spin", "odd rows", "odd columns", "d statistic")
 
 
 def test_involution_counts():
@@ -25,48 +27,58 @@ def test_involution_counts():
 
 
 def test_identity_involution_stats():
-    pi = parse_word("1 2 3")
-    checks = check_involution_stats(pi, 0)
-    spin, rows, cols, dstat = checks
-    assert spin.lhs == 0 and spin.holds
-    assert rows.lhs == 0 and rows.holds
+    stats = involution_statistics(parse_word("1 2 3"), 0)
+    spin, rows, cols, dstat = (stats[name] for name in SHAPE_STATS)
+    assert spin == (0, 0)
+    assert rows == (0, 0)
     # the identity inserts to a single flat row, so every column is odd
-    assert cols.lhs == 2 * 3 and cols.holds
-    assert dstat.lhs == 0 and dstat.holds
+    assert cols == (2 * 3, 2 * 3)
+    assert dstat == (0, 0)
 
 
 def test_barred_letter_stats():
-    checks = check_involution_stats(parse_word("1'"), 0)
-    spin, rows, cols, dstat = checks
-    assert spin.lhs == 1 and spin.holds  # shape (1,1): one vertical domino
-    assert rows.lhs == 2 and rows.holds
-    assert cols.lhs == 0 and cols.holds
-    assert dstat.lhs == 0 and dstat.holds
-    even, odd = check_vertical_split(parse_word("1'"), 0)
-    assert even.lhs == 0 and odd.lhs == 1 and even.holds and odd.holds
+    stats = involution_statistics(parse_word("1'"), 0)
+    spin, rows, cols, dstat = (stats[name] for name in SHAPE_STATS)
+    assert spin == (1, 1)  # shape (1,1): one vertical domino
+    assert rows == (2, 2)
+    assert cols == (0, 0)
+    assert dstat == (0, 0)
+    even, odd = stats["even vertical"], stats["odd vertical"]
+    assert even == (0, 0) and odd == (1, 1)
 
 
 def test_involution_stats_exhaustive():
     for n in range(5):
         for core in (0, 1, 2):
             for pi in enumerate_involutions(n):
-                assert all(cmp.holds for cmp in check_involution_stats(pi, core))
-                assert all(cmp.holds for cmp in check_vertical_split(pi, core))
+                assert all(lhs == rhs for lhs, rhs in involution_statistics(pi, core).values())
 
 
 def test_insertion_sign():
-    assert check_insertion_sign(parse_word("1 2"), 0).lhs == 1
-    barred_cycle = check_insertion_sign(parse_word("2' 1'"), 0)
-    assert barred_cycle.lhs == -1 and barred_cycle.holds
+    assert involution_statistics(parse_word("1 2"), 0)["insertion sign"][0] == 1
+    barred_cycle = involution_statistics(parse_word("2' 1'"), 0)["insertion sign"]
+    assert barred_cycle == (-1, -1)
     for n in range(5):
         for core in (0, 1):
             for pi in enumerate_involutions(n):
-                assert check_insertion_sign(pi, core).holds
+                lhs, rhs = involution_statistics(pi, core)["insertion sign"]
+                assert lhs == rhs
+
+
+def test_insertion_sign_only_over_a_core_of_at_most_one_box():
+    pi = parse_word("2' 1'")
+    assert ["insertion sign" in involution_statistics(pi, core) for core in range(4)] == [True, True, False, False]
+
+
+def test_involution_statistics_insert_once(monkeypatch):
+    calls = count_insertions(monkeypatch)
+    involution_statistics(parse_word("3 2' 1"), 1)
+    assert calls == [parse_word("3 2' 1")]
 
 
 def test_non_involution_rejected():
     with pytest.raises(ValueError):
-        check_involution_stats(parse_word("2 3 1"), 0)
+        involution_statistics(parse_word("2 3 1"), 0)
 
 
 def test_involution_poly_base_cases():

@@ -245,6 +245,11 @@ def test_enumerate_standard_counts():
                 assert len(enumerate_standard(lam)) == standard_tableau_count(lam)
 
 
+def test_enumerate_semistandard_takes_a_large_bound():
+    # one list of partial tableaux, extended value by value: no recursion per value
+    assert len(enumerate_semistandard((2,), 1000)) == 1000
+
+
 def test_enumerate_semistandard_small():
     assert len(enumerate_semistandard((2, 2), 2)) == 4
     # no entries at all: only a bare core is tiled; a negative bound is an error

@@ -115,6 +115,41 @@ def test_insertion_suite_inserts_each_word_once_per_check(monkeypatch):
     assert set(calls.values()) == {5}
 
 
+def _count_calls(monkeypatch, *targets):
+    """Count the calls of each (module, name) for the rest of a test."""
+    calls = Counter()
+    for module, name in targets:
+
+        def counted(*args, _inner=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("suite", ["insertion", "sym", "sign", "counting"])
+def test_signed_permutation_suites_build_no_biword(suite, monkeypatch):
+    calls = _count_calls(monkeypatch, (words, "biword"))
+    assert all(record["pass"] for record in verify.run_suite(suite))
+    assert calls["biword"] == 0
+
+
+@pytest.mark.parametrize(
+    "suite, inserted, grown",
+    [
+        ("sym", 315, 0),  # once per involution of n <= 4 and core 0-2
+        ("sign", 392, 0),  # at cores 0 and 1: 76 involutions of n = 4 for the sign, 2 per toggle of 60
+        ("dual", 558, 372),  # the standardization claim grows each of the 372 standardized words
+    ],
+)
+def test_default_suite_insertion_counts(suite, inserted, grown, monkeypatch):
+    targets = ((insertion, "insert_word"), (involutions, "insert_word"), (insertion, "growth"))
+    calls = _count_calls(monkeypatch, *targets)
+    assert all(record["pass"] for record in verify.run_suite(suite))
+    assert (calls["insert_word"], calls["growth"]) == (inserted, grown)
+
+
 def test_run_suite_caps_its_workers(monkeypatch):
     # a stand-in pool records its size and runs in this process, so no large pool ever starts
     started = []

@@ -29,6 +29,8 @@ from dominsert.words import (
     word_str,
 )
 
+from support import group_inverse_by_biword, involution_profile_by_biword, is_involution_by_biword
+
 W = parse_biword("1/2' 1/3 2/4 3/1' 3/1'")  # running example biword
 W9 = parse_biword("1/3' 1/3 2/2' 2/2' 2/2' 3/1' 3/1 4/5 5/4")  # 9-letter involution
 
@@ -270,3 +272,26 @@ def test_enumerations():
     for pi in enumerate_involutions(3):
         assert is_involution(pi)
         assert group_inverse(pi) == pi
+
+
+def test_involution_helpers_match_the_biword_route():
+    perms = [pi for n in range(7) for pi in enumerate_signed_permutations(n)]
+    assert len(perms) == 50363
+    found = 0
+    for pi in perms:
+        assert group_inverse(pi) == group_inverse_by_biword(pi), pi
+        assert is_involution(pi) == is_involution_by_biword(pi), pi
+        if is_involution(pi):
+            found += 1
+            assert involution_profile(pi) == involution_profile_by_biword(pi), pi
+    assert found == sum(len(enumerate_involutions(n)) for n in range(7))
+
+
+@pytest.mark.parametrize("text", ["2", "1 1'", "1 3", "2 2 1"])
+def test_non_permutations_have_no_inverse(text):
+    word = parse_word(text)
+    assert not is_involution(word)
+    with pytest.raises(ValueError):
+        group_inverse(word)
+    with pytest.raises(ValueError):
+        involution_profile(word)
