@@ -273,7 +273,7 @@ def _grow(nu, a, b, entry):
         else:
             bumped = (col_height(nu, col + 1) + 1, col + 1, VERTICAL)
         return bumped, bumped
-    if a[:2] == b[:2]:
+    if a[0] == b[0] and a[1] == b[1]:
         # one-cell overlap: the 2x2 block at the shared cell fills up
         return _shift(a, 1), _shift(b, 1)
     return b, a
@@ -296,7 +296,8 @@ def _shrink(rows, c, d):
             if col == 1:
                 return -1, None, None
             a = b = (col_height(rows, col - 1) - 1, col - 1, VERTICAL)
-    elif c is not None and c[2] != d[2] and _shift(c, -1)[:2] == _shift(d, -1)[:2]:
+    elif c is not None and c[2] != d[2] and c[0] - d[0] == d[1] - c[1] == (1 if c[2] == HORIZONTAL else -1):
+        # c and d share a cell: shifted back, they start at one cell
         a, b = _shift(c, -1), _shift(d, -1)
     lift_domino(rows, *a)
     return 0, a, b
@@ -322,14 +323,14 @@ def local_rule_reverse(rho, mu, nu):
 @dataclass(frozen=True)
 class GrowthDiagram:
     """Growth diagram of a signed permutation, kept as its word, its (P, Q)
-    pair and the labels of its vertical edges; letter i puts its sign in
-    square (i, value - 1)."""
+    pair and where each row's vertical label changes; letter i puts its sign
+    in square (i, value - 1)."""
 
     word: tuple
     core_order: int
     p: DominoTableau  # domino j labels grid[n][j] / grid[n][j - 1]
     q: DominoTableau  # domino i labels grid[i][n] / grid[i - 1][n]
-    vertical: tuple  # vertical[i][j] labels grid[i + 1][j] / grid[i][j]
+    changes: tuple  # changes[i]: the (j, label) where row i's square j changes its label
 
     @property
     def n(self):
@@ -338,6 +339,19 @@ class GrowthDiagram:
     @property
     def matrix(self):
         return word_matrix(self.word)
+
+    @cached_property
+    def vertical(self):
+        """vertical[i][j] labels grid[i + 1][j] / grid[i][j]: None up to the
+        row's first change, and each changed label from column j + 1 up to
+        the next change, or n."""
+        rows = []
+        for changes in self.changes:
+            labels = [None] * (self.n + 1)
+            for j, label in changes:
+                labels[j + 1:] = [label] * (self.n - j)
+            rows.append(tuple(labels))
+        return tuple(rows)
 
     @cached_property
     def grid(self):
@@ -401,9 +415,10 @@ def growth(matrix_or_word, core=0):
     and each kept column to its right: n + inv(|w|) squares in all.  Each
     skipped square has top label None: left of the seed its left label is
     None, and right of it ``_grow`` would pass the left label on and
-    ``place_domino`` repeat its last check on an equal list, so the label
-    is filled in.  Q's domino i is row i's last vertical label, P's domino
-    j the last label of horizontal edge j."""
+    ``place_domino`` repeat its last check on an equal list.  So a row
+    keeps only the squares where ``_grow`` changes its label.  Q's domino i
+    is row i's last vertical label, P's domino j the last label of
+    horizontal edge j."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         word = tuple(matrix_or_word)
         if not is_signed_permutation(word):
@@ -413,22 +428,24 @@ def growth(matrix_or_word, core=0):
     n, base = len(word), staircase(core)
     present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
     horizontal = [None] * n
-    recording, vertical = [], []
+    recording, changes = [], []
     for i, letter in enumerate(word, start=1):
         start, entry = letter.value - 1, -1 if letter.barred else 1
         k = bisect_left(present, start)
         present.insert(k, start)
         columns.insert(k, list(columns[k - 1] if k else base))
-        left, labels = None, [None] * (n + 1)
-        for j, column, end in zip(present[k:], columns[k:], present[k + 1:] + [n]):
-            horizontal[j], left = _grow(column, left, horizontal[j], entry)
-            place_domino(column, *left)
-            labels[j + 1:end + 1] = [left] * (end - j)
+        left, row = None, []
+        for j, column in zip(present[k:], columns[k:]):
+            horizontal[j], label = _grow(column, left, horizontal[j], entry)
+            place_domino(column, *label)
+            if label != left:
+                row.append((j, label))
+                left = label
             entry = 0
         recording.append((i, DominoShape(*left)))
-        vertical.append(tuple(labels))
+        changes.append(tuple(row))
     p = DominoTableau(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)))
-    return GrowthDiagram(word, core, p, DominoTableau(base, tuple(recording)), tuple(vertical))
+    return GrowthDiagram(word, core, p, DominoTableau(base, tuple(recording)), tuple(changes))
 
 
 def growth_reverse_word(p, q):
@@ -446,9 +463,11 @@ def growth_reverse_word(p, q):
     mu = rho: the last lift again, on an equal column, or right of the kept
     ones Q's domino off Q's shape (below).  Left of them every column is
     the core: a row out of kept columns lifts its right label off it, which
-    raises.  Only ``lift_domino`` and the closing ``is_signed_permutation``
-    check reject; checks 1-3 below are implied, and 4 shows that the
-    closing check is ``validate_matrix`` of the dense matrix.
+    raises.  Past the precondition, one ``prefix_rows`` replay of P (the
+    columns) and of Q, only ``lift_domino`` and the closing
+    ``is_signed_permutation`` check reject; checks 1-3 below are implied,
+    and 4 shows that the closing check is ``validate_matrix`` of the dense
+    matrix.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
@@ -491,10 +510,15 @@ def growth_reverse_word(p, q):
     So ``growth`` of the word, from the core, rebuilds this grid: its top
     row is P's chain and its right column Q's.
     """
-    if p.core != q.core or p.shape() != q.shape() or not (p.is_standard() and q.is_standard()):
-        raise ValueError("growth_reverse expects standard tableaux of one shape over one core")
+    mismatch = "growth_reverse expects standard tableaux of one shape over one core"
+    if p.core != q.core or p.shape() != q.shape():
+        raise ValueError(mismatch)
     n = len(p)
-    columns = [list(shape) for shape in p.chain()[:n]]
+    try:
+        columns = p.prefix_rows()
+        q.prefix_rows()
+    except ValueError:
+        raise ValueError(mismatch) from None
     labels = [dom for _, dom in p.entries]
     present, word = list(range(n)), [None] * n
     for i in range(n - 1, -1, -1):

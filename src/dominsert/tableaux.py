@@ -106,9 +106,6 @@ class DominoTableau:
     def even_vertical(self):
         return sum(1 for _, dom in self.entries if dom.orient == "v" and dom.col % 2 == 0)
 
-    def restricted(self, max_value):
-        return DominoTableau(self.core, tuple(e for e in self.entries if e[0] <= max_value))
-
     def value_classes(self):
         classes = {}
         for value, dom in self.entries:
@@ -139,16 +136,21 @@ class DominoTableau:
     def is_column_semistandard(self):
         return self.conjugated().is_semistandard()
 
+    def prefix_rows(self):
+        """Row lengths before each domino of a standard tableau, as lists,
+        its dominoes placed on its core in value order; ValueError exactly
+        when ``is_standard`` fails."""
+        rows, prefixes = list(self.core), []
+        for i, (value, dom) in enumerate(self.entries, start=1):
+            if value != i:
+                raise ValueError("chain is defined for standard tableaux")
+            prefixes.append(rows[:])
+            place_domino(rows, *dom)
+        return prefixes
+
     def chain(self):
         """Shape chain of a standard tableau, from the core up."""
-        if self.values() != tuple(range(1, len(self.entries) + 1)):
-            raise ValueError("chain is defined for standard tableaux")
-        rows = list(self.core)
-        shapes = [self.core]
-        for _, dom in self.entries:
-            place_domino(rows, *dom)
-            shapes.append(tuple(rows))
-        return tuple(shapes)
+        return tuple(map(tuple, self.prefix_rows())) + (self._shape,)
 
     def standardized(self, columns=None):
         """Relabel value classes 1..n, left to right within each class.

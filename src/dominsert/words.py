@@ -199,24 +199,6 @@ def neg_values(letters):
     return tuple(letter.neg for letter in letters)
 
 
-def with_kind(word, kind):
-    return biword(word.letters, kind)
-
-
-def standardize_top(word):
-    """Replace the top row by 1..n in display order, keeping its bars."""
-    new = tuple(
-        Biletter(Letter(i, bl.top.barred), bl.bottom)
-        for i, bl in enumerate(word.letters, start=1)
-    )
-    return biword(new, word.kind)
-
-
-def invert(word):
-    """Swap the rows of each biletter; the result is doubly colored."""
-    return biword((Biletter(bl.bottom, bl.top) for bl in word.letters), DOUBLY)
-
-
 def _swap_rows(word, kind):
     """Swap the rows of each biletter, the bottom's bar staying on the bottom."""
     swapped = (Biletter(bl.bottom.unbarred(), bl.top.with_bar(bl.bottom.barred)) for bl in word.letters)
@@ -237,28 +219,54 @@ def invert_dual(word):
     return _swap_rows(word, DUAL if word.kind == COLORED else COLORED)
 
 
+def _rank_bottom(word, key, kind):
+    """The biword of the given kind with top row 1..n, in display order as
+    it is: letter i is the bottom letter b at display position i, valued by
+    the rank of ``key(i, b)`` and keeping b's bar."""
+    bottom = word.bottom
+    order = sorted(enumerate(bottom, start=1), key=lambda item: key(*item))
+    rank = {i: r for r, (i, _) in enumerate(order, start=1)}
+    letters = (Biletter(Letter(i), Letter(rank[i], b.barred)) for i, b in enumerate(bottom, start=1))
+    return ColoredBiword(tuple(letters), kind)
+
+
 def standardize(word):
-    """Full standardization of a colored biword to a signed permutation."""
+    """Full standardization of a colored biword to a signed permutation.
+
+    It is the chain: top row to 1..n in display order, keeping its bars;
+    swap the rows, keeping each bar on its letter (a doubly colored
+    biword); top row to 1..n again; swap back.  After the first step the
+    bottom letter b at display position i sits under i.  The swap sorts
+    the biletters b / i by b, barred copy first, then by descending i under
+    a barred b and ascending i under an unbarred one; the second step
+    numbers them in that order, and swapping back puts each rank under its
+    i with b's bar.  So letter i gets its rank under the key (value, s, s i),
+    with s = -1 for a barred b and 1 otherwise.
+    """
     if word.kind != COLORED:
         raise ValueError("standardize expects a colored biword")
-    step = standardize_top(word)
-    step = invert(step)
-    step = standardize_top(step)
-    step = invert(step)
-    return with_kind(step, COLORED)
+    return _rank_bottom(word, lambda i, b: (b.value, -1, -i) if b.barred else (b.value, 1, i), COLORED)
 
 
 def dual_standardize(word):
-    """Standardization through the dual inverse; multiplicity-free inputs only."""
+    """Standardization through the dual inverse; multiplicity-free inputs only.
+
+    It is the chain: top row to 1..n, ``invert_dual``, top row to 1..n
+    again, ``invert_dual``.  After the first step the bottom letter b at
+    display position i sits under i.  ``invert_dual`` gives b unbarred over
+    i with b's bar, in the other kind, sorted by b's value and then by the
+    neg value s i (s = -1 for a barred b): descending for a colored word,
+    whose swap is dual, and ascending for a dual one.  The second step
+    numbers them in that order, and swapping back puts each rank under its
+    i with b's bar, in the word's kind.  So letter i gets its rank under
+    the key (value, -s i) for a colored word and (value, s i) for a dual one.
+    """
     if word.kind not in (COLORED, DUAL):
         raise ValueError("dual_standardize expects a colored or dual biword")
     if not word.is_multiplicity_free():
         raise ValueError("dual_standardize requires a multiplicity-free biword")
-    step = standardize_top(word)
-    step = invert_dual(step)
-    step = standardize_top(step)
-    step = invert_dual(step)
-    return step
+    sign = -1 if word.kind == COLORED else 1
+    return _rank_bottom(word, lambda i, b: (b.value, -sign * i if b.barred else sign * i), word.kind)
 
 
 def group_inverse(letters):
@@ -290,49 +298,6 @@ class InvolutionProfile:
     @property
     def length(self):
         return self.fixed + self.barred_fixed + 2 * (self.two_cycles + self.barred_two_cycles)
-
-
-@dataclass(frozen=True)
-class CycleProfile:
-    """Cycle data of a colored involution biword, by letter value.
-
-    ``standardized`` predicts the profile of the standardization: within each
-    value, the barred fixed points pair up into barred two-cycles, leaving at
-    most one barred fixed point.
-    """
-
-    fixed: dict
-    barred_fixed: dict
-    two_cycles: dict
-    barred_two_cycles: dict
-    standardized: InvolutionProfile
-
-
-def cycle_profile(word):
-    if word != invert_colored(word):
-        raise ValueError("cycle_profile expects a colored involution")
-    fixed = {}
-    barred_fixed = {}
-    two_cycles = {}
-    barred_two_cycles = {}
-    for bl in word.letters:
-        i, j = bl.top.value, bl.bottom.value
-        if i == j and not bl.bottom.barred:
-            fixed[i] = fixed.get(i, 0) + 1
-        elif i == j:
-            barred_fixed[i] = barred_fixed.get(i, 0) + 1
-        elif i < j and not bl.bottom.barred:
-            two_cycles[(i, j)] = two_cycles.get((i, j), 0) + 1
-        elif i < j:
-            barred_two_cycles[(i, j)] = barred_two_cycles.get((i, j), 0) + 1
-    std = InvolutionProfile(
-        fixed=sum(fixed.values()),
-        barred_fixed=sum(b % 2 for b in barred_fixed.values()),
-        two_cycles=sum(two_cycles.values()),
-        barred_two_cycles=sum(barred_two_cycles.values())
-        + sum(b // 2 for b in barred_fixed.values()),
-    )
-    return CycleProfile(fixed, barred_fixed, two_cycles, barred_two_cycles, std)
 
 
 def involution_profile(letters):

@@ -1,24 +1,24 @@
 """Helpers shared by several test modules: reference constructions that the
 library no longer carries, and Hypothesis strategies for biwords."""
 
+from dataclasses import dataclass
+
 from hypothesis import strategies as st
 
 from dominsert import insertion, involutions
-from dominsert.partitions import as_partition, skew_domino
+from dominsert.partitions import HORIZONTAL, VERTICAL, as_partition, col_height, lift_domino, part, skew_domino
 from dominsert.tableaux import DominoTableau
 from dominsert.words import (
     COLORED,
+    DOUBLY,
     DUAL,
     Biletter,
     InvolutionProfile,
     Letter,
     biword,
     colored_word,
-    cycle_profile,
     invert_colored,
     invert_dual,
-    standardize_top,
-    with_kind,
 )
 
 
@@ -35,6 +35,89 @@ def tableau_from_chain(shapes, values=None):
             raise ValueError(f"{outer}/{inner} is not a domino")
         entries.append((value, dom))
     return DominoTableau(shapes[0], tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# the steps of the standardization chains
+
+
+def with_kind(word, kind):
+    return biword(word.letters, kind)
+
+
+def standardize_top(word):
+    """Replace the top row by 1..n in display order, keeping its bars."""
+    new = tuple(
+        Biletter(Letter(i, bl.top.barred), bl.bottom)
+        for i, bl in enumerate(word.letters, start=1)
+    )
+    return biword(new, word.kind)
+
+
+def invert(word):
+    """Swap the rows of each biletter; the result is doubly colored."""
+    return biword((Biletter(bl.bottom, bl.top) for bl in word.letters), DOUBLY)
+
+
+# ---------------------------------------------------------------------------
+# the local rules with the overlap tests on slices and shifted copies
+
+
+def _shift(dom, step):
+    """Move a domino down (horizontal) or right (vertical); a 2x2 block is a
+    domino and its shift by 1."""
+    row, col, orient = dom
+    return (row + step, col, orient) if orient == HORIZONTAL else (row, col + step, orient)
+
+
+def grow_by_slices(nu, a, b, entry):
+    """Forward rule on edge labels: a = mu/lam and b = nu/lam give (rho/mu,
+    rho/nu).  Only a +-1 seed or a bump reads a shape, and then one row
+    length or column height of nu, which agrees with lam there."""
+    if entry:
+        if a or b:
+            raise ValueError("a +-1 square needs three equal corners")
+        seed = (1, part(nu, 1) + 1, HORIZONTAL) if entry == 1 else (len(nu) + 1, 1, VERTICAL)
+        return seed, seed
+    if a is None:
+        return b, None
+    if b is None:
+        return None, a
+    if a == b:
+        # bump below (horizontal) or to the right (vertical)
+        row, col, orient = a
+        if orient == HORIZONTAL:
+            bumped = (row + 1, part(nu, row + 1) + 1, HORIZONTAL)
+        else:
+            bumped = (col_height(nu, col + 1) + 1, col + 1, VERTICAL)
+        return bumped, bumped
+    if a[:2] == b[:2]:
+        # one-cell overlap: the 2x2 block at the shared cell fills up
+        return _shift(a, 1), _shift(b, 1)
+    return b, a
+
+
+def shrink_by_shifts(rows, c, d):
+    """Reverse rule on edge labels, the inverse of ``_grow``: c = rho/mu and
+    d = rho/nu give (entry, mu/lam, nu/lam), and ``rows`` goes from mu to
+    lam in place."""
+    if d is None:
+        return 0, None, c
+    a, b = d, c
+    if c == d:
+        row, col, orient = c
+        if orient == HORIZONTAL:
+            if row == 1:
+                return 1, None, None
+            a = b = (row - 1, part(rows, row - 1) - 1, HORIZONTAL)
+        else:
+            if col == 1:
+                return -1, None, None
+            a = b = (col_height(rows, col - 1) - 1, col - 1, VERTICAL)
+    elif c is not None and c[2] != d[2] and _shift(c, -1)[:2] == _shift(d, -1)[:2]:
+        a, b = _shift(c, -1), _shift(d, -1)
+    lift_domino(rows, *a)
+    return 0, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +173,49 @@ def count_insertions(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # signed involutions through the colored biword with top row 1..n
+
+
+@dataclass(frozen=True)
+class CycleProfile:
+    """Cycle data of a colored involution biword, by letter value.
+
+    ``standardized`` predicts the profile of the standardization: within each
+    value, the barred fixed points pair up into barred two-cycles, leaving at
+    most one barred fixed point.
+    """
+
+    fixed: dict
+    barred_fixed: dict
+    two_cycles: dict
+    barred_two_cycles: dict
+    standardized: InvolutionProfile
+
+
+def cycle_profile(word):
+    if word != invert_colored(word):
+        raise ValueError("cycle_profile expects a colored involution")
+    fixed = {}
+    barred_fixed = {}
+    two_cycles = {}
+    barred_two_cycles = {}
+    for bl in word.letters:
+        i, j = bl.top.value, bl.bottom.value
+        if i == j and not bl.bottom.barred:
+            fixed[i] = fixed.get(i, 0) + 1
+        elif i == j:
+            barred_fixed[i] = barred_fixed.get(i, 0) + 1
+        elif i < j and not bl.bottom.barred:
+            two_cycles[(i, j)] = two_cycles.get((i, j), 0) + 1
+        elif i < j:
+            barred_two_cycles[(i, j)] = barred_two_cycles.get((i, j), 0) + 1
+    std = InvolutionProfile(
+        fixed=sum(fixed.values()),
+        barred_fixed=sum(b % 2 for b in barred_fixed.values()),
+        two_cycles=sum(two_cycles.values()),
+        barred_two_cycles=sum(barred_two_cycles.values())
+        + sum(b // 2 for b in barred_fixed.values()),
+    )
+    return CycleProfile(fixed, barred_fixed, two_cycles, barred_two_cycles, std)
 
 
 def group_inverse_by_biword(letters):

@@ -12,9 +12,15 @@ from dominsert.words import (
     invert_dual,
     parse_biword,
     total_color,
+)
+from support import (
+    cores,
+    count_insertions,
+    dual_alpha_by_recording,
+    dual_beta_by_recording,
+    dual_biwords,
     with_kind,
 )
-from support import cores, count_insertions, dual_alpha_by_recording, dual_beta_by_recording, dual_biwords
 
 
 def test_agree_with_standard_on_permutations():

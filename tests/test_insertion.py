@@ -16,6 +16,7 @@ from dominsert.partitions import (
     col_height,
     domino_of_cells,
     domino_successors,
+    enumerate_partitions,
     enumerate_with_core,
     part,
     place_domino,
@@ -23,6 +24,7 @@ from dominsert.partitions import (
     staircase,
 )
 from dominsert.insertion import (
+    biword_insert,
     growth,
     growth_reverse,
     growth_reverse_word,
@@ -41,10 +43,11 @@ from dominsert.words import (
     Letter,
     enumerate_signed_permutations,
     group_inverse,
+    parse_biword,
     parse_word,
     total_color,
 )
-from support import tableau_from_chain
+from support import grow_by_slices, shrink_by_shifts, tableau_from_chain
 
 H, V = "h", "v"
 
@@ -208,6 +211,17 @@ def test_growth_reverse_rejects_bad_chains():
         (DominoTableau((), ((1, DominoShape(1, 3, H)), (2, DominoShape(1, 1, H)))), tableau_from_chain(((), (2,), (4,)))),
     ]
     bad.append(bad[-1][::-1])
+    bad.append(biword_insert(parse_biword("1/1 2/1"), 0))  # P repeats value 1
+    skipping = DominoTableau((), ((1, DominoShape(1, 1, H)), (3, DominoShape(1, 3, H))))
+    bad.append((insert_word(parse_word("1 2"), 0).p, skipping))  # a standard P, and a Q that skips 2
+    # a tableau's core is the 2-core of its shape (each domino covers one
+    # cell of each content parity), so a Q of P's shape over another core
+    # is built around the constructor's checks
+    p = insert_word(parse_word("2 1"), 0).p
+    q = object.__new__(DominoTableau)
+    for name, value in (("core", (1,)), ("entries", p.entries), ("_shape", p.shape())):
+        object.__setattr__(q, name, value)
+    bad.append((p, q))
     for p, q in bad:
         with pytest.raises(ValueError, match="standard tableaux of one shape over one core"):
             growth_reverse(p, q)
@@ -653,6 +667,33 @@ def _random_word(rng, n):
     return tuple(Letter(v, rng.random() < 0.5) for v in values)
 
 
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_local_rules_test_overlaps_as_the_slicing_rules_do():
+    """``_grow`` and ``_shrink`` compare coordinates where the rules in
+    ``support`` slice labels and shift copies; they agree on every pair of
+    labels, None or a domino with row and column at most 5, every entry and
+    every partition of size at most 10, down to ``_shrink``'s row list."""
+    labels = [None] + [(row, col, orient) for row in range(1, 6) for col in range(1, 6) for orient in (H, V)]
+    pairs = [(a, b) for a in labels for b in labels]
+    shapes = [shape for size in range(11) for shape in enumerate_partitions(size)]
+    mismatches = []
+    for shape in shapes:
+        for a, b in pairs:
+            for entry in (-1, 0, 1):
+                if _outcome(insertion._grow, shape, a, b, entry) != _outcome(grow_by_slices, shape, a, b, entry):
+                    mismatches.append(("grow", shape, a, b, entry))
+            rows, expected = list(shape), list(shape)
+            if (_outcome(insertion._shrink, rows, a, b), rows) != (_outcome(shrink_by_shifts, expected, a, b), expected):
+                mismatches.append(("shrink", shape, a, b))
+    assert len(shapes) == 139 and not mismatches
+
+
 def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
     """Growth and its reverse run a local rule on a square only once its top
     label is set: 1 + the number of larger earlier values per row, so
@@ -678,6 +719,35 @@ def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
             calls.clear()
             assert growth_reverse(diagram.p, diagram.q) == diagram.matrix
             assert (calls["_grow"], calls["_shrink"]) == (0, visits)
+
+
+def test_growth_keeps_where_each_rows_label_changes(monkeypatch):
+    """Row i's change list starts at its seed, column value - 1, rises in
+    j, and each label differs from the one before: the row's label changes
+    only where ``_grow`` seeds, bumps (equal labels) or fills a 2x2 block
+    (labels from one cell), on 1 + that many of the row's squares."""
+    rows = []
+
+    def counted(nu, a, b, entry, _original=insertion._grow):
+        if entry:
+            rows.append(0)
+        elif a and b and a[:2] == b[:2]:
+            rows[-1] += 1
+        return _original(nu, a, b, entry)
+
+    monkeypatch.setattr(insertion, "_grow", counted)
+    rng = random.Random(14)
+    for n in (0, 1, 2, 5, 17, 60):
+        for core in range(3):
+            word = _random_word(rng, n)
+            rows.clear()
+            diagram = growth(word, core)
+            assert len(diagram.changes) == len(rows) == n
+            for letter, changes, turns in zip(word, diagram.changes, rows):
+                columns = [j for j, _ in changes]
+                assert columns[0] == letter.value - 1 and columns == sorted(set(columns))
+                assert all(left != label for (_, left), (_, label) in zip(changes, changes[1:]))
+                assert len(changes) == 1 + turns
 
 
 def test_spin_ledger_derives_each_horizontal_label_once(monkeypatch):
@@ -716,11 +786,12 @@ def _peak(function, *args):
 
 
 def test_growth_holds_the_word_not_the_matrix():
-    # n = 1000: a dense matrix costs about 8 MB; what stays is the
-    # n x (n + 1) table of vertical labels
+    # n = 1000: a dense matrix costs about 8 MB, and so does an n x (n + 1)
+    # table of vertical labels; what stays is the column per value, and per
+    # row the few squares where its label changes
     word = _random_word(random.Random(1000), 1000)
     diagram, peak = _peak(growth, word, 1)
-    assert peak < 13_000_000
+    assert peak < 5_000_000
     assert diagram.word == word
 
 

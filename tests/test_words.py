@@ -10,12 +10,10 @@ from dominsert.words import (
     Letter,
     biword,
     colored_word,
-    cycle_profile,
     dual_standardize,
     enumerate_involutions,
     enumerate_signed_permutations,
     group_inverse,
-    invert,
     invert_colored,
     invert_dual,
     involution_profile,
@@ -23,13 +21,19 @@ from dominsert.words import (
     parse_biword,
     parse_word,
     standardize,
-    standardize_top,
     total_color,
-    with_kind,
     word_str,
 )
 
-from support import group_inverse_by_biword, involution_profile_by_biword, is_involution_by_biword
+from support import (
+    cycle_profile,
+    group_inverse_by_biword,
+    involution_profile_by_biword,
+    invert,
+    is_involution_by_biword,
+    standardize_top,
+    with_kind,
+)
 
 W = parse_biword("1/2' 1/3 2/4 3/1' 3/1'")  # running example biword
 W9 = parse_biword("1/3' 1/3 2/2' 2/2' 2/2' 3/1' 3/1 4/5 5/4")  # 9-letter involution
