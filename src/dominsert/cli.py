@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import insertion, series, signimbalance, tableaux, verify, words
 from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_int, partition_str
@@ -30,10 +29,6 @@ def _parse_shape(text):
 
 def _parse_cores(text):
     return tuple(int(c) for c in text.split(","))
-
-
-def _spin_str(tab):
-    return str(Fraction(tab.vertical_count(), 2))
 
 
 def _insert_payload(word, core, trace):
@@ -59,8 +54,8 @@ def cmd_insert(args):
             "core": args.core,
             "shape": list(p.shape()),
             "tc": words.total_color(word),
-            "spin_p": _spin_str(p),
-            "spin_q": _spin_str(q),
+            "spin_p": str(p.spin()),
+            "spin_q": str(q.spin()),
             "P": p.to_json(),
             "Q": q.to_json(),
         }
@@ -78,7 +73,7 @@ def cmd_insert(args):
                 print()
     print(f"word: {source}   core: {args.core}")
     print(f"shape: {partition_str(p.shape())}   tc: {words.total_color(word)}"
-          f"   sp(P): {_spin_str(p)}   sp(Q): {_spin_str(q)}")
+          f"   sp(P): {p.spin()}   sp(Q): {q.spin()}")
     print("P:")
     print(render_tableau(p))
     print("Q:")

@@ -4,6 +4,8 @@ Series live in x-variables and optionally y-variables with a bound on the
 total degree; coefficients are polynomials in (a, b, c, s) with s = q^(1/2).
 Domino functions are homogeneous of degree equal to their number of
 dominoes, so bounding the shape size makes every truncated identity exact.
+A domino function is built in x only; the Cauchy sums place it in the x or
+the y block.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from .partitions import (
     conjugate,
     d_stat,
     enumerate_partitions,
+    enumerate_with_core,
     odd_rows,
     size,
     staircase,
@@ -23,7 +26,6 @@ from .partitions import (
 )
 from .polynomials import MPoly, PARAMS
 from .tableaux import enumerate_semistandard
-from .words import value_weight
 from .young import enumerate_ssyt
 
 
@@ -174,17 +176,11 @@ def expand_product(factors, nx, ny, bound):
     return total
 
 
-def x_monomial(weight, nx, ny):
-    exps = [0] * (nx + ny)
-    for i, w in enumerate(weight):
-        exps[i] = w
-    return tuple(exps)
-
-
-def y_monomial(weight, nx, ny):
-    exps = [0] * (nx + ny)
-    for i, w in enumerate(weight):
-        exps[nx + i] = w
+def _exponents(width, *indices):
+    """The exponent vector of ``width`` variables with one more at each index."""
+    exps = [0] * width
+    for i in indices:
+        exps[i] += 1
     return tuple(exps)
 
 
@@ -192,35 +188,30 @@ def schur(lam, nx, bound):
     """Schur polynomial in nx variables by semistandard Young tableau enumeration."""
     terms = {}
     for tab in enumerate_ssyt(as_partition(lam), nx):
-        key = x_monomial(value_weight(value for row in tab for value in row), nx, 0)
+        key = _exponents(nx, *(value - 1 for row in tab for value in row))
         terms[key] = terms.get(key, MPoly.zero(PARAMS)) + 1
     return TruncatedSeries(nx, 0, bound, terms)
 
 
-def domino_function(lam, nx, bound, ny=0, block="x", complement=False):
-    """Domino function: sum of q^spin x^weight over semistandard fillings.
+def domino_function(lam, nx, bound, complement=False):
+    """Domino function in x: sum of q^spin x^weight over semistandard fillings.
 
     With ``complement=True`` the spin exponent is replaced by its complement
-    against the domino count, which realises q^(m/2) G(Y; 1/q) for the dual
+    against the domino count, which realises q^(m/2) G(X; 1/q) for the dual
     Cauchy identity without negative exponents.
     """
     lam = as_partition(lam)
     dominoes = (size(lam) - size(two_core(lam))) // 2
-    entries = nx if block == "x" else ny
-    place = x_monomial if block == "x" else y_monomial
     terms = {}
-    for tab in enumerate_semistandard(lam, entries):
+    for tab in enumerate_semistandard(lam, nx):
         v = tab.vertical_count()
-        exponent = dominoes - v if complement else v
-        key = place(tab.weight(), nx, ny)
-        coeff = terms.get(key, MPoly.zero(PARAMS)) + MPoly.var("s", PARAMS, power=exponent)
-        terms[key] = coeff
-    return TruncatedSeries(nx, ny, bound, terms)
+        key = _exponents(nx, *(value - 1 for value in tab.values()))
+        spin = MPoly.var("s", PARAMS, power=dominoes - v if complement else v)
+        terms[key] = terms.get(key, MPoly.zero(PARAMS)) + spin
+    return TruncatedSeries(nx, 0, bound, terms)
 
 
 def shapes_up_to(core, max_dominoes):
-    from .partitions import enumerate_with_core
-
     for n in range(max_dominoes + 1):
         yield from enumerate_with_core(core, n)
 
@@ -229,39 +220,40 @@ def shapes_up_to(core, max_dominoes):
 # identity sides
 
 
-def cauchy_sum(core, nx, bound):
+def _cauchy_sum(core, nx, bound, dual):
+    """Sum over the shapes lam of one 2-core of G_lam(X) G_lam(Y), or with
+    ``dual`` of G_lam(X) q^(m/2) G_lam'(Y; 1/q).  Each G is built in x once
+    and padded with nx zeros to place it in the x or the y block."""
     total = TruncatedSeries.zero(nx, nx, 2 * bound)
+    zeros = (0,) * nx
     for lam in shapes_up_to(core, bound):
-        gx = domino_function(lam, nx, 2 * bound, ny=nx, block="x")
-        gy = domino_function(lam, nx, 2 * bound, ny=nx, block="y")
+        g = domino_function(lam, nx, bound)
+        h = domino_function(conjugate(lam), nx, bound, complement=True) if dual else g
+        gx = TruncatedSeries(nx, nx, 2 * bound, {e + zeros: c for e, c in g.terms.items()})
+        gy = TruncatedSeries(nx, nx, 2 * bound, {zeros + e: c for e, c in h.terms.items()})
         total = total + gx * gy
     return total
+
+
+def cauchy_sum(core, nx, bound):
+    return _cauchy_sum(core, nx, bound, dual=False)
+
+
+def dual_cauchy_sum(core, nx, bound):
+    return _cauchy_sum(core, nx, bound, dual=True)
 
 
 def _xy_grid_product(nx, bound, sign, power):
     """Product over all i, j of ((1 + sign x_i y_j)(1 + sign q x_i y_j))^power."""
     coeffs = (MPoly.const(sign, PARAMS), MPoly.var("s", PARAMS, power=2, coeff=sign))
-    factors = []
-    for i in range(nx):
-        for j in range(nx):
-            exps = [0] * (2 * nx)
-            exps[i] = exps[nx + j] = 1
-            factors.extend(Factor(coeff, tuple(exps), power) for coeff in coeffs)
+    cells = [_exponents(2 * nx, i, nx + j) for i in range(nx) for j in range(nx)]
+    factors = [Factor(coeff, exps, power) for exps in cells for coeff in coeffs]
     return expand_product(factors, nx, nx, 2 * bound)
 
 
 def cauchy_product(nx, bound):
     """Product of 1 / ((1 - x_i y_j)(1 - q x_i y_j)) over all i, j."""
     return _xy_grid_product(nx, bound, -1, -1)
-
-
-def dual_cauchy_sum(core, nx, bound):
-    total = TruncatedSeries.zero(nx, nx, 2 * bound)
-    for lam in shapes_up_to(core, bound):
-        gx = domino_function(lam, nx, 2 * bound, ny=nx, block="x")
-        gy = domino_function(conjugate(lam), nx, 2 * bound, ny=nx, block="y", complement=True)
-        total = total + gx * gy
-    return total
 
 
 def dual_cauchy_product(nx, bound):
@@ -277,11 +269,7 @@ def shape_weight(lam, core):
     oc_diff = odd_rows(conjugate(lam)) - odd_rows(base)
     if o_diff % 2 or oc_diff % 2:
         raise ValueError(f"odd-row difference is not even for {lam}")
-    return (
-        MPoly.var("a", PARAMS, power=o_diff // 2)
-        * MPoly.var("b", PARAMS, power=oc_diff // 2)
-        * MPoly.var("c", PARAMS, power=d_stat(lam) - d_stat(base))
-    )
+    return MPoly(PARAMS, {(o_diff // 2, oc_diff // 2, d_stat(lam) - d_stat(base), 0): 1})  # a, b, c, s
 
 
 def weighted_domino_sum(core, nx, bound):
@@ -295,27 +283,19 @@ def weighted_domino_sum(core, nx, bound):
 def weighted_domino_product(nx, bound):
     """Product side: (1 + a s x_i) over (1 - b x_i)(1 - c q x_i^2), and
     (1 - c x_i x_j)(1 - c q x_i x_j) below the diagonal."""
-    a = MPoly.var("a", PARAMS)
-    b = MPoly.var("b", PARAMS)
-    c = MPoly.var("c", PARAMS)
-    s = MPoly.var("s", PARAMS)
-    q = MPoly.var("s", PARAMS, power=2)
+    a, b, c, s = (MPoly.var(name, PARAMS) for name in PARAMS)
+    q = s * s
     factors = []
     for i in range(nx):
-        single = [0] * nx
-        single[i] = 1
-        square = [0] * nx
-        square[i] = 2
-        factors.append(Factor(a * s, tuple(single)))
-        factors.append(Factor(-b, tuple(single), power=-1))
-        factors.append(Factor(-c * q, tuple(square), power=-1))
+        single = _exponents(nx, i)
+        factors.append(Factor(a * s, single))
+        factors.append(Factor(-b, single, power=-1))
+        factors.append(Factor(-c * q, _exponents(nx, i, i), power=-1))
     for i in range(nx):
         for j in range(i + 1, nx):
-            pair = [0] * nx
-            pair[i] = 1
-            pair[j] = 1
-            factors.append(Factor(-c, tuple(pair), power=-1))
-            factors.append(Factor(-c * q, tuple(pair), power=-1))
+            pair = _exponents(nx, i, j)
+            factors.append(Factor(-c, pair, power=-1))
+            factors.append(Factor(-c * q, pair, power=-1))
     return expand_product(factors, nx, 0, bound)
 
 
@@ -348,45 +328,34 @@ def specialization_zero_spin(nx, bound):
     lhs = weighted_domino_sum(0, nx, bound).subs({"s": 0})
 
     def weight(lam):
-        return (
-            MPoly.var("b", PARAMS, power=odd_rows(conjugate(lam)))
-            * MPoly.var("c", PARAMS, power=v_stat(conjugate(lam)))
-        )
+        conj = conjugate(lam)
+        return MPoly(PARAMS, {(0, odd_rows(conj), v_stat(conj), 0): 1})  # a, b, c, s
 
     rhs = schur_sum(nx, bound, weight=weight)
-    one = MPoly.const(1, PARAMS)
     b = MPoly.var("b", PARAMS)
     c = MPoly.var("c", PARAMS)
-    factors = []
-    for i in range(nx):
-        single = [0] * nx
-        single[i] = 1
-        factors.append(Factor(-b, tuple(single), power=-1))
-    for i in range(nx):
-        for j in range(i + 1, nx):
-            pair = [0] * nx
-            pair[i] = 1
-            pair[j] = 1
-            factors.append(Factor(-c, tuple(pair), power=-1))
+    factors = [Factor(-b, _exponents(nx, i), power=-1) for i in range(nx)]
+    factors.extend(Factor(-c, _exponents(nx, i, j), power=-1) for i in range(nx) for j in range(i + 1, nx))
     product = expand_product(factors, nx, 0, bound)
     return lhs, rhs, product
 
 
+def _even_shapes(nx, bound, values, columns):
+    """The weighted sum at ``values`` and the sum of G over the shapes with
+    even rows, and with ``columns`` even columns too."""
+    lhs = weighted_domino_sum(0, nx, bound).subs(values)
+    rhs = TruncatedSeries.zero(nx, 0, bound)
+    for lam in shapes_up_to(0, bound):
+        if odd_rows(lam) == 0 and not (columns and odd_rows(conjugate(lam))):
+            rhs = rhs + domino_function(lam, nx, bound)
+    return lhs, rhs
+
+
 def specialization_even_rows(nx, bound):
     """a=0, b=c=1 picks out the even-row shapes."""
-    lhs = weighted_domino_sum(0, nx, bound).subs({"a": 0, "b": 1, "c": 1})
-    total = TruncatedSeries.zero(nx, 0, bound)
-    for lam in shapes_up_to(0, bound):
-        if all(p % 2 == 0 for p in lam):
-            total = total + domino_function(lam, nx, bound)
-    return lhs, total
+    return _even_shapes(nx, bound, {"a": 0, "b": 1, "c": 1}, columns=False)
 
 
 def specialization_even_both(nx, bound):
     """a=b=0, c=1 picks out shapes with even rows and even columns."""
-    lhs = weighted_domino_sum(0, nx, bound).subs({"a": 0, "b": 0, "c": 1})
-    total = TruncatedSeries.zero(nx, 0, bound)
-    for lam in shapes_up_to(0, bound):
-        if all(p % 2 == 0 for p in lam) and all(p % 2 == 0 for p in conjugate(lam)):
-            total = total + domino_function(lam, nx, bound)
-    return lhs, total
+    return _even_shapes(nx, bound, {"a": 0, "b": 0, "c": 1}, columns=True)

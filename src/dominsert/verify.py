@@ -172,19 +172,24 @@ def check_semistandard(length, core, max_value=2):
             p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
             2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
             (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau()),
-            insertion.biword_insert(words.invert_colored(w), core) == (q, p),
             insertion.biword_reverse(p, q, core) == w,
             (p, q) not in image,
         )
         image[p, q] = w
         return _failures(str(w), claims)
 
+    def closing():
+        # the inverse biword is a case too: its pair is looked up, not inserted again
+        for (p, q), w in image.items():
+            if image.get((q, p)) != words.invert_colored(w):
+                yield str(w)
+        yield from _image_sizes(core, length, pairs, image)
+
     def pairs(lam):
         return len(tableaux.enumerate_semistandard(lam, max_value)) ** 2
 
     biwords = words.enumerate_biwords(max_value, max_value, length)
     params = {"length": length, "core": core, "values": max_value}
-    closing = partial(_image_sizes, core, length, pairs, image)
     return _exhaustive("semistandard-bijection", params, biwords, violations, closing)
 
 
@@ -209,11 +214,17 @@ def check_dual(length, core, max_value=2):
             f"{tag}-weight": p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
             f"{tag}-spin": 2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
             f"{tag}-std": (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == (std.p, std.q),
-            "alpha-beta-duality": not alpha or insertion.dual_insert_beta(words.invert_dual(w), core) == (q, p),
             f"{tag}-injective": (p, q) not in images[tag],
         }
         images[tag][p, q] = w
         return [(name, str(w)) for name, holds in claims.items() if not holds]
+
+    def closing():
+        # each alpha case's inverse is a beta case: its pair is looked up, not inserted again
+        for (p, q), w in images["alpha"].items():
+            if images["beta"].get((q, p)) != words.invert_dual(w):
+                yield ("alpha-beta-duality", str(w))
+        yield from _image_sizes(core, length, pairs, *images.values())
 
     def pairs(lam):
         rows = tableaux.enumerate_semistandard(lam, max_value)
@@ -224,7 +235,6 @@ def check_dual(length, core, max_value=2):
         for kind in (words.DUAL, words.COLORED)
     )
     params = {"length": length, "core": core, "values": max_value}
-    closing = partial(_image_sizes, core, length, pairs, *images.values())
     return _exhaustive("dual-bijections", params, biwords, violations, closing)
 
 
@@ -384,12 +394,18 @@ def check_vertical_parity_difference(max_dominoes, core):
 
 
 def check_max_spin_split(max_dominoes, core):
+    """Twice the largest spin splits into the largest odd and even vertical
+    counts, and every cospin (half of best - vertical count) is an integer;
+    both claims are read off one enumeration of the shape."""
+
     def violations(lam):
         tabs = tableaux.enumerate_standard(lam)
-        best = max(2 * t.spin() for t in tabs)
-        for t in tabs:
-            tableaux.cospin(t)  # raises if not an integer
-        return _failures(lam, [best == tableaux.max_odd_vertical(lam) + tableaux.max_even_vertical(lam)])
+        best = max(t.vertical_count() for t in tabs)
+        claims = (
+            best == max(t.odd_vertical() for t in tabs) + max(t.even_vertical() for t in tabs),
+            all((best - t.vertical_count()) % 2 == 0 for t in tabs),
+        )
+        return _failures(lam, claims)
 
     shapes = series.shapes_up_to(core, max_dominoes)
     return _exhaustive("max-spin-split", {"max_dominoes": max_dominoes, "core": core}, shapes, violations)

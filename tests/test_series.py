@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from dominsert.partitions import enumerate_with_core, two_quotient
+from dominsert import series
+from dominsert.partitions import conjugate, enumerate_with_core, two_quotient
 from dominsert.polynomials import MPoly, PARAMS
 from dominsert.series import (
     Factor,
@@ -120,6 +121,22 @@ def test_cauchy_identities():
         assert dual_cauchy_sum(core, 1, 2) == dual_cauchy_product(1, 2), core
     assert cauchy_sum(0, 2, 2) == cauchy_product(2, 2)
     assert dual_cauchy_sum(0, 2, 2) == dual_cauchy_product(2, 2)
+
+
+def test_cauchy_sums_enumerate_each_shape_once(monkeypatch):
+    # G is built in x once and placed in its block: one enumeration per shape,
+    # and in the dual sum one for the shape and one for its conjugate
+    calls = []
+    real_enumerate = series.enumerate_semistandard
+    monkeypatch.setattr(series, "enumerate_semistandard", lambda lam, n: calls.append(lam) or real_enumerate(lam, n))
+    for core in (0, 1, 2):
+        shapes = [lam for m in range(4) for lam in enumerate_with_core(core, m)]
+        calls.clear()
+        assert cauchy_sum(core, 2, 3) == cauchy_product(2, 3)
+        assert calls == shapes, core
+        calls.clear()
+        assert dual_cauchy_sum(core, 2, 3) == dual_cauchy_product(2, 3)
+        assert calls == [mu for lam in shapes for mu in (lam, conjugate(lam))], core
 
 
 def test_weighted_sum_product_and_core_independence():

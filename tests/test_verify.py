@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import dominsert
-from dominsert import insertion, involutions, verify, words
+from dominsert import insertion, involutions, tableaux, verify, words
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -99,6 +99,36 @@ def test_closing_comparison_reports_a_wrong_image_size(monkeypatch):
     assert "image sizes" in record["lhs"]
 
 
+def test_symmetry_claims_look_up_a_wrong_inverse(monkeypatch):
+    # the inverse biword's pair is looked up in the closing check; a wrong one is a violation
+    monkeypatch.setattr(words, "invert_colored", lambda w: w)
+    _assert_fails(verify.check_semistandard(2, 0), 36)
+    monkeypatch.setattr(words, "invert_dual", lambda w: w)  # a dual word, never a beta case
+    record = verify.check_dual(2, 0)
+    _assert_fails(record, 56)
+    assert "alpha-beta-duality" in record["lhs"]
+
+
+def test_max_spin_split_reports_a_non_integer_cospin(monkeypatch):
+    # a vertical count of the wrong parity is a failed claim, not an exception
+    real_enumerate = tableaux.enumerate_standard
+    monkeypatch.setattr(tableaux, "enumerate_standard", lambda lam: real_enumerate(lam) + real_enumerate((1, 1)))
+    _assert_fails(verify.check_max_spin_split(1, 0), 3)
+
+
+def test_max_spin_split_enumerates_each_shape_once(monkeypatch):
+    calls = Counter()
+    real_enumerate = tableaux.enumerate_standard
+
+    def counted(lam):
+        calls[lam] += 1
+        return real_enumerate(lam)
+
+    monkeypatch.setattr(tableaux, "enumerate_standard", counted)
+    assert verify.check_max_spin_split(4, 1)["pass"]
+    assert calls and set(calls.values()) == {1}
+
+
 def test_insertion_suite_inserts_each_word_once_per_check(monkeypatch):
     calls = Counter()
     real_insert = insertion.insert_word
@@ -140,7 +170,9 @@ def test_signed_permutation_suites_build_no_biword(suite, monkeypatch):
     [
         ("sym", 315, 0),  # once per involution of n <= 4 and core 0-2
         ("sign", 392, 0),  # at cores 0 and 1: 76 involutions of n = 4 for the sign, 2 per toggle of 60
-        ("dual", 558, 372),  # the standardization claim grows each of the 372 standardized words
+        # each biword is inserted once and its reverse inserts once more; the inverse is looked up
+        ("semistandard", 1980, 990),
+        ("dual", 372, 372),  # the standardization claim grows each of the 372 standardized words
     ],
 )
 def test_default_suite_insertion_counts(suite, inserted, grown, monkeypatch):
