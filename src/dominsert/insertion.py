@@ -167,12 +167,13 @@ def insert_letter(tab, letter):
 
 def insert_frames(letters, core=0):
     """The insertion tableau after each letter of a signed permutation: one
-    index takes every step, and each frame is a validated snapshot."""
+    index takes every step, and each frame is a snapshot of it, proven as in
+    ``insert_word``."""
     base = staircase(core)
     index, frames = _RowIndex(base, (), base), []
     for letter in letters:
         index.insert(letter)
-        frames.append(DominoTableau(base, tuple(index.entries)))
+        frames.append(DominoTableau._placed(base, tuple(index.entries), tuple(index.lengths)))
     return frames
 
 
@@ -188,14 +189,19 @@ class InsertionResult:
 
 def insert_word(letters, core=0):
     """Insert a signed permutation through one index; the recording tableau
-    holds the domino each step adds."""
+    holds the domino each step adds.  Each step's closing ``place_domino``
+    proves the index's row lengths the shape of both; the index keeps its
+    entries sorted, and the recording is in value order."""
     letters = tuple(letters)
     if not is_signed_permutation(letters):
         raise ValueError("insert_word expects a signed permutation")
     base = staircase(core)
     index = _RowIndex(base, (), base)
-    recording = [(value, index.insert(letter)) for value, letter in enumerate(letters, start=1)]
-    return InsertionResult(DominoTableau(base, tuple(index.entries)), DominoTableau(base, tuple(recording)))
+    recording = tuple((value, index.insert(letter)) for value, letter in enumerate(letters, start=1))
+    shape = tuple(index.lengths)
+    return InsertionResult(
+        DominoTableau._placed(base, tuple(index.entries), shape), DominoTableau._placed(base, recording, shape)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +424,9 @@ def growth(matrix_or_word, core=0):
     ``place_domino`` repeat its last check on an equal list.  So a row
     keeps only the squares where ``_grow`` changes its label.  Q's domino i
     is row i's last vertical label, P's domino j the last label of
-    horizontal edge j."""
+    horizontal edge j; both are listed in value order, and both tableaux
+    have the shape of grid[n][n]: the last kept column, or the core when
+    n = 0."""
     if matrix_or_word and isinstance(matrix_or_word[0], Letter):
         word = tuple(matrix_or_word)
         if not is_signed_permutation(word):
@@ -444,8 +452,9 @@ def growth(matrix_or_word, core=0):
             entry = 0
         recording.append((i, DominoShape(*left)))
         changes.append(tuple(row))
-    p = DominoTableau(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)))
-    return GrowthDiagram(word, core, p, DominoTableau(base, tuple(recording)), tuple(changes))
+    shape = tuple(columns[-1]) if n else base
+    p = DominoTableau._placed(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)), shape)
+    return GrowthDiagram(word, core, p, DominoTableau._placed(base, tuple(recording), shape), tuple(changes))
 
 
 def growth_reverse_word(p, q):
@@ -551,9 +560,10 @@ def growth_reverse(p, q):
 
 
 def _relabel(tab, labels, column_side=False):
-    """Replace standard values through the sorted label list."""
-    entries = tuple((labels[value - 1], dom) for value, dom in tab.entries)
-    out = DominoTableau(tab.core, entries)
+    """Replace standard values through the sorted label list, letter values
+    from 1; the cells, so the shape, stay."""
+    entries = sorted((labels[value - 1], dom) for value, dom in tab.entries)
+    out = DominoTableau._placed(tab.core, tuple(entries), tab.shape())
     ok = out.is_column_semistandard() if column_side else out.is_semistandard()
     if not ok:
         raise ValueError("relabelled tableau is invalid")

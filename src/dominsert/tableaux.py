@@ -1,10 +1,12 @@
 """Standard and semistandard domino tableaux and their statistics.
 
 A tableau is a staircase core plus value-labelled domino placements tiling
-the skew shape.  Its shape is validated once, on construction, by one pass
-over the core and the dominoes (``tiled_shape``), and stored.  Spin is half
-the number of vertical dominoes; to keep the arithmetic exact it is usually
-handled through the integer vertical count (the exponent of ``s``).
+the skew shape.  Its shape is stored: validated by one pass over the core
+and the dominoes (``tiled_shape``) where a tableau enters from outside, and
+handed over by the producer that proved it where the library builds one
+(``DominoTableau._placed``).  Spin is half the number of vertical dominoes;
+to keep the arithmetic exact it is usually handled through the integer
+vertical count (the exponent of ``s``).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def tiled_shape(core, entries):
 class DominoTableau:
     core: tuple
     entries: tuple  # (value, DominoShape) pairs, sorted; values start at 1
-    _shape: tuple = field(init=False, repr=False, compare=False)
+    _shape: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if staircase_order(self.core) is None:
@@ -81,6 +83,15 @@ class DominoTableau:
             raise ValueError(f"tableau values start at 1, got {ordered[0][0]}")
         object.__setattr__(self, "entries", ordered)
         object.__setattr__(self, "_shape", tiled_shape(self.core, ordered))
+
+    @classmethod
+    def _placed(cls, core, entries, shape):
+        """A tableau from a staircase core, sorted entries with values from 1
+        and the shape they tile, unchecked: each caller proves all three.  As
+        the shape takes part in equality, a wrong one equals no valid tableau."""
+        tab = object.__new__(cls)
+        tab.__dict__.update(core=core, entries=entries, _shape=shape)
+        return tab
 
     def shape(self):
         return self._shape
@@ -118,20 +129,25 @@ class DominoTableau:
         return self.is_semistandard()
 
     def is_semistandard(self):
-        """Prefix shapes are partitions and each value class is a horizontal
-        strip of dominoes (pairwise disjoint, increasing column ranges)."""
+        return self.semistandard_shape() is not None
+
+    def semistandard_shape(self):
+        """The shape that a ``place_domino`` replay on the core reaches, None
+        unless prefix shapes are partitions and each value class is a
+        horizontal strip of dominoes (pairwise disjoint, increasing column
+        ranges).  It never reads the stored shape."""
         rows = list(self.core)
         for value, dominoes in sorted(self.value_classes().items()):
             previous_max = 0
             for dom in sorted(dominoes, key=lambda d: d.col):
                 if dom.col <= previous_max:
-                    return False
+                    return None
                 previous_max = dom.max_col
                 try:
                     place_domino(rows, *dom)
                 except ValueError:
-                    return False
-        return True
+                    return None
+        return tuple(rows)
 
     def is_column_semistandard(self):
         return self.conjugated().is_semistandard()
@@ -157,7 +173,8 @@ class DominoTableau:
 
         ``columns=True`` orders classes top to bottom instead; that is the
         matching convention for column-semistandard tableaux.  By default the
-        direction is inferred, preferring rows.
+        direction is inferred, preferring rows.  The cells, so the shape,
+        stay; the new values come out in order.
         """
         if columns is None:
             if self.is_semistandard():
@@ -173,11 +190,12 @@ class DominoTableau:
             for dom in sorted(dominoes, key=key):
                 entries.append((next_value, dom))
                 next_value += 1
-        return DominoTableau(self.core, tuple(entries))
+        return DominoTableau._placed(self.core, tuple(entries), self._shape)
 
     def conjugated(self):
-        entries = tuple((value, dom.transposed()) for value, dom in self.entries)
-        return DominoTableau(self.core, entries)
+        """Transposed cells tile the conjugate over the same staircase core."""
+        entries = sorted((value, dom.transposed()) for value, dom in self.entries)
+        return DominoTableau._placed(self.core, tuple(entries), conjugate(self._shape))
 
     def to_json(self):
         return {
@@ -206,14 +224,15 @@ def empty_tableau(core_order):
 
 
 def enumerate_standard(lam):
-    """All standard domino tableaux of the given shape."""
+    """All standard domino tableaux of the given shape; each is built from
+    lam down, so its entries reversed are sorted."""
     lam = as_partition(lam)
     core = two_core(lam)
     results = []
 
     def descend(shape, entries):
         if shape == core:
-            results.append(DominoTableau(core, tuple(entries)))
+            results.append(DominoTableau._placed(core, tuple(reversed(entries)), lam))
             return
         n = (size(shape) - size(core)) // 2
         for mu, dom in domino_predecessors(shape):
@@ -244,7 +263,8 @@ def _strip_extensions(base, limit):
 
 
 def enumerate_semistandard(lam, max_value):
-    """All semistandard domino tableaux with entries at most max_value."""
+    """All semistandard domino tableaux with entries at most max_value: the
+    chains of strips from the core that end at lam, their entries sorted."""
     if max_value < 0:
         raise ValueError(f"max_value must be nonnegative, got {max_value}")
     lam = as_partition(lam)
@@ -260,7 +280,7 @@ def enumerate_semistandard(lam, max_value):
             for shape, entries in partial
             for strip, new_shape in strips[shape]
         ]
-    results = [DominoTableau(core, entries) for shape, entries in partial if shape == lam]
+    results = [DominoTableau._placed(core, tuple(sorted(entries)), lam) for shape, entries in partial if shape == lam]
     results.sort(key=lambda t: t.entries)
     return results
 
@@ -285,21 +305,6 @@ def max_spin(lam):
     """Largest spin over the standard tableaux of the shape."""
     tabs = enumerate_standard(lam)
     return max(tab.spin() for tab in tabs)
-
-
-def cospin(tab):
-    value = max_spin(tab.shape()) - tab.spin()
-    if value.denominator != 1:
-        raise ValueError("cospin must be an integer")
-    return int(value)
-
-
-def max_odd_vertical(lam):
-    return max(t.odd_vertical() for t in enumerate_standard(lam))
-
-
-def max_even_vertical(lam):
-    return max(t.even_vertical() for t in enumerate_standard(lam))
 
 
 def associated_young_tableau(tab):

@@ -17,6 +17,7 @@ from functools import partial
 
 from . import insertion, involutions, series, signimbalance, tableaux, words
 from .partitions import (
+    conjugate,
     enumerate_partitions,
     enumerate_with_core,
     odd_rows,
@@ -95,9 +96,10 @@ def check_standard_bijection(n, core):
 
     def violations(pi, result):
         p, q = result.p, result.q
+        shape = p.semistandard_shape()  # replayed, not the shape insertion stored
         claims = (
-            p.is_standard() and q.is_standard(),
-            p.shape() == q.shape() and two_core(p.shape()) == staircase(core),
+            p.values() == q.values() == tuple(range(1, n + 1)),
+            shape is not None and shape == q.semistandard_shape() and two_core(shape) == staircase(core),
             (p, q) not in image,
             insertion.growth_reverse_word(p, q) == pi,
         )
@@ -167,8 +169,9 @@ def check_semistandard(length, core, max_value=2):
     def violations(w):
         p, q = insertion.biword_insert(w, core)
         std = insertion.growth(words.standardize(w).bottom, core)  # growth, independent of bumping
+        shape = p.semistandard_shape()  # replayed, as in check_standard_bijection
         claims = (
-            p.is_semistandard() and q.is_semistandard() and p.shape() == q.shape(),
+            shape is not None and shape == q.semistandard_shape(),
             p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
             2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
             (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau()),
@@ -208,9 +211,10 @@ def check_dual(length, core, max_value=2):
         tag = "alpha" if alpha else "beta"
         p, q = (insertion.dual_insert_alpha if alpha else insertion.dual_insert_beta)(w, core)
         rows, columns = (p, q) if alpha else (q, p)
+        row_shape, column_shape = rows.semistandard_shape(), columns.conjugated().semistandard_shape()  # replayed
         std = insertion.growth(words.dual_standardize(w).bottom, core)  # growth, independent of bumping
         claims = {
-            tag: rows.is_semistandard() and columns.is_column_semistandard() and p.shape() == q.shape(),
+            tag: None not in (row_shape, column_shape) and row_shape == conjugate(column_shape),
             f"{tag}-weight": p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
             f"{tag}-spin": 2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
             f"{tag}-std": (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == (std.p, std.q),

@@ -1,5 +1,6 @@
 """Helpers shared by several test modules: reference constructions that the
-library no longer carries, and Hypothesis strategies for biwords."""
+library no longer carries, and Hypothesis strategies for biwords and signed
+permutations."""
 
 from dataclasses import dataclass
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from dominsert import insertion, involutions
 from dominsert.partitions import HORIZONTAL, VERTICAL, as_partition, col_height, lift_domino, part, skew_domino
-from dominsert.tableaux import DominoTableau
+from dominsert.tableaux import DominoTableau, enumerate_standard, max_spin
 from dominsert.words import (
     COLORED,
     DOUBLY,
@@ -35,6 +36,25 @@ def tableau_from_chain(shapes, values=None):
             raise ValueError(f"{outer}/{inner} is not a domino")
         entries.append((value, dom))
     return DominoTableau(shapes[0], tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# spin statistics by enumeration
+
+
+def cospin(tab):
+    value = max_spin(tab.shape()) - tab.spin()
+    if value.denominator != 1:
+        raise ValueError("cospin must be an integer")
+    return int(value)
+
+
+def max_odd_vertical(lam):
+    return max(t.odd_vertical() for t in enumerate_standard(lam))
+
+
+def max_even_vertical(lam):
+    return max(t.even_vertical() for t in enumerate_standard(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +279,14 @@ def biwords(draw, kind=COLORED, max_length=40, max_value=6, multiplicity_free=Fa
     n = draw(st.integers(min_value=0, max_value=max_length))
     letters = draw(st.lists(biletters(max_value), min_size=n, max_size=n, unique=multiplicity_free))
     return biword(letters, kind)
+
+
+@st.composite
+def signed_permutations(draw, max_n=60, min_n=0):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    values = draw(st.permutations(range(1, n + 1)))
+    bars = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return tuple(Letter(value, barred) for value, barred in zip(values, bars))
 
 
 colored_biwords = biwords()

@@ -47,7 +47,7 @@ from dominsert.words import (
     parse_word,
     total_color,
 )
-from support import grow_by_slices, shrink_by_shifts, tableau_from_chain
+from support import grow_by_slices, shrink_by_shifts, signed_permutations, tableau_from_chain
 
 H, V = "h", "v"
 
@@ -332,14 +332,6 @@ def test_growth_str_shapes():
     assert lines[-1].strip().startswith("()")
     celled = growth_str(growth(parse_word("2' 1"), 0), cells=True)
     assert "#" in celled
-
-
-@st.composite
-def signed_permutations(draw, max_n=60, min_n=0):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    values = draw(st.permutations(range(1, n + 1)))
-    bars = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    return tuple(Letter(value, barred) for value, barred in zip(values, bars))
 
 
 cores = st.integers(min_value=0, max_value=2)

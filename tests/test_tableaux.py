@@ -9,19 +9,16 @@ from dominsert.polynomials import MPoly, SPIN
 from dominsert.tableaux import (
     DominoTableau,
     associated_young_tableau,
-    cospin,
     empty_tableau,
     enumerate_column_semistandard,
     enumerate_semistandard,
     enumerate_standard,
-    max_even_vertical,
-    max_odd_vertical,
     max_spin,
     spin_poly,
     tableau_sign,
 )
 from dominsert.involutions import standard_tableau_count
-from support import tableau_from_chain
+from support import cospin, max_even_vertical, max_odd_vertical, tableau_from_chain
 
 H, V = "h", "v"
 
