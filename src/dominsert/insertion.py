@@ -590,23 +590,28 @@ def biword_insert(word, core=0):
 
 
 def biword_reverse(p_tab, q_tab, core=0):
-    """Inverse of the semistandard correspondence.
+    """Inverse of the semistandard correspondence: the signed permutation of
+    the standardized pair, its standard labels merged back into the weights.
 
-    Rebuilds the signed permutation from the standardized pair, then merges
-    the standard labels back into the two weights.  The closing round trip,
-    one insertion, is the one check of outside input (``dominsert reverse``):
-    the steps before it accept tableaux not semistandard or not over ``core``.
+    The input is checked up front: P lies over ``core``, ``standardized``
+    rejects a P or Q that is not semistandard, and ``growth_reverse_word``
+    two shapes, so Q lies over ``core`` too.  Nothing else can be rejected:
+    the correspondence is a bijection onto semistandard pairs of one shape
+    over ``core`` (Shimozono-White), so some colored biword v inserts to
+    (P, Q).  Standardization commutes with insertion, so by the standard
+    bijection v's standardized bottom row is the permutation rebuilt here.
+    It keeps v's bars and ranks v's bottom letters by value first, and v's
+    top row is Q's values in order: v is the biword built here.
     """
+    if len(p_tab.core) != core:  # a tableau's core is a staircase, so its length is its order
+        raise ValueError(f"P lies over the core of order {len(p_tab.core)}, not {core}")
     p_values, q_values = sorted(p_tab.values()), sorted(q_tab.values())
     perm = growth_reverse_word(p_tab.standardized(), q_tab.standardized())
     letters = [
         Biletter(Letter(q_values[position]), Letter(p_values[letter.value - 1], letter.barred))
         for position, letter in enumerate(perm)
     ]
-    word = biword(letters, COLORED)
-    if biword_insert(word, core) != (p_tab, q_tab):
-        raise ValueError("pair is not in the image of the correspondence")
-    return word
+    return biword(letters, COLORED)
 
 
 # ---------------------------------------------------------------------------

@@ -117,37 +117,34 @@ class DominoTableau:
     def even_vertical(self):
         return sum(1 for _, dom in self.entries if dom.orient == "v" and dom.col % 2 == 0)
 
-    def value_classes(self):
-        classes = {}
-        for value, dom in self.entries:
-            classes.setdefault(value, []).append(dom)
-        return classes
-
     def is_standard(self):
-        if sorted(self.values()) != list(range(1, len(self.entries) + 1)):
-            return False
-        return self.is_semistandard()
+        return self.values() == tuple(range(1, len(self.entries) + 1)) and self.is_semistandard()
 
     def is_semistandard(self):
-        return self.semistandard_shape() is not None
+        return self._replay() is not None
 
     def semistandard_shape(self):
-        """The shape that a ``place_domino`` replay on the core reaches, None
-        unless prefix shapes are partitions and each value class is a
+        """The shape that the ``_replay`` reaches, None unless semistandard."""
+        replay = self._replay()
+        return None if replay is None else replay[1]
+
+    def _replay(self):
+        """Place each value class left to right with ``place_domino`` on the
+        core: the entries numbered 1..n in that order and the final rows, or
+        None unless prefix shapes are partitions and each value class is a
         horizontal strip of dominoes (pairwise disjoint, increasing column
         ranges).  It never reads the stored shape."""
-        rows = list(self.core)
-        for value, dominoes in sorted(self.value_classes().items()):
-            previous_max = 0
-            for dom in sorted(dominoes, key=lambda d: d.col):
-                if dom.col <= previous_max:
-                    return None
-                previous_max = dom.max_col
-                try:
-                    place_domino(rows, *dom)
-                except ValueError:
-                    return None
-        return tuple(rows)
+        rows, entries, last = list(self.core), [], (0, 0)
+        for value, dom in sorted(self.entries, key=lambda entry: (entry[0], entry[1].col)):
+            if (value, dom.col) <= last:  # a domino of the class meets or precedes the last one
+                return None
+            last = (value, dom.max_col)
+            try:
+                place_domino(rows, *dom)
+            except ValueError:
+                return None
+            entries.append((len(entries) + 1, dom))
+        return tuple(entries), tuple(rows)
 
     def is_column_semistandard(self):
         return self.conjugated().is_semistandard()
@@ -168,29 +165,21 @@ class DominoTableau:
         """Shape chain of a standard tableau, from the core up."""
         return tuple(map(tuple, self.prefix_rows())) + (self._shape,)
 
-    def standardized(self, columns=None):
-        """Relabel value classes 1..n, left to right within each class.
+    def standardized(self, columns=False):
+        """Relabel value classes 1..n, left to right within each class, as
+        the ``_replay`` numbers them; ValueError unless semistandard.
 
-        ``columns=True`` orders classes top to bottom instead; that is the
-        matching convention for column-semistandard tableaux.  By default the
-        direction is inferred, preferring rows.  The cells, so the shape,
-        stay; the new values come out in order.
+        ``columns=True`` numbers them top to bottom instead, through the
+        conjugate; that is the matching convention for column-semistandard
+        tableaux, and it rejects any other.  The cells, so the shape, stay;
+        the new values come out in order.
         """
-        if columns is None:
-            if self.is_semistandard():
-                columns = False
-            elif self.is_column_semistandard():
-                columns = True
-            else:
-                raise ValueError("tableau is not semistandard in either direction")
-        key = (lambda dom: dom.row) if columns else (lambda dom: dom.col)
-        entries = []
-        next_value = 1
-        for _, dominoes in sorted(self.value_classes().items()):
-            for dom in sorted(dominoes, key=key):
-                entries.append((next_value, dom))
-                next_value += 1
-        return DominoTableau._placed(self.core, tuple(entries), self._shape)
+        if columns:
+            return self.conjugated().standardized().conjugated()
+        replay = self._replay()
+        if replay is None:
+            raise ValueError("tableau is not semistandard")
+        return DominoTableau._placed(self.core, *replay)
 
     def conjugated(self):
         """Transposed cells tile the conjugate over the same staircase core."""

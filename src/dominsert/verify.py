@@ -48,10 +48,11 @@ def _record(identity, params, sides):
 def _exhaustive(identity, params, cases, violations, closing=None):
     """The skeleton of every exhaustive check.
 
-    ``violations(case)`` gives what is wrong with one case and ``closing()``
-    what is wrong with the cases taken together.  The record counts the
-    cases and shows the first three violations.  ``cases`` is consumed
-    inside the clock, so a generator times its own enumeration.
+    ``violations(case)`` gives what is wrong with one case (a ValueError is
+    one violation: the case, a word by its letters, and the message) and
+    ``closing()`` what is wrong with the cases taken together.  The record
+    counts the cases and shows the first three violations.  ``cases`` is
+    consumed inside the clock, so a generator times its own enumeration.
     """
 
     def sides():
@@ -59,7 +60,11 @@ def _exhaustive(identity, params, cases, violations, closing=None):
         total = 0
         for case in cases:
             total += 1
-            bad.extend(violations(case))
+            try:
+                bad.extend(violations(case))
+            except ValueError as exc:
+                word = isinstance(case, tuple) and all(isinstance(letter, words.Letter) for letter in case)
+                bad.append((words.word_str(case) if word else str(case), str(exc)))
         if closing is not None:
             bad.extend(closing())
         lhs = f"{len(bad)} violations in {total} cases" + (f": {bad[:3]}" if bad else "")
@@ -86,9 +91,9 @@ def _image_sizes(core, size, pairs, *images):
 
 
 def _insertion_check(identity, n, core, violations, closing=None):
-    """Insert every signed permutation of n once; ``violations(pi, result)``."""
-    inserted = ((pi, insertion.insert_word(pi, core)) for pi in words.enumerate_signed_permutations(n))
-    return _exhaustive(identity, {"n": n, "core": core}, inserted, lambda case: violations(*case), closing)
+    """Insert every signed permutation of n once, inside its case; ``violations(pi, result)``."""
+    params, cases = {"n": n, "core": core}, words.enumerate_signed_permutations(n)
+    return _exhaustive(identity, params, cases, lambda pi: violations(pi, insertion.insert_word(pi, core)), closing)
 
 
 def check_standard_bijection(n, core):

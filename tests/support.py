@@ -57,6 +57,13 @@ def max_even_vertical(lam):
     return max(t.even_vertical() for t in enumerate_standard(lam))
 
 
+def standardized_top_to_bottom(tab):
+    """Number the value classes 1..n, each top to bottom, with no check: the
+    column convention as the library once built it, by a sort on rows."""
+    ordered = sorted(tab.entries, key=lambda entry: (entry[0], entry[1].row))
+    return DominoTableau(tab.core, tuple((i, dom) for i, (_, dom) in enumerate(ordered, start=1)))
+
+
 # ---------------------------------------------------------------------------
 # the steps of the standardization chains
 

@@ -298,6 +298,25 @@ def test_reverse_rejects_a_core_mismatch(capsys, monkeypatch):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_reverse_rejects_a_valid_pair_over_another_core(capsys, monkeypatch):
+    for core, expected in ((1, 0), (0, 2)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"P": ON_CORE, "Q": ON_CORE, "core": core})))
+        code, out, err = run_cli(capsys, "reverse")
+        assert code == expected
+    assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_reverse_rejects_a_column_semistandard_recording(capsys, monkeypatch):
+    # P is semistandard; Q holds one value down a column, so only its conjugate is
+    vertical = [{**ONE, "row": row, "orient": "v"} for row in (1, 3)]
+    p = {"core": [], "dominoes": [vertical[0], {**vertical[1], "value": 2}]}
+    q = {"core": [], "dominoes": vertical}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"P": p, "Q": q})))
+    code, out, err = run_cli(capsys, "reverse")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
 from dominsert.insertion import biword_insert, biword_reverse, insert_word
-from dominsert.partitions import DominoShape
-from dominsert.tableaux import DominoTableau
+from dominsert.partitions import DominoShape, enumerate_with_core
+from dominsert.tableaux import DominoTableau, enumerate_semistandard
 from dominsert.verify import check_semistandard
 from dominsert.words import (
     DUAL,
@@ -91,12 +93,60 @@ def test_reverse_rejects_shape_mismatch():
         biword_reverse(single, vertical, 0)
 
 
+# column-semistandard only: one value down a column, so no horizontal strip
+STACKED = DominoTableau((), ((1, DominoShape(1, 1, V)), (1, DominoShape(3, 1, V))))
+COLUMN_P = DominoTableau((), ((1, DominoShape(1, 1, V)), (2, DominoShape(3, 1, V))))
+
+
 def test_reverse_rejects_pair_outside_image():
     # equal shapes and weights, but the columns cannot come from one biword
-    p = DominoTableau((), ((1, DominoShape(1, 1, V)), (1, DominoShape(3, 1, V))))
-    assert not p.is_semistandard()
+    assert not STACKED.is_semistandard()
     with pytest.raises(ValueError):
-        biword_reverse(p, p, 0)
+        biword_reverse(STACKED, STACKED, 0)
+
+
+def test_reverse_rejects_a_pair_over_another_core():
+    p, q = biword_insert(W, 1)
+    assert biword_reverse(p, q, 1) == W
+    with pytest.raises(ValueError, match="core of order 1, not 0"):
+        biword_reverse(p, q, 0)
+    # the core is compared by its order, so a large one is never built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="not 1000000"):
+            biword_reverse(p, q, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_reverse_rejects_a_column_semistandard_recording():
+    assert COLUMN_P.is_semistandard() and STACKED.is_column_semistandard()
+    with pytest.raises(ValueError, match="not semistandard"):
+        biword_reverse(COLUMN_P, STACKED, 0)
+
+
+def test_reverse_inverts_insertion_on_every_small_pair():
+    """Every same-shape semistandard pair over cores 0-2 with at most three
+    dominoes and values at most 3 is in the image: inserting the reverse
+    gives the pair back, as the bijection theorem says."""
+    count = 0
+    for core in range(3):
+        for n in range(4):
+            for lam in enumerate_with_core(core, n):
+                tabs = enumerate_semistandard(lam, 3)
+                for p in tabs:
+                    for q in tabs:
+                        assert biword_insert(biword_reverse(p, q, core), core) == (p, q)
+                        count += 1
+    assert count == 3990
+
+
+def test_reverse_inserts_nothing(monkeypatch):
+    calls = count_insertions(monkeypatch)
+    assert biword_reverse(W_P, W_Q, 0) == W
+    assert calls == []
 
 
 def test_exhaustive_small():

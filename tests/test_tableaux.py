@@ -18,7 +18,7 @@ from dominsert.tableaux import (
     tableau_sign,
 )
 from dominsert.involutions import standard_tableau_count
-from support import cospin, max_even_vertical, max_odd_vertical, tableau_from_chain
+from support import cospin, max_even_vertical, max_odd_vertical, standardized_top_to_bottom, tableau_from_chain
 
 H, V = "h", "v"
 
@@ -106,6 +106,10 @@ def test_validation():
     )
     assert not stacked.is_semistandard()
     assert stacked.is_column_semistandard()
+    # standardization numbers rows by default and never guesses the direction
+    with pytest.raises(ValueError, match="not semistandard"):
+        stacked.standardized()
+    assert stacked.standardized(columns=True).values() == (1, 2)
 
 
 def tiling_oracle(core, placements):
@@ -228,6 +232,20 @@ def test_standardize_commutes_with_conjugation():
             left = tab.standardized(columns=False).conjugated()
             right = tab.conjugated().standardized(columns=True)
             assert left == right, tab
+
+
+def test_column_standardization_numbers_each_class_top_to_bottom():
+    # through the conjugate, as the sort on rows it replaces
+    count = 0
+    for core in range(3):
+        for n in range(4):
+            for lam in enumerate_with_core(core, n):
+                for tab in enumerate_column_semistandard(lam, 3):
+                    assert tab.standardized(columns=True) == standardized_top_to_bottom(tab), tab
+                    count += 1
+    assert count == 378
+    with pytest.raises(ValueError):  # a row strip of one value is not column-semistandard
+        BIG.standardized(columns=True)
 
 
 def test_enumerate_standard_counts():

@@ -10,6 +10,7 @@ import pytest
 
 import dominsert
 from dominsert import insertion, involutions, tableaux, verify, words
+from dominsert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -91,6 +92,38 @@ def test_exhaustive_checks_report_a_wrong_library(monkeypatch):
     _assert_fails(verify.check_inverse_symmetry(3, 1), cases)
 
 
+def test_a_fault_inside_a_case_fails_its_record(monkeypatch, capsys):
+    # a ValueError is one violation that names the word, not an abort of the run
+    planted = (words.Letter(2, True), words.Letter(1))
+    real_reverse = insertion.growth_reverse_word
+
+    def faulty(p, q):
+        word = real_reverse(p, q)
+        if word == planted:
+            raise ValueError("planted fault")
+        return word
+
+    monkeypatch.setattr(insertion, "growth_reverse_word", faulty)
+    record = verify.check_standard_bijection(2, 0)
+    _assert_fails(record, 2**2 * 2)
+    assert "(\"2' 1\", 'planted fault')" in record["lhs"]
+    assert main(["verify", "insertion", "--n", "2"]) == 1
+    assert "planted fault" in capsys.readouterr().out
+
+
+def test_an_insertion_fault_fails_its_record(monkeypatch):
+    real_insert = insertion.insert_word
+
+    def faulty(word, core):
+        if len(word) == 2:
+            raise ValueError("planted fault")
+        return real_insert(word, core)
+
+    monkeypatch.setattr(insertion, "insert_word", faulty)
+    for check in ("check_standard_bijection", "check_ascent_lemmas"):
+        _assert_fails(verify.run_instance((check, {"n": 2, "core": 1})), 2**2 * 2)
+
+
 def test_closing_comparison_reports_a_wrong_image_size(monkeypatch):
     real_count = involutions.standard_tableau_count
     monkeypatch.setattr(involutions, "standard_tableau_count", lambda lam: real_count(lam) + 1)
@@ -170,8 +203,8 @@ def test_signed_permutation_suites_build_no_biword(suite, monkeypatch):
     [
         ("sym", 315, 0),  # once per involution of n <= 4 and core 0-2
         ("sign", 392, 0),  # at cores 0 and 1: 76 involutions of n = 4 for the sign, 2 per toggle of 60
-        # each biword is inserted once and its reverse inserts once more; the inverse is looked up
-        ("semistandard", 1980, 990),
+        # each biword is inserted once; its reverse inserts nothing and the inverse is looked up
+        ("semistandard", 990, 990),
         ("dual", 372, 372),  # the standardization claim grows each of the 372 standardized words
     ],
 )
