@@ -27,8 +27,17 @@ def _parse_shape(text):
     return as_partition(int(p) for p in text.replace("(", "").replace(")", "").split(","))
 
 
+MAX_CORE = 1000  # a core is built as its whole staircase, so its order is bounded
+
+
+def _core_order(value):
+    if value > MAX_CORE:
+        raise ValueError(f"core order must be at most {MAX_CORE}, got {value}")
+    return value
+
+
 def _parse_cores(text):
-    return tuple(int(c) for c in text.split(","))
+    return tuple(_core_order(int(c)) for c in text.split(","))
 
 
 def _insert_payload(word, core, trace):
@@ -101,7 +110,7 @@ def cmd_reverse(args):
         raise ValueError("reverse expects a JSON object with P and Q")
     p = tableaux.DominoTableau.from_json(payload["P"])
     q = tableaux.DominoTableau.from_json(payload["Q"])
-    core = json_int(payload.get("core", args.core), "core")
+    core = _core_order(json_int(payload.get("core", args.core), "core"))
     word = insertion.biword_reverse(p, q, core)
     standard = all(bl.top.value == i for i, bl in enumerate(word.letters, start=1))
     text = words.word_str(word.bottom) if standard and words.is_signed_permutation(word.bottom) else str(word)
@@ -296,6 +305,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _core_order(getattr(args, "core", 0))
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

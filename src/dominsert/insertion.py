@@ -4,6 +4,9 @@ The growth-rule formulation is taken as the authoritative semantics; the
 bumping procedure is implemented independently and the two are compared
 square-for-square in the test suite.  Bumping works on a row index of the
 tableau and visits only the dominoes on its path; see ``_RowIndex.insert``.
+``insert_all`` bumps every signed permutation of n by one walk over their
+prefixes, so each prefix is inserted once; the spin ledger of a growth
+diagram visits only the squares where a row's label changes.
 
 Each edge of a growth diagram is labelled by the domino it adds, or None.
 A label is the same ``(row, col, orient)`` triple as ``DominoShape``; the
@@ -49,6 +52,7 @@ from .words import (
     dual_standardize,
     is_signed_permutation,
     standardize,
+    walk_signed_permutations,
 )
 
 
@@ -71,6 +75,12 @@ class _RowIndex:
             for r, _ in dom.cells():
                 self.rows[r - 1].append(value)
         self.dominoes, self.entries = dict(entries), list(entries)
+
+    def copy(self):
+        twin = _RowIndex.__new__(_RowIndex)
+        twin.order, twin.lengths, twin.rows = self.order, self.lengths[:], [row[:] for row in self.rows]
+        twin.dominoes, twin.entries = dict(self.dominoes), self.entries[:]
+        return twin
 
     def length(self, r, below):
         """Length of row r (0 off the rows) among the values below ``below``."""
@@ -187,6 +197,13 @@ class InsertionResult:
         return self.p.shape()
 
 
+def _result(base, index, recording):
+    shape = tuple(index.lengths)
+    return InsertionResult(
+        DominoTableau._placed(base, tuple(index.entries), shape), DominoTableau._placed(base, recording, shape)
+    )
+
+
 def insert_word(letters, core=0):
     """Insert a signed permutation through one index; the recording tableau
     holds the domino each step adds.  Each step's closing ``place_domino``
@@ -197,11 +214,24 @@ def insert_word(letters, core=0):
         raise ValueError("insert_word expects a signed permutation")
     base = staircase(core)
     index = _RowIndex(base, (), base)
-    recording = tuple((value, index.insert(letter)) for value, letter in enumerate(letters, start=1))
-    shape = tuple(index.lengths)
-    return InsertionResult(
-        DominoTableau._placed(base, tuple(index.entries), shape), DominoTableau._placed(base, recording, shape)
-    )
+    return _result(base, index, tuple((value, index.insert(letter)) for value, letter in enumerate(letters, start=1)))
+
+
+def insert_all(n, core=0):
+    """(word, ``insert_word(word, core)``) for each signed permutation of [n],
+    in the walk's order: each prefix is inserted once, into its parent's
+    index, copied for all but the last child, and a leaf's P and Q are
+    proven as in ``insert_word``.  A word below a step that raised comes
+    with None."""
+    base = staircase(core)
+
+    def step(state, letter, last):
+        index, recording = state
+        child = index if last else index.copy()
+        return child, recording + ((len(recording) + 1, child.insert(letter)),)
+
+    for word, state in walk_signed_permutations(n, (_RowIndex(base, (), base), ()), step):
+        yield word, state and _result(base, *state)
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +413,32 @@ class GrowthDiagram:
 
     def spin_ledger_holds(self):
         """Per-square bookkeeping: vertical-domino growth on the two far edges
-        matches the two near edges plus 2 exactly on a -1 square.  Vertical
-        labels are read from ``vertical``; each horizontal edge's label is
-        derived once, from the grid.  Square (i, j) is a -1 square exactly
-        when letter i is barred and j = value - 1."""
-        def vert(dom):
-            return 1 if dom and dom[2] == VERTICAL else 0
+        matches the two near edges plus 2 exactly on a -1 square.  Square
+        (i, j) has left and right labels v and w, and horizontal labels h
+        and h' before and after row i; as cell sets grid[i + 1][j + 1] =
+        grid[i][j] + h + w and grid[i + 1][j] = grid[i][j] + v, so h' =
+        (h | w) - v.  Only the squares in ``changes`` are visited, deriving
+        h' so and checking it with ``domino_of_cells``.  The others hold:
+        there v = w, so h' = h and the ledger reads [h] + [v] = [v] + [h];
+        and a -1 square, at the value of a barred letter, is its row's seed."""
+        def cells(dom):
+            return set(DominoShape.cells(dom)) if dom else set()
 
-        below = [0] * self.n  # the grid's bottom row is all core
-        for letter, labels, shapes in zip(self.word, self.vertical, self.grid[1:]):
-            above = [vert(_label(outer, inner)) for inner, outer in zip(shapes, shapes[1:])]
-            side = [vert(dom) for dom in labels]
-            minus = letter.value - 1 if letter.barred else -1  # the row's -1 column, if any
-            for j in range(self.n):
-                if above[j] + side[j + 1] != side[j] + below[j] + 2 * (j == minus):
+        def vert(dom):
+            return dom is not None and dom[2] == VERTICAL
+
+        horizontal = [None] * self.n  # grid row 0 is all core
+        for letter, changes in zip(self.word, self.changes):
+            minus, left = letter.value - 1 if letter.barred else -1, None  # the row's -1 column, if any
+            for j, right in changes:
+                outer, gone = cells(horizontal[j]) | cells(right), cells(left)
+                rest = sorted(outer - gone)
+                if not gone <= outer or len(rest) not in (0, 2):
+                    raise ValueError(f"the labels around square {j} of {letter} leave no domino")
+                after = domino_of_cells(*rest) if rest else None
+                if vert(after) + vert(right) != vert(left) + vert(horizontal[j]) + 2 * (j == minus):
                     return False
-            below = above
+                horizontal[j], left = after, right
         return True
 
     def to_json(self):

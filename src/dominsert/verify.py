@@ -91,9 +91,19 @@ def _image_sizes(core, size, pairs, *images):
 
 
 def _insertion_check(identity, n, core, violations, closing=None):
-    """Insert every signed permutation of n once, inside its case; ``violations(pi, result)``."""
-    params, cases = {"n": n, "core": core}, words.enumerate_signed_permutations(n)
-    return _exhaustive(identity, params, cases, lambda pi: violations(pi, insertion.insert_word(pi, core)), closing)
+    """``violations(pi, result)`` for each signed permutation of n, inserted by
+    ``insert_all``, or inside its case, raising, where the walk could not."""
+    results = {}
+
+    def cases():
+        for pi, result in insertion.insert_all(n, core):
+            results[pi] = result
+            yield pi
+
+    def case(pi):
+        return violations(pi, results.pop(pi) or insertion.insert_word(pi, core))
+
+    return _exhaustive(identity, {"n": n, "core": core}, cases(), case, closing)
 
 
 def check_standard_bijection(n, core):
@@ -192,6 +202,11 @@ def check_semistandard(length, core, max_value=2):
             if image.get((q, p)) != words.invert_colored(w):
                 yield str(w)
         yield from _image_sizes(core, length, pairs, image)
+        for p, q in itertools.islice(image, 1):  # the reverse rejects a pair over another core
+            try:
+                yield f"reversed over core {core + 1}: {insertion.biword_reverse(p, q, core + 1)}"
+            except ValueError:
+                pass
 
     def pairs(lam):
         return len(tableaux.enumerate_semistandard(lam, max_value)) ** 2

@@ -313,14 +313,35 @@ def involution_profile(letters):
     return InvolutionProfile(counts[True, False], counts[True, True], counts[False, False], counts[False, True])
 
 
+def walk_signed_permutations(n, state=None, step=None):
+    """Every signed permutation of [n], lexicographically by neg-values, with
+    the state its prefixes lead to.  Depth first, each node tries its unused
+    letters by increasing ``neg``, which is one to one on letters: two words
+    first differ below a common prefix, and the one with the smaller
+    neg-value there lies under the earlier child, so it comes out first.
+    ``step(state, letter, last)`` gives a child's state once per prefix, and
+    may change its argument only for the last child.  Below a step that
+    raised ValueError, or with no state, a word comes with None."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+
+    def walk(prefix, letters, state):
+        if not letters:
+            yield prefix, state
+        for i, letter in enumerate(letters):
+            try:
+                child = None if state is None else step(state, letter, i == len(letters) - 1)
+            except ValueError:
+                child = None
+            yield from walk(prefix + (letter,), [other for other in letters if other.value != letter.value], child)
+
+    return walk((), [Letter(v, True) for v in range(n, 0, -1)] + [Letter(v) for v in range(1, n + 1)], state)
+
+
 def enumerate_signed_permutations(n):
-    """All 2^n n! signed permutations of [n], lexicographically by neg-values."""
-    out = []
-    for values in itertools.permutations(range(1, n + 1)):
-        for bars in itertools.product((False, True), repeat=n):
-            out.append(tuple(Letter(v, b) for v, b in zip(values, bars)))
-    out.sort(key=neg_values)
-    return out
+    """All 2^n n! signed permutations of [n], lexicographically by
+    neg-values: the words of ``walk_signed_permutations``."""
+    return [word for word, _ in walk_signed_permutations(n)]
 
 
 def enumerate_involutions(n):

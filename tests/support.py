@@ -2,6 +2,7 @@
 library no longer carries, and Hypothesis strategies for biwords and signed
 permutations."""
 
+import itertools
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from dominsert.words import (
     colored_word,
     invert_colored,
     invert_dual,
+    neg_values,
 )
 
 
@@ -36,6 +38,35 @@ def tableau_from_chain(shapes, values=None):
             raise ValueError(f"{outer}/{inner} is not a domino")
         entries.append((value, dom))
     return DominoTableau(shapes[0], tuple(entries))
+
+
+def spin_ledger_by_grid(diagram):
+    """The spin ledger of a growth diagram at every square, each horizontal
+    label derived from the replayed grid of shapes."""
+
+    def vert(dom):
+        return 1 if dom and dom[2] == VERTICAL else 0
+
+    below = [0] * diagram.n  # the grid's bottom row is all core
+    for letter, labels, shapes in zip(diagram.word, diagram.vertical, diagram.grid[1:]):
+        above = [vert(insertion._label(outer, inner)) for inner, outer in zip(shapes, shapes[1:])]
+        side = [vert(dom) for dom in labels]
+        minus = letter.value - 1 if letter.barred else -1  # the row's -1 column, if any
+        for j in range(diagram.n):
+            if above[j] + side[j + 1] != side[j] + below[j] + 2 * (j == minus):
+                return False
+        below = above
+    return True
+
+
+def signed_permutations_by_sort(n):
+    """All signed permutations of [n], sorted by their neg-values."""
+    words = [
+        tuple(Letter(v, b) for v, b in zip(values, bars))
+        for values in itertools.permutations(range(1, n + 1))
+        for bars in itertools.product((False, True), repeat=n)
+    ]
+    return sorted(words, key=neg_values)
 
 
 # ---------------------------------------------------------------------------

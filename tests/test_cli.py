@@ -251,6 +251,42 @@ def test_negative_core_rejected(capsys):
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("insert", "1", "--core", "1000000000"),
+        ("growth", "2' 1", "--core", "1000000000"),
+        ("reverse", "--core", "1000000000"),
+        ("series", "expand", "--core", "1000000000"),
+        ("series", "check", "--cores", "0,1000000000"),
+        ("enumerate", "shapes", "--core", "1000000000"),
+        ("verify", "insertion", "--cores", "1000000000"),
+    ],
+)
+def test_a_huge_core_is_rejected_before_it_is_built(capsys, monkeypatch, argv):
+    # a core is built as its whole staircase: 10^9 parts would take gigabytes
+    monkeypatch.setattr("sys.stdin", io.StringIO("{}"))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and peak < 1_000_000
+    assert err == "error: core order must be at most 1000, got 1000000000\n"
+
+
+def test_the_largest_core_still_runs(capsys, monkeypatch):
+    for argv in (("insert", "1"), ("growth", "1"), ("enumerate", "shapes", "--n", "1"), ("series", "expand")):
+        code, out, _ = run_cli(capsys, *argv, "--core", "1000", "--format", "json")
+        assert code == 0 and json.loads(out)
+    code, out, _ = run_cli(capsys, "insert", "2' 1", "--core", "1000", "--format", "json")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run_cli(capsys, "reverse", "--format", "json")
+    assert code == 0 and json.loads(out) == {"word": "2' 1", "core": 1000}
+
+
 # each payload below is valid once its one bad number is made an integer
 ONE = {"value": 1, "row": 1, "col": 1, "orient": "h"}
 ON_CORE = {"core": [1], "dominoes": [{**ONE, "col": 2}]}

@@ -29,6 +29,7 @@ from dominsert.insertion import (
     growth_reverse,
     growth_reverse_word,
     growth_str,
+    insert_all,
     insert_frames,
     insert_letter,
     insert_word,
@@ -47,7 +48,13 @@ from dominsert.words import (
     parse_word,
     total_color,
 )
-from support import grow_by_slices, shrink_by_shifts, signed_permutations, tableau_from_chain
+from support import (
+    grow_by_slices,
+    shrink_by_shifts,
+    signed_permutations,
+    spin_ledger_by_grid,
+    tableau_from_chain,
+)
 
 H, V = "h", "v"
 
@@ -742,11 +749,16 @@ def test_growth_keeps_where_each_rows_label_changes(monkeypatch):
                 assert len(changes) == 1 + turns
 
 
-def test_spin_ledger_derives_each_horizontal_label_once(monkeypatch):
-    """The ledger reads the vertical labels and derives each set horizontal
-    label once: edge j of grid row i is set when value j + 1 is among the
-    first i letters, on n(n + 1)/2 edges in all.  Toggling the bar of one
-    letter, the sign of its entry, breaks the ledger."""
+def _toggled(diagram, i):
+    """The diagram with the bar of letter i toggled, the sign of its entry."""
+    word = diagram.word
+    return dataclasses.replace(diagram, word=word[:i] + (word[i].with_bar(not word[i].barred),) + word[i + 1:])
+
+
+def test_spin_ledger_derives_no_label_from_shapes(monkeypatch):
+    """The ledger reads the labels of the changed squares and derives each
+    horizontal label from them: it makes no ``skew_domino`` call.  Toggling
+    the bar of one letter breaks the ledger."""
     calls = Counter()
 
     def counted(outer, inner, _original=insertion.skew_domino):
@@ -758,13 +770,36 @@ def test_spin_ledger_derives_each_horizontal_label_once(monkeypatch):
     for n in (1, 4, 30):
         for core in range(3):
             diagram = growth(_random_word(rng, n), core)
-            calls.clear()
             assert diagram.spin_ledger_holds()
-            assert calls["skew_domino"] == n * (n + 1) // 2
-            i = rng.randrange(n)
-            word = diagram.word
-            flipped = word[:i] + (word[i].with_bar(not word[i].barred),) + word[i + 1:]
-            assert not dataclasses.replace(diagram, word=flipped).spin_ledger_holds()
+            assert not _toggled(diagram, rng.randrange(n)).spin_ledger_holds()
+    assert calls["skew_domino"] == 0
+
+
+@settings(max_examples=60)
+@given(signed_permutations(max_n=40), st.integers(min_value=0, max_value=3), st.randoms(use_true_random=False))
+def test_spin_ledger_agrees_with_the_grid_ledger(word, core, rng):
+    diagram = growth(word, core)
+    assert diagram.spin_ledger_holds() is spin_ledger_by_grid(diagram) is True
+    if word:
+        toggled = _toggled(diagram, rng.randrange(len(word)))
+        assert toggled.spin_ledger_holds() is spin_ledger_by_grid(toggled) is False
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(min_value=0, max_value=500), st.randoms(use_true_random=False), cores)
+def test_spin_ledger_holds_at_large_n(n, rng, core):
+    diagram = growth(_random_word(rng, n), core)
+    assert diagram.spin_ledger_holds()
+    if n:
+        assert not _toggled(diagram, rng.randrange(n)).spin_ledger_holds()
+
+
+def test_the_walk_inserts_as_insert_word_does():
+    for n in range(6):
+        for core in range(4):
+            walked = [(word, result.p, result.q) for word, result in insert_all(n, core)]
+            results = [(word, insert_word(word, core)) for word in enumerate_signed_permutations(n)]
+            assert walked == [(word, result.p, result.q) for word, result in results]
 
 
 def _peak(function, *args):
@@ -785,6 +820,15 @@ def test_growth_holds_the_word_not_the_matrix():
     diagram, peak = _peak(growth, word, 1)
     assert peak < 5_000_000
     assert diagram.word == word
+
+
+def test_spin_ledger_memory_is_linear_in_n():
+    # the grid ledger replays (n + 1)^2 shapes, a quadratic peak at least;
+    # this one keeps one horizontal label per value
+    for n in (250, 1000):
+        diagram = growth(_random_word(random.Random(n), n), 1)
+        holds, peak = _peak(diagram.spin_ledger_holds)
+        assert holds and peak < 200 * n
 
 
 def test_growth_reverse_builds_the_word_alone():

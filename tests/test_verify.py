@@ -112,16 +112,20 @@ def test_a_fault_inside_a_case_fails_its_record(monkeypatch, capsys):
 
 
 def test_an_insertion_fault_fails_its_record(monkeypatch):
-    real_insert = insertion.insert_word
+    # a step that raises under a prefix of the walk is one violation per word
+    # below it, named by the word, with the message insert_word raises
+    real_step = insertion._RowIndex.insert
 
-    def faulty(word, core):
-        if len(word) == 2:
+    def faulty(index, letter):
+        if len(index.entries) == 1:
             raise ValueError("planted fault")
-        return real_insert(word, core)
+        return real_step(index, letter)
 
-    monkeypatch.setattr(insertion, "insert_word", faulty)
+    monkeypatch.setattr(insertion._RowIndex, "insert", faulty)
     for check in ("check_standard_bijection", "check_ascent_lemmas"):
         _assert_fails(verify.run_instance((check, {"n": 2, "core": 1})), 2**2 * 2)
+    record = verify.check_ascent_lemmas(2, 1)
+    assert record["lhs"].startswith("8 violations in 8 cases: [(\"2' 1'\", 'planted fault'), ")
 
 
 def test_closing_comparison_reports_a_wrong_image_size(monkeypatch):
@@ -162,20 +166,21 @@ def test_max_spin_split_enumerates_each_shape_once(monkeypatch):
     assert calls and set(calls.values()) == {1}
 
 
-def test_insertion_suite_inserts_each_word_once_per_check(monkeypatch):
-    calls = Counter()
-    real_insert = insertion.insert_word
+def test_insertion_checks_insert_each_prefix_once(monkeypatch):
+    # the 384 signed permutations of 4 have 8 + 48 + 192 + 384 prefixes;
+    # word by word, each check would insert 4 * 384 = 1,536 letters
+    calls = _count_calls(monkeypatch, (insertion._RowIndex, "insert"))
+    assert verify.check_standard_bijection(4, 1)["pass"]
+    assert calls["insert"] == 632
 
-    def counted(word, core):
-        calls[word, core] += 1
-        return real_insert(word, core)
 
-    monkeypatch.setattr(insertion, "insert_word", counted)
-    records = verify.run_suite("insertion", {"n": 3})
-    assert all(record["pass"] for record in records)
-    # 2 + 8 + 48 signed permutations of n <= 3, at three cores; five checks
-    assert len(calls) == (2 + 8 + 48) * 3
-    assert set(calls.values()) == {5}
+def test_semistandard_record_reverses_over_another_core(monkeypatch):
+    # a reverse that ignores its core accepts a pair over core + 1
+    real_reverse = insertion.biword_reverse
+    monkeypatch.setattr(insertion, "biword_reverse", lambda p, q, core: real_reverse(p, q, len(p.core)))
+    record = verify.check_semistandard(2, 0)
+    _assert_fails(record, 36)
+    assert record["lhs"].startswith("1 violations in 36 cases: ['reversed over core 1: ")
 
 
 def _count_calls(monkeypatch, *targets):
