@@ -63,10 +63,11 @@ from .words import (
 class _RowIndex:
     """A standard tableau indexed for bumping: per row, the values of its
     non-core cells left to right, a sorted list since values weakly increase
-    along a row; the domino of each value; the sorted entries; the row
-    lengths.  Row r of staircase(k) has max(k + 1 - r, 0) core cells."""
+    along a row; the domino of each value; the sorted values, which a move
+    never changes; the row lengths.  Row r of staircase(k) has
+    max(k + 1 - r, 0) core cells."""
 
-    __slots__ = ("order", "rows", "lengths", "dominoes", "entries")
+    __slots__ = ("order", "rows", "lengths", "dominoes", "values")
 
     def __init__(self, core, entries, shape):
         self.order, self.lengths = len(core), list(shape)
@@ -74,19 +75,18 @@ class _RowIndex:
         for value, dom in entries:
             for r, _ in dom.cells():
                 self.rows[r - 1].append(value)
-        self.dominoes, self.entries = dict(entries), list(entries)
+        self.dominoes, self.values = dict(entries), [value for value, _ in entries]
 
     def copy(self):
         twin = _RowIndex.__new__(_RowIndex)
         twin.order, twin.lengths, twin.rows = self.order, self.lengths[:], [row[:] for row in self.rows]
-        twin.dominoes, twin.entries = dict(self.dominoes), self.entries[:]
+        twin.dominoes, twin.values = dict(self.dominoes), self.values[:]
         return twin
 
-    def length(self, r, below):
-        """Length of row r (0 off the rows) among the values below ``below``."""
-        if not 0 < r <= len(self.rows):
-            return 0
-        return max(self.order + 1 - r, 0) + bisect_left(self.rows[r - 1], below)
+    @property
+    def entries(self):
+        """The (value, domino) pairs in value order, built on each read."""
+        return tuple((value, self.dominoes[value]) for value in self.values)
 
     def height(self, c, below):
         """Height of column c among the values below ``below``, by bisection:
@@ -104,25 +104,29 @@ class _RowIndex:
         The seed ends row 1 (unbarred letter) or column 1 (barred) among the
         values below the letter's.  Up to each value the new tableau exceeds
         the old one, T, by one domino D, at first the seed.  The next domino
-        to move has the least value w under D: sharing one cell with D, its
-        free cell slides to the diagonal neighbour of that cell; equal to D,
-        it bumps to the next row (horizontal) or column (vertical).  Each
-        move is checked against T_{<w} + D with ``place_domino``'s row
-        conditions.  A domino d that D never meets stays unvisited: d is
-        addable to T_{<w}, and T_{<w} + D + d is the union of the partitions
-        T_{<w} + D and T_{<w} + d.  Once no cell of T lies under D,
-        ``place_domino`` adds D to T's row lengths, which proves that the
-        step adds exactly D.
+        to move has the least value w under D, in D's first cell.  Equal to
+        D, it bumps to the next row (horizontal) or column (vertical).  Else
+        it must start at that cell with the other orientation, or the step
+        raises; its free cell slides to the cell diagonally below the shared
+        one and D's second cell follows: the moved domino is D, the next D
+        the old one, each shifted down (horizontal) or right (vertical).
+        Each move is checked against T_{<w} + D with ``place_domino``'s row
+        conditions, on row lengths read inline from ``rows``, which hold T
+        until the step ends (a term ``k <= n and ...`` is 0 off the rows).
+        A domino d that D never meets stays unvisited: d is addable to
+        T_{<w}, and T_{<w} + D + d is the union of the partitions T_{<w} + D
+        and T_{<w} + d.  Once no cell of T lies under D, ``place_domino``
+        adds D to T's row lengths, which proves that the step adds exactly
+        D.  Only the new value joins the sorted values.
         """
-        rows, lengths, order = self.rows, self.lengths, self.order
-        dominoes, entries, n = self.dominoes, self.entries, len(lengths)
-        value = letter.value
+        rows, lengths, order, dominoes = self.rows, self.lengths, self.order, self.dominoes
+        value, n = letter.value, len(lengths)
         if value in dominoes:
             raise ValueError(f"value {value} already present")
         if letter.barred:
             dom = seed = DominoShape(self.height(1, value) + 1, 1, VERTICAL)
         else:
-            dom = seed = DominoShape(1, self.length(1, value) + 1, HORIZONTAL)
+            dom = seed = DominoShape(1, (n and order + bisect_left(rows[0], value)) + 1, HORIZONTAL)
         moves = []
         while True:
             row, col, orient = dom
@@ -132,31 +136,36 @@ class _RowIndex:
             # increase along rows and down columns; D covers no core cell
             w = rows[row - 1][col - 1 - max(order + 1 - row, 0)]
             old = dominoes[w]
-            if old != dom:
-                rest = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
-                free = next(cell for cell in old.cells() if cell != (row, col))
-                corner = (row + 1, col + 1)
-                new, grown = domino_of_cells(free, corner), domino_of_cells(rest, corner)
-            elif orient == HORIZONTAL:
-                new = grown = DominoShape(row + 1, self.length(row + 1, w) + 1, HORIZONTAL)
-            else:
+            if old == dom and orient == HORIZONTAL:
+                below = row < n and max(order - row, 0) + bisect_left(rows[row], w)
+                new = grown = DominoShape(row + 1, below + 1, HORIZONTAL)
+            elif old == dom:
                 new = grown = DominoShape(self.height(col + 1, w) + 1, col + 1, VERTICAL)
+            elif old[0] != row or old[1] != col:
+                raise ValueError(f"{old} does not start at {(row, col)} in the insertion of {value}")
+            elif orient == HORIZONTAL:
+                new, grown = DominoShape(row + 1, col, HORIZONTAL), (row, col + 1, VERTICAL)
+            else:
+                new, grown = DominoShape(row, col + 1, VERTICAL), (row + 1, col, HORIZONTAL)
+            # rows r - 1, r and last of T_{<w} + D: core cells, cells below w, D's cells
             r, c, o = new
-            last, end = (r, c + 1) if o == HORIZONTAL else (r + 1, c)
-            d_rows = (row, row + (orient == VERTICAL))
-            above, top, bottom = (self.length(k, w) + d_rows.count(k) for k in (r - 1, r, last))
+            last, end, lower = r + (o == VERTICAL), c + (o == HORIZONTAL), row + (orient == VERTICAL)
+            above = r > 1 and max(order + 2 - r, 0) + bisect_left(rows[r - 2], w) + (r - 1 == row) + (r - 1 == lower)
+            top = (r <= n and max(order + 1 - r, 0) + bisect_left(rows[r - 1], w)) + (r == row) + (r == lower)
+            bottom = top if last == r else (
+                (last <= n and max(order - r, 0) + bisect_left(rows[r], w)) + (last == row) + (last == lower))
             if not (top == bottom == c - 1 and (r == 1 or above >= end)):
                 raise ValueError(f"cannot move {old} to {new} in the insertion of {value}")
             moves.append((w, old, new))
             dom = grown
+        dom = DominoShape(*dom)
         place_domino(lengths, *dom)
         while len(rows) < len(lengths):
             rows.append([])
         for w, (r, _, o), new in moves:
             for i in (r - 1, r - (o == HORIZONTAL)):
                 del rows[i][bisect_left(rows[i], w)]
-            entries[bisect_left(entries, (w,))] = (w, new)
-        entries.insert(bisect_left(entries, (value,)), (value, seed))
+        insort(self.values, value)
         moves.append((value, None, seed))
         for w, _, new in moves:
             insort(rows[new.row - 1], w)
@@ -172,7 +181,7 @@ def insert_letter(tab, letter):
     if len(index.dominoes) < len(tab.entries) or not tab.is_semistandard():
         raise ValueError("insert_letter expects distinct values whose prefixes are shapes")
     index.insert(letter)
-    return DominoTableau(tab.core, tuple(index.entries))
+    return DominoTableau(tab.core, index.entries)
 
 
 def insert_frames(letters, core=0):
@@ -183,7 +192,7 @@ def insert_frames(letters, core=0):
     index, frames = _RowIndex(base, (), base), []
     for letter in letters:
         index.insert(letter)
-        frames.append(DominoTableau._placed(base, tuple(index.entries), tuple(index.lengths)))
+        frames.append(DominoTableau._placed(base, index.entries, tuple(index.lengths)))
     return frames
 
 
@@ -200,7 +209,7 @@ class InsertionResult:
 def _result(base, index, recording):
     shape = tuple(index.lengths)
     return InsertionResult(
-        DominoTableau._placed(base, tuple(index.entries), shape), DominoTableau._placed(base, recording, shape)
+        DominoTableau._placed(base, index.entries, shape), DominoTableau._placed(base, recording, shape)
     )
 
 
@@ -477,6 +486,7 @@ def growth(matrix_or_word, core=0):
     present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
     horizontal = [None] * n
     recording, changes = [], []
+    grow, place = _grow, place_domino  # bound per call, so that a patched module name is seen
     for i, letter in enumerate(word, start=1):
         start, entry = letter.value - 1, -1 if letter.barred else 1
         k = bisect_left(present, start)
@@ -484,8 +494,8 @@ def growth(matrix_or_word, core=0):
         columns.insert(k, list(columns[k - 1] if k else base))
         left, row = None, []
         for j, column in zip(present[k:], columns[k:]):
-            horizontal[j], label = _grow(column, left, horizontal[j], entry)
-            place_domino(column, *label)
+            horizontal[j], label = grow(column, left, horizontal[j], entry)
+            place(column, *label)
             if label != left:
                 row.append((j, label))
                 left = label
@@ -573,12 +583,12 @@ def growth_reverse_word(p, q):
     except ValueError:
         raise ValueError(mismatch) from None
     labels = [dom for _, dom in p.entries]
-    present, word = list(range(n)), [None] * n
+    present, word, shrink = list(range(n)), [None] * n, _shrink
     for i in range(n - 1, -1, -1):
         right = q.entries[i][1]
         for k in range(len(present) - 1, -1, -1):
             j = present[k]
-            entry, right, labels[j] = _shrink(columns[k], labels[j], right)
+            entry, right, labels[j] = shrink(columns[k], labels[j], right)
             if right is None:
                 word[i] = Letter(j + 1, entry < 0)
                 del present[k], columns[k]

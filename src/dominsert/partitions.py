@@ -121,7 +121,10 @@ def place_domino(rows, row, col, orient):
     checking only the rows it touches and the row above; a partition stays a
     partition, and ``rows`` is unchanged on error.  Rows past the end of the
     list have length 0, as in ``part``."""
-    last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
+    if orient == HORIZONTAL:
+        last, end = row, col + 1
+    else:
+        last, end = row + 1, col
     n = len(rows)
     if (
         row < 1 or col < 1
@@ -130,14 +133,18 @@ def place_domino(rows, row, col, orient):
         or (row > 1 and (row > n + 1 or rows[row - 2] < end))
     ):
         raise ValueError(f"cannot add {(row, col, orient)} to {tuple(rows)}")
-    rows.extend([0] * (last - n))
+    if last > n:
+        rows.extend([0] * (last - n))
     rows[row - 1] = rows[last - 1] = end
 
 
 def lift_domino(rows, row, col, orient):
     """Remove the domino (row, col, orient) from ``rows`` in place; the
     inverse of ``place_domino``, dropping emptied rows."""
-    last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
+    if orient == HORIZONTAL:
+        last, end = row, col + 1
+    else:
+        last, end = row + 1, col
     if (
         row < 1 or col < 1
         or last > len(rows)

@@ -66,10 +66,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (
-            (self.nx, self.ny, self.bound) == (other.nx, other.ny, other.bound)
-            and self.terms == other.terms
-        )
+        return (self.nx, self.ny, self.bound, self.terms) == (other.nx, other.ny, other.bound, other.terms)
 
     def __add__(self, other):
         self._check(other)
@@ -85,10 +82,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, (int, MPoly)):
             coeff = other if isinstance(other, MPoly) else MPoly.const(other, PARAMS)
-            return TruncatedSeries(
-                self.nx, self.ny, self.bound,
-                {e: c * coeff for e, c in self.terms.items()},
-            )
+            return TruncatedSeries(self.nx, self.ny, self.bound, {e: c * coeff for e, c in self.terms.items()})
         self._check(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -107,10 +101,7 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def subs(self, assignments):
-        return TruncatedSeries(
-            self.nx, self.ny, self.bound,
-            {e: c.subs(assignments) for e, c in self.terms.items()},
-        )
+        return TruncatedSeries(self.nx, self.ny, self.bound, {e: c.subs(assignments) for e, c in self.terms.items()})
 
     def truncated(self, bound):
         if bound > self.bound:
@@ -119,18 +110,12 @@ class TruncatedSeries:
 
     def monomial_str(self, exps):
         names = [f"x{i+1}" for i in range(self.nx)] + [f"y{i+1}" for i in range(self.ny)]
-        parts = [
-            name if e == 1 else f"{name}^{e}"
-            for name, e in zip(names, exps)
-            if e
-        ]
+        parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
         return "*".join(parts) if parts else "1"
 
     def lines(self):
-        out = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            out.append(f"{self.monomial_str(exps)}: {self.terms[exps]}")
-        return out
+        ordered = sorted(self.terms, key=lambda e: (sum(e), e))
+        return [f"{self.monomial_str(exps)}: {self.terms[exps]}" for exps in ordered]
 
     def __str__(self):
         return "\n".join(self.lines()) if self.terms else "0"
@@ -315,17 +300,16 @@ def schur_sum(nx, bound, weight=None):
 # specializations
 
 
-def specialization_square(nx, bound):
-    """a=b=c=s=1: the square of the classical Schur-sum product identity."""
-    lhs = weighted_domino_sum(0, nx, bound).subs({"a": 1, "b": 1, "c": 1, "s": 1})
-    classical = schur_sum(nx, bound)
-    rhs = classical * classical
-    return lhs, rhs
+def specialization_square(total):
+    """a=b=c=s=1 in ``total``, the core-0 ``weighted_domino_sum``: the square
+    of the classical Schur-sum product identity."""
+    classical = schur_sum(total.nx, total.bound)
+    return total.subs({"a": 1, "b": 1, "c": 1, "s": 1}), classical * classical
 
 
-def specialization_zero_spin(nx, bound):
-    """s=0: Schur sum weighted by odd columns and column pairs."""
-    lhs = weighted_domino_sum(0, nx, bound).subs({"s": 0})
+def specialization_zero_spin(total):
+    """s=0 in ``total``: Schur sum weighted by odd columns and column pairs."""
+    nx, bound = total.nx, total.bound
 
     def weight(lam):
         conj = conjugate(lam)
@@ -336,26 +320,24 @@ def specialization_zero_spin(nx, bound):
     c = MPoly.var("c", PARAMS)
     factors = [Factor(-b, _exponents(nx, i), power=-1) for i in range(nx)]
     factors.extend(Factor(-c, _exponents(nx, i, j), power=-1) for i in range(nx) for j in range(i + 1, nx))
-    product = expand_product(factors, nx, 0, bound)
-    return lhs, rhs, product
+    return total.subs({"s": 0}), rhs, expand_product(factors, nx, 0, bound)
 
 
-def _even_shapes(nx, bound, values, columns):
-    """The weighted sum at ``values`` and the sum of G over the shapes with
-    even rows, and with ``columns`` even columns too."""
-    lhs = weighted_domino_sum(0, nx, bound).subs(values)
-    rhs = TruncatedSeries.zero(nx, 0, bound)
-    for lam in shapes_up_to(0, bound):
+def _even_shapes(total, values, columns):
+    """``total`` at ``values`` and the sum of G over the shapes with even
+    rows, and with ``columns`` even columns too."""
+    rhs = TruncatedSeries.zero(total.nx, 0, total.bound)
+    for lam in shapes_up_to(0, total.bound):
         if odd_rows(lam) == 0 and not (columns and odd_rows(conjugate(lam))):
-            rhs = rhs + domino_function(lam, nx, bound)
-    return lhs, rhs
+            rhs = rhs + domino_function(lam, total.nx, total.bound)
+    return total.subs(values), rhs
 
 
-def specialization_even_rows(nx, bound):
+def specialization_even_rows(total):
     """a=0, b=c=1 picks out the even-row shapes."""
-    return _even_shapes(nx, bound, {"a": 0, "b": 1, "c": 1}, columns=False)
+    return _even_shapes(total, {"a": 0, "b": 1, "c": 1}, columns=False)
 
 
-def specialization_even_both(nx, bound):
+def specialization_even_both(total):
     """a=b=0, c=1 picks out shapes with even rows and even columns."""
-    return _even_shapes(nx, bound, {"a": 0, "b": 0, "c": 1}, columns=True)
+    return _even_shapes(total, {"a": 0, "b": 0, "c": 1}, columns=True)

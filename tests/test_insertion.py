@@ -607,6 +607,35 @@ def test_insert_word_steps_match_the_replay(word, core):
     assert result.q == tableau_from_chain(shapes)
 
 
+@settings(max_examples=5)
+@given(signed_permutations(min_n=150, max_n=200))
+def test_insert_word_matches_the_replay_at_benchmark_size(word):
+    """P and Q at the round-trip benchmark's sizes, over cores 0-3, against
+    the replay and the chain of shapes it tiles after each letter."""
+    for core in range(4):
+        entries, shapes = (), [staircase(core)]
+        for letter in word:
+            entries = replay_bump(staircase(core), entries, letter)
+            shapes.append(tiled_shape(staircase(core), entries))
+        result = insert_word(word, core)
+        assert result.p.entries == entries
+        assert result.q == tableau_from_chain(shapes)
+
+
+def test_a_row_index_out_of_step_fails_its_move():
+    # two corrupted indices, each caught at its first move and named by the
+    # inserted value: value 2's domino does not start at the cell the rows
+    # put it in, or row 2 holds a cell below 2 that no domino covers
+    index = insertion._RowIndex((), ((2, DominoShape(1, 1, H)),), (2,))
+    index.dominoes[2] = DominoShape(2, 1, H)
+    with pytest.raises(ValueError, match=r"does not start at \(1, 1\) in the insertion of 1$"):
+        index.insert(Letter(1, True))
+    index = insertion._RowIndex((), ((2, DominoShape(1, 1, V)),), (1, 1))
+    index.rows[1].insert(0, 1)
+    with pytest.raises(ValueError, match=r"^cannot move .* to .* in the insertion of 1$"):
+        index.insert(Letter(1))
+
+
 def test_insertion_over_a_large_core_stays_small():
     # core cells are never stored, so a 3000-row core costs its row lengths only
     tracemalloc.start()

@@ -156,15 +156,15 @@ def test_degree_zero_terms():
 
 
 def test_specializations():
-    lhs, rhs = specialization_square(1, 3)
+    lhs, rhs = specialization_square(weighted_domino_sum(0, 1, 3))
     assert lhs == rhs
-    lhs, rhs = specialization_square(2, 3)
+    lhs, rhs = specialization_square(weighted_domino_sum(0, 2, 3))
     assert lhs == rhs
-    l2, r2, p2 = specialization_zero_spin(2, 3)
+    l2, r2, p2 = specialization_zero_spin(weighted_domino_sum(0, 2, 3))
     assert l2 == r2 == p2
-    l3, r3 = specialization_even_rows(2, 4)
+    l3, r3 = specialization_even_rows(weighted_domino_sum(0, 2, 4))
     assert l3 == r3
-    l4, r4 = specialization_even_both(2, 4)
+    l4, r4 = specialization_even_both(weighted_domino_sum(0, 2, 4))
     assert l4 == r4
 
 

@@ -3,13 +3,14 @@
 import importlib
 import importlib.util
 import json
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dominsert
-from dominsert import insertion, involutions, tableaux, verify, words
+from dominsert import insertion, involutions, polynomials, series, tableaux, verify, words
 from dominsert.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,6 +67,21 @@ def test_traced_names_resolve():
             assert callable(vars(getattr(owner, cls_name))[method]), path
         else:
             assert callable(getattr(owner, path)), path
+
+
+def test_the_tracer_installs_and_restores_every_name():
+    # perfbench/run.py --trace 1 patches each traced name where its module
+    # holds it, and puts every module and class attribute back afterwards
+    spans = _load_perfbench("spans")
+    owners = [m for name, m in sys.modules.items() if name.split(".")[0] == "dominsert"]
+    owners += [tableaux.DominoTableau, series.TruncatedSeries, polynomials.MPoly]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert insertion.growth is not before[owners.index(insertion)]["growth"]
+        insertion.growth(words.parse_word("2 1'"), 1)
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert tracer.summary()["insertion.growth"]["calls"] == 1
 
 
 def _assert_fails(record, cases):
