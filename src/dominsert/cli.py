@@ -1,6 +1,7 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+141 when the reader of stdout closes it early.
 Bars are written as a trailing apostrophe (3') or a leading minus (-3) on
 input and rendered with the apostrophe on output.  All output is ASCII or
 JSON; every command is deterministic.
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import insertion, series, signimbalance, tableaux, verify, words
@@ -307,6 +309,9 @@ def main(argv=None):
     try:
         _core_order(getattr(args, "core", 0))
         return args.func(args)
+    except BrokenPipeError:  # the reader left: the exit flush goes nowhere, the status is SIGPIPE's
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

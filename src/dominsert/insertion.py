@@ -5,8 +5,8 @@ bumping procedure is implemented independently and the two are compared
 square-for-square in the test suite.  Bumping works on a row index of the
 tableau and visits only the dominoes on its path; see ``_RowIndex.insert``.
 ``insert_all`` bumps every signed permutation of n by one walk over their
-prefixes, so each prefix is inserted once; the spin ledger of a growth
-diagram visits only the squares where a row's label changes.
+prefixes, so each prefix is inserted once.  Growth and its reverse call a
+local rule, and the spin ledger checks one, only where a row's label changes.
 
 Each edge of a growth diagram is labelled by the domino it adds, or None.
 A label is the same ``(row, col, orient)`` triple as ``DominoShape``; the
@@ -324,6 +324,12 @@ def _grow(nu, a, b, entry):
     return b, a
 
 
+def _partner(dom):
+    """The one label of the other orientation that ``_grow``'s 2x2 block pairs with dom."""
+    row, col, orient = dom
+    return (row + 1, col - 1, HORIZONTAL) if orient == VERTICAL else (row - 1, col + 1, VERTICAL)
+
+
 def _shrink(rows, c, d):
     """Reverse rule on edge labels, the inverse of ``_grow``: c = rho/mu and
     d = rho/nu give (entry, mu/lam, nu/lam), and ``rows`` goes from mu to
@@ -341,7 +347,7 @@ def _shrink(rows, c, d):
             if col == 1:
                 return -1, None, None
             a = b = (col_height(rows, col - 1) - 1, col - 1, VERTICAL)
-    elif c is not None and c[2] != d[2] and c[0] - d[0] == d[1] - c[1] == (1 if c[2] == HORIZONTAL else -1):
+    elif c == _partner(d):
         # c and d share a cell: shifted back, they start at one cell
         a, b = _shift(c, -1), _shift(d, -1)
     lift_domino(rows, *a)
@@ -470,8 +476,12 @@ def growth(matrix_or_word, core=0):
     and each kept column to its right: n + inv(|w|) squares in all.  Each
     skipped square has top label None: left of the seed its left label is
     None, and right of it ``_grow`` would pass the left label on and
-    ``place_domino`` repeat its last check on an equal list.  So a row
-    keeps only the squares where ``_grow`` changes its label.  Q's domino i
+    ``place_domino`` repeat its last check on an equal list.  Right of the
+    seed both labels are set (value j + 1 seeded the top one); ``_grow``
+    bumps equal ones and fills a 2x2 block for two that start at one cell,
+    each a new row label, and else passes the left one, (r, c, o), on.  So
+    a row calls ``_grow``, and keeps the square, only where the top label
+    starts at (r, c), and elsewhere places (r, c, o) itself.  Q's domino i
     is row i's last vertical label, P's domino j the last label of
     horizontal edge j; both are listed in value order, and both tableaux
     have the shape of grid[n][n]: the last kept column, or the core when
@@ -488,18 +498,20 @@ def growth(matrix_or_word, core=0):
     recording, changes = [], []
     grow, place = _grow, place_domino  # bound per call, so that a patched module name is seen
     for i, letter in enumerate(word, start=1):
-        start, entry = letter.value - 1, -1 if letter.barred else 1
-        k = bisect_left(present, start)
-        present.insert(k, start)
+        j = letter.value - 1
+        k = bisect_left(present, j)
+        present.insert(k, j)
         columns.insert(k, list(columns[k - 1] if k else base))
-        left, row = None, []
-        for j, column in zip(present[k:], columns[k:]):
-            horizontal[j], label = grow(column, left, horizontal[j], entry)
-            place(column, *label)
-            if label != left:
-                row.append((j, label))
-                left = label
-            entry = 0
+        horizontal[j], left = grow(columns[k], None, horizontal[j], -1 if letter.barred else 1)
+        place(columns[k], *left)
+        row, (r, c, o) = [(j, left)], left
+        for j, column in zip(present[k + 1:], columns[k + 1:]):
+            top = horizontal[j]
+            if top[0] == r and top[1] == c:
+                horizontal[j], left = grow(column, left, top, 0)
+                row.append((j, left))
+                r, c, o = left
+            place(column, r, c, o)
         recording.append((i, DominoShape(*left)))
         changes.append(tuple(row))
     shape = tuple(columns[-1]) if n else base
@@ -518,7 +530,10 @@ def growth_reverse_word(p, q):
     kept square's top and right labels c and d into its entry and its left
     and bottom labels a and b, and lifts a off column j; the seed sets
     letter i to value j + 1, barred when its entry is -1, drops column j
-    and ends the row.  A skipped square has c None and would lift d off
+    and ends the row.  As d turns None only at a seed, ``_shrink`` seeds or
+    bumps if c = d, shifts both back if c is ``_partner(d)``, and else lifts
+    d and keeps both labels, which a square whose c is neither does itself.
+    A skipped square has c None and would lift d off
     mu = rho: the last lift again, on an equal column, or right of the kept
     ones Q's domino off Q's shape (below).  Left of them every column is
     the core: a row out of kept columns lifts its right label off it, which
@@ -555,9 +570,9 @@ def growth_reverse_word(p, q):
        has its right label set, its left label unset (2) and one seed (the
        right label turns None only there), so it sets one horizontal label
        fewer, from n down to 0.  The bottom chain (1) is then column 0.
-    4. Row i of the dense matrix holds the entries ``_shrink`` returned on
-       its kept squares and 0 on the others: 0 but at its seed, +-1 there,
-       so its entries are 0 or +-1 in a square grid.  Each row ends at
+    4. Row i of the dense matrix holds 0 but at its seed, where ``_shrink``
+       returns +-1 (elsewhere it returns 0, or is not called), so its
+       entries are 0 or +-1 in a square grid.  Each row ends at
        exactly one seed, as the right label turns None only there and a
        row without one raises (2); the seed sets letter i, the one nonzero
        entry of row i.  A column is dropped only at its seed, so no two
@@ -583,18 +598,23 @@ def growth_reverse_word(p, q):
     except ValueError:
         raise ValueError(mismatch) from None
     labels = [dom for _, dom in p.entries]
-    present, word, shrink = list(range(n)), [None] * n, _shrink
+    present, word, shrink, lift, partner = list(range(n)), [None] * n, _shrink, lift_domino, _partner
     for i in range(n - 1, -1, -1):
         right = q.entries[i][1]
+        (r, c, o), changing = right, (right, partner(right))
         for k in range(len(present) - 1, -1, -1):
             j = present[k]
+            if labels[j] not in changing:
+                lift(columns[k], r, c, o)
+                continue
             entry, right, labels[j] = shrink(columns[k], labels[j], right)
             if right is None:
                 word[i] = Letter(j + 1, entry < 0)
                 del present[k], columns[k]
                 break
+            (r, c, o), changing = right, (right, partner(right))
         else:
-            lift_domino(list(p.core), *right)
+            lift(list(p.core), *right)
     if not is_signed_permutation(word):
         raise ValueError("not a signed permutation")
     return tuple(word)

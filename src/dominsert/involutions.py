@@ -18,6 +18,7 @@ cycle exactly one unit of the ``d`` statistic.)
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .insertion import insert_word
 from .partitions import d_stat, enumerate_with_core, odd_rows, conjugate, staircase, two_quotient, size
@@ -67,17 +68,12 @@ def involution_poly(n, core=0):
 
 def involution_poly_direct(n):
     """The same polynomial, summed over signed involutions by cycle profile."""
-    total = MPoly.zero(PARAMS)
+    counts = Counter()
     for pi in enumerate_involutions(n):
-        profile = involution_profile(pi)
-        term = (
-            MPoly.var("a", PARAMS, power=profile.barred_fixed)
-            * MPoly.var("b", PARAMS, power=profile.fixed)
-            * MPoly.var("c", PARAMS, power=profile.two_cycles + profile.barred_two_cycles)
-            * MPoly.var("s", PARAMS, power=profile.barred_fixed + 2 * profile.barred_two_cycles)
-        )
-        total = total + term
-    return total
+        p = involution_profile(pi)
+        counts[p.barred_fixed, p.fixed, p.two_cycles + p.barred_two_cycles,  # a, b, c, s
+               p.barred_fixed + 2 * p.barred_two_cycles] += 1
+    return MPoly(PARAMS, counts)
 
 
 def involution_poly_recursive(n):

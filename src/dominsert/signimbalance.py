@@ -9,6 +9,8 @@ four-variable generating polynomial over all shapes of m collapses to
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .partitions import conjugate, d_stat, enumerate_partitions, v_stat
 from .polynomials import IMBALANCE, MPoly
 from .tableaux import enumerate_standard, tableau_sign
@@ -58,17 +60,12 @@ def pairing_involution(tableau, core_order):
 
 def _imbalance_sum(shapes):
     """Sum over the given shapes of x^v y^v' q^d t^d' times the imbalance."""
-    total = MPoly.zero(IMBALANCE)
+    counts = Counter()
     for lam in shapes:
         value = imbalance(lam)
         if value:
-            total = total + value * (
-                MPoly.var("x", IMBALANCE, power=v_stat(lam))
-                * MPoly.var("y", IMBALANCE, power=v_stat(conjugate(lam)))
-                * MPoly.var("q", IMBALANCE, power=d_stat(lam))
-                * MPoly.var("t", IMBALANCE, power=d_stat(conjugate(lam)))
-            )
-    return total
+            counts[v_stat(lam), v_stat(conjugate(lam)), d_stat(lam), d_stat(conjugate(lam))] += value
+    return MPoly(IMBALANCE, counts)
 
 
 def imbalance_polynomial(m):

@@ -11,6 +11,7 @@ vertical count (the exponent of ``s``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -284,10 +285,7 @@ def enumerate_column_semistandard(lam, max_value):
 
 def spin_poly(lam):
     """Sum of q^spin over the standard tableaux of the shape, in s = q^(1/2)."""
-    poly = MPoly.zero(SPIN)
-    for tab in enumerate_standard(lam):
-        poly = poly + MPoly.var("s", SPIN, power=tab.vertical_count())
-    return poly
+    return MPoly(SPIN, Counter((tab.vertical_count(),) for tab in enumerate_standard(lam)))
 
 
 def max_spin(lam):

@@ -3,12 +3,24 @@ library no longer carries, and Hypothesis strategies for biwords and signed
 permutations."""
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
 
 from dominsert import insertion, involutions
-from dominsert.partitions import HORIZONTAL, VERTICAL, as_partition, col_height, lift_domino, part, skew_domino
+from dominsert.partitions import (
+    HORIZONTAL,
+    VERTICAL,
+    DominoShape,
+    as_partition,
+    col_height,
+    lift_domino,
+    part,
+    place_domino,
+    skew_domino,
+    staircase,
+)
 from dominsert.tableaux import DominoTableau, enumerate_standard, max_spin
 from dominsert.words import (
     COLORED,
@@ -21,6 +33,7 @@ from dominsert.words import (
     colored_word,
     invert_colored,
     invert_dual,
+    is_signed_permutation,
     neg_values,
 )
 
@@ -176,6 +189,66 @@ def shrink_by_shifts(rows, c, d):
         a, b = _shift(c, -1), _shift(d, -1)
     lift_domino(rows, *a)
     return 0, a, b
+
+
+# ---------------------------------------------------------------------------
+# growth and its reverse with a local rule on every square with a top label
+
+
+def growth_by_every_square(word, core=0):
+    """(changes, P, Q) of ``insertion.growth``, each row running
+    ``grow_by_slices`` and ``place_domino`` on every kept column at or right
+    of its nonzero one, and keeping the squares where its label changes."""
+    n, base = len(word), staircase(core)
+    present, columns, horizontal = [], [], [None] * n
+    recording, changes = [], []
+    for i, letter in enumerate(word, start=1):
+        start, entry = letter.value - 1, -1 if letter.barred else 1
+        k = bisect_left(present, start)
+        present.insert(k, start)
+        columns.insert(k, list(columns[k - 1] if k else base))
+        left, row = None, []
+        for j, column in zip(present[k:], columns[k:]):
+            horizontal[j], label = grow_by_slices(column, left, horizontal[j], entry)
+            place_domino(column, *label)
+            if label != left:
+                row.append((j, label))
+                left = label
+            entry = 0
+        recording.append((i, DominoShape(*left)))
+        changes.append(tuple(row))
+    p = DominoTableau(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)))
+    return tuple(changes), p, DominoTableau(base, tuple(recording))
+
+
+def growth_reverse_by_every_square(p, q):
+    """``insertion.growth_reverse_word``, each row running ``shrink_by_shifts``
+    on every kept column right to left, up to its seed."""
+    mismatch = "growth_reverse expects standard tableaux of one shape over one core"
+    if p.shape() != q.shape():
+        raise ValueError(mismatch)
+    n = len(p)
+    try:
+        columns = p.prefix_rows()
+        q.prefix_rows()
+    except ValueError:
+        raise ValueError(mismatch) from None
+    labels = [dom for _, dom in p.entries]
+    present, word = list(range(n)), [None] * n
+    for i in range(n - 1, -1, -1):
+        right = q.entries[i][1]
+        for k in range(len(present) - 1, -1, -1):
+            j = present[k]
+            entry, right, labels[j] = shrink_by_shifts(columns[k], labels[j], right)
+            if right is None:
+                word[i] = Letter(j + 1, entry < 0)
+                del present[k], columns[k]
+                break
+        else:
+            lift_domino(list(p.core), *right)
+    if not is_signed_permutation(word):
+        raise ValueError("not a signed permutation")
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

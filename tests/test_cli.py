@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import tracemalloc
 
 import pytest
@@ -221,6 +222,30 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "insert", "3 x 1")
     assert code == 2
     assert "error" in err
+
+
+def test_a_closed_pipe_exits_141_without_an_error_line(capsys, monkeypatch):
+    """A reader that leaves early (``... | head -1``) is not bad input: the
+    command stops writing and exits 128 + SIGPIPE, with nothing on stderr."""
+
+    read_end, write_end = os.pipe()
+
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_end
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    try:
+        assert main(["enumerate", "sdt", "4,4"]) == 141
+        assert capsys.readouterr().err == ""
+        os.write(write_end, b"the exit flush")  # now the null device
+        os.close(write_end)
+        assert os.read(read_end, 100) == b""
+    finally:
+        os.close(read_end)
 
 
 def test_reverse_error_paths(capsys, tmp_path, monkeypatch):

@@ -50,6 +50,8 @@ from dominsert.words import (
 )
 from support import (
     grow_by_slices,
+    growth_by_every_square,
+    growth_reverse_by_every_square,
     shrink_by_shifts,
     signed_permutations,
     spin_ledger_by_grid,
@@ -622,6 +624,39 @@ def test_insert_word_matches_the_replay_at_benchmark_size(word):
         assert result.q == tableau_from_chain(shapes)
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    signed_permutations(max_n=200),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(("intact", "other", "relaid")),
+    st.data(),
+)
+def test_growth_matches_every_square_reference_at_benchmark_size(word, core, damage, data):
+    """Growth and its reverse run a local rule only where a row's label
+    changes; the reference runs one on every square with a top label.  Both
+    give the same changes, P and Q, and the same word or ValueError message
+    on a pair whose stated shape hides a damaged tableau: P stating the shape
+    of another word's Q, or P or Q with its last domino laid elsewhere."""
+    diagram = growth(word, core)
+    assert (diagram.changes, diagram.p, diagram.q) == growth_by_every_square(word, core)
+    pair = [diagram.p, diagram.q]
+    if damage == "other":
+        other = growth(data.draw(signed_permutations(min_n=len(word), max_n=len(word))), core).q
+        pair = [DominoTableau._placed(diagram.p.core, diagram.p.entries, other.shape()), other]
+    elif damage == "relaid" and word:
+        side = data.draw(st.integers(min_value=0, max_value=1))
+        tab = pair[side]
+        value, last = tab.entries[-1]
+        elsewhere = [dom for _, dom in domino_successors(tuple(tab.prefix_rows()[-1])) if dom != last]
+        if elsewhere:
+            dom = data.draw(st.sampled_from(elsewhere))
+            pair[side] = DominoTableau._placed(tab.core, tab.entries[:-1] + ((value, dom),), tab.shape())
+    back = _outcome(growth_reverse_word, *pair)
+    assert back == _outcome(growth_reverse_by_every_square, *pair)
+    if damage == "intact":
+        assert back == word
+
+
 def test_a_row_index_out_of_step_fails_its_move():
     # two corrupted indices, each caught at its first move and named by the
     # inserted value: value 2's domino does not start at the cell the rows
@@ -723,12 +758,14 @@ def test_local_rules_test_overlaps_as_the_slicing_rules_do():
 
 
 def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
-    """Growth and its reverse run a local rule on a square only once its top
-    label is set: 1 + the number of larger earlier values per row, so
-    n + inv(|w|) squares, of the n(n + 1)/2 at or right of the rows'
-    nonzero entries."""
+    """Growth and its reverse visit a square only once its top label is set:
+    1 + the number of larger earlier values per row, so n + inv(|w|)
+    squares, of the n(n + 1)/2 at or right of the rows' nonzero entries.
+    Growth places a domino on each visited square and the reverse lifts one
+    off each but the seeds; ``_grow`` and ``_shrink`` run only on the
+    squares where a row's label changes."""
     calls = Counter()
-    for name in ("_grow", "_shrink"):
+    for name in ("_grow", "_shrink", "place_domino", "lift_domino"):
 
         def counted(*args, _name=name, _original=getattr(insertion, name)):
             calls[_name] += 1
@@ -743,10 +780,11 @@ def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
             visits = n + sum(a > b for i, a in enumerate(values) for b in values[i + 1:])
             calls.clear()
             diagram = growth(word, core)
-            assert (calls["_grow"], calls["_shrink"]) == (visits, 0)
+            changes = sum(map(len, diagram.changes))
+            assert calls == Counter(place_domino=visits, _grow=changes)
             calls.clear()
             assert growth_reverse(diagram.p, diagram.q) == diagram.matrix
-            assert (calls["_grow"], calls["_shrink"]) == (0, visits)
+            assert calls == Counter(lift_domino=visits - n, _shrink=changes)
 
 
 def test_growth_keeps_where_each_rows_label_changes(monkeypatch):
