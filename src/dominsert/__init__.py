@@ -8,17 +8,14 @@ from .partitions import (
     domino_successors,
     enumerate_partitions,
     enumerate_with_core,
-    shape_stats,
     staircase,
     two_core,
     two_quotient,
 )
 from .tableaux import (
     DominoTableau,
-    empty_tableau,
     enumerate_semistandard,
     enumerate_standard,
-    max_spin,
     spin_poly,
 )
 from .words import (

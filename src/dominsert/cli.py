@@ -103,13 +103,19 @@ def cmd_growth(args):
 
 
 def cmd_reverse(args):
-    if args.input:
-        with open(args.input) as handle:
-            payload = json.load(handle)
-    else:
-        payload = json.load(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input) as handle:
+                payload = json.load(handle)
+        else:
+            payload = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("reverse input is nested too deeply to read as JSON") from None
     if not isinstance(payload, dict):
         raise ValueError("reverse expects a JSON object with P and Q")
+    for key in ("P", "Q"):
+        if key not in payload:
+            raise ValueError(f"the reverse input object has no {key!r} field")
     p = tableaux.DominoTableau.from_json(payload["P"])
     q = tableaux.DominoTableau.from_json(payload["Q"])
     core = _core_order(json_int(payload.get("core", args.core), "core"))
@@ -235,8 +241,6 @@ def build_parser():
         prog="dominsert",
         description="Exact domino Schensted insertion, growth rules, and identity checks.",
     )
-    parser.add_argument("--seed-free", action="store_true",
-                        help="accepted for compatibility; nothing here is randomized")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_insert = sub.add_parser("insert", help="insert a signed word or biword")

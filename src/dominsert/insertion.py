@@ -19,7 +19,7 @@ values inserted so far, and visit only the squares whose top label is set.
 Both hold a signed permutation as its word: letter i puts its sign (-1
 when barred) in column value - 1 of row i.  The dense matrix is a view,
 built by ``word_matrix`` for ``GrowthDiagram.matrix`` and
-``growth_reverse``, and read back once by ``matrix_word``.
+``growth_reverse``.
 """
 
 from __future__ import annotations
@@ -201,10 +201,6 @@ class InsertionResult:
     p: DominoTableau
     q: DominoTableau
 
-    @property
-    def shape(self):
-        return self.p.shape()
-
 
 def _result(base, index, recording):
     shape = tuple(index.lengths)
@@ -259,25 +255,6 @@ def word_matrix(letters):
         row[letter.value - 1] = -1 if letter.barred else 1
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def matrix_word(matrix):
-    """The word of a signed permutation matrix, the inverse of ``word_matrix``."""
-    validate_matrix(matrix)
-    return tuple(Letter(j, entry < 0) for row in matrix for j, entry in enumerate(row, start=1) if entry)
-
-
-def validate_matrix(matrix):
-    n = len(matrix)
-    for row in matrix:
-        zeros = row.count(0)
-        if len(row) != n or zeros + row.count(1) + row.count(-1) != n:
-            raise ValueError("matrix entries must be 0 or +-1, in a square grid")
-        if n - zeros != 1:
-            raise ValueError("each row needs exactly one nonzero entry")
-    for column in zip(*matrix):
-        if n - column.count(0) != 1:
-            raise ValueError("each column needs exactly one nonzero entry")
 
 
 def _label(outer, inner):
@@ -414,12 +391,6 @@ class GrowthDiagram:
             grid.append(tuple(add_domino(s, dom) if dom else s for s, dom in zip(grid[-1], labels)))
         return tuple(grid)
 
-    def p_chain(self):
-        return self.p.chain()
-
-    def q_chain(self):
-        return self.q.chain()
-
     def p_tableau(self):
         return self.p
 
@@ -461,17 +432,16 @@ class GrowthDiagram:
             "core": self.core_order,
             "matrix": [list(row) for row in self.matrix],
             "grid": [[list(shape) for shape in row] for row in self.grid],
-            "p_chain": [list(shape) for shape in self.p_chain()],
-            "q_chain": [list(shape) for shape in self.q_chain()],
+            "p_chain": [list(shape) for shape in self.p.chain()],
+            "q_chain": [list(shape) for shape in self.q.chain()],
         }
 
 
-def growth(matrix_or_word, core=0):
+def growth(word, core=0):
     """Fill the growth diagram of a signed permutation row by row, keeping
     for each value j + 1 inserted so far the row lengths of grid[i][j + 1],
     which take its vertical label in place.  Row i reads its nonzero
-    column j = value - 1 and its sign (-1 when barred) off letter i; a
-    matrix is read as its word once, through ``matrix_word``.  Row i copies
+    column j = value - 1 and its sign (-1 when barred) off letter i, copies
     column j from the kept column to its left, or the core, and visits it
     and each kept column to its right: n + inv(|w|) squares in all.  Each
     skipped square has top label None: left of the seed its left label is
@@ -486,12 +456,9 @@ def growth(matrix_or_word, core=0):
     horizontal edge j; both are listed in value order, and both tableaux
     have the shape of grid[n][n]: the last kept column, or the core when
     n = 0."""
-    if matrix_or_word and isinstance(matrix_or_word[0], Letter):
-        word = tuple(matrix_or_word)
-        if not is_signed_permutation(word):
-            raise ValueError("not a signed permutation")
-    else:
-        word = matrix_word(matrix_or_word)
+    word = tuple(word)
+    if not is_signed_permutation(word):
+        raise ValueError("not a signed permutation")
     n, base = len(word), staircase(core)
     present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
     horizontal = [None] * n
@@ -540,8 +507,8 @@ def growth_reverse_word(p, q):
     raises.  Past the precondition, one ``prefix_rows`` replay of P (the
     columns) and of Q, only ``lift_domino`` and the closing
     ``is_signed_permutation`` check reject; checks 1-3 below are implied,
-    and 4 shows that the closing check is ``validate_matrix`` of the dense
-    matrix.
+    and 4 shows that the closing check asks that the dense matrix have one
+    nonzero entry in each row and in each column.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
@@ -577,9 +544,8 @@ def growth_reverse_word(p, q):
        row without one raises (2); the seed sets letter i, the one nonzero
        entry of row i.  A column is dropped only at its seed, so no two
        rows seed in one column, and n rows fill n columns: one nonzero
-       entry per column.  So ``validate_matrix`` passes exactly when the
-       values of the word are 1..n once each, which is
-       ``is_signed_permutation``.
+       entry per column.  The word holds that matrix row by row, so its
+       values are 1..n once each, which ``is_signed_permutation`` checks.
 
     So ``growth`` of the word, from the core, rebuilds this grid: its top
     row is P's chain and its right column Q's.

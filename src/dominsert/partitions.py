@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from operator import itemgetter, neg
@@ -47,7 +46,10 @@ class DominoShape(namedtuple("DominoShape", "row col orient")):
     @classmethod
     def from_json(cls, data):
         """Inverse of ``_asdict``; row and col must be JSON integers."""
-        return cls(json_int(data["row"], "row"), json_int(data["col"], "col"), data["orient"])
+        try:
+            return cls(json_int(data["row"], "row"), json_int(data["col"], "col"), data["orient"])
+        except KeyError as exc:
+            raise ValueError(f"a domino has no {exc} field") from None
 
 
 def json_int(value, name):
@@ -250,19 +252,6 @@ def d_stat(lam):
 
 def v_stat(lam):
     return sum(p // 2 for p in lam)
-
-
-@dataclass(frozen=True)
-class ShapeStats:
-    o: int
-    o_conj: int
-    d: int
-    v: int
-
-
-def shape_stats(lam):
-    lam = as_partition(lam)
-    return ShapeStats(odd_rows(lam), odd_rows(conjugate(lam)), d_stat(lam), v_stat(lam))
 
 
 @lru_cache(maxsize=None)

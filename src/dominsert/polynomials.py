@@ -71,9 +71,6 @@ class MPoly:
             return NotImplemented
         return self.names == other.names and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.names, frozenset(self.terms.items())))
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -101,9 +98,6 @@ class MPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -168,13 +162,6 @@ class MPoly:
                 new[pos] = e
             terms[tuple(new)] = coeff
         return MPoly(names, terms)
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def coefficient(self, **powers):
-        exps = tuple(powers.get(name, 0) for name in self.names)
-        return self.terms.get(exps, 0)
 
     def _monomial_str(self, exps):
         parts = []

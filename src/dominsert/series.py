@@ -103,11 +103,6 @@ class TruncatedSeries:
     def subs(self, assignments):
         return TruncatedSeries(self.nx, self.ny, self.bound, {e: c.subs(assignments) for e, c in self.terms.items()})
 
-    def truncated(self, bound):
-        if bound > self.bound:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.nx, self.ny, bound, self.terms)
-
     def monomial_str(self, exps):
         names = [f"x{i+1}" for i in range(self.nx)] + [f"y{i+1}" for i in range(self.ny)]
         parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]

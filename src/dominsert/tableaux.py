@@ -202,15 +202,14 @@ class DominoTableau:
             entries = tuple((json_int(d["value"], "value"), DominoShape.from_json(d)) for d in data["dominoes"])
         except TypeError as exc:
             raise ValueError(f"malformed tableau: {exc}") from None
+        except KeyError as exc:  # a domino's other fields are named by DominoShape.from_json
+            where = "a domino" if exc.args[0] == "value" else "a tableau"
+            raise ValueError(f"{where} has no {exc} field") from None
         return cls(core, entries)
 
     def __str__(self):
         body = ", ".join(f"{value}:{dom.row},{dom.col},{dom.orient}" for value, dom in self.entries)
         return f"[core {partition_str(self.core)} | {body}]"
-
-
-def empty_tableau(core_order):
-    return DominoTableau(staircase(core_order), ())
 
 
 def enumerate_standard(lam):
@@ -286,12 +285,6 @@ def enumerate_column_semistandard(lam, max_value):
 def spin_poly(lam):
     """Sum of q^spin over the standard tableaux of the shape, in s = q^(1/2)."""
     return MPoly(SPIN, Counter((tab.vertical_count(),) for tab in enumerate_standard(lam)))
-
-
-def max_spin(lam):
-    """Largest spin over the standard tableaux of the shape."""
-    tabs = enumerate_standard(lam)
-    return max(tab.spin() for tab in tabs)
 
 
 def associated_young_tableau(tab):

@@ -338,12 +338,6 @@ def walk_signed_permutations(n, state=None, step=None):
     return walk((), [Letter(v, True) for v in range(n, 0, -1)] + [Letter(v) for v in range(1, n + 1)], state)
 
 
-def enumerate_signed_permutations(n):
-    """All 2^n n! signed permutations of [n], lexicographically by
-    neg-values: the words of ``walk_signed_permutations``."""
-    return [word for word, _ in walk_signed_permutations(n)]
-
-
 def enumerate_involutions(n):
     """All signed involutions in B_n, built from fixed points and two-cycles."""
     if n < 0:
@@ -386,21 +380,3 @@ def enumerate_biwords(max_top, max_bottom, length, kind=COLORED, multiplicity_fr
     ]
     pick = itertools.combinations if multiplicity_free else itertools.combinations_with_replacement
     return [biword(combo, kind) for combo in pick(types, length)]
-
-
-def to_json(word):
-    if isinstance(word, ColoredBiword):
-        return {
-            "kind": word.kind,
-            "biletters": [[str(bl.top), str(bl.bottom)] for bl in word.letters],
-        }
-    return {"letters": [str(letter) for letter in word]}
-
-
-def from_json(data):
-    if "biletters" in data:
-        pairs = (
-            Biletter(parse_letter(t), parse_letter(b)) for t, b in data["biletters"]
-        )
-        return biword(pairs, data.get("kind", COLORED))
-    return tuple(parse_letter(t) for t in data["letters"])

@@ -21,7 +21,7 @@ from dominsert.partitions import (
     skew_domino,
     staircase,
 )
-from dominsert.tableaux import DominoTableau, enumerate_standard, max_spin
+from dominsert.tableaux import DominoTableau, enumerate_standard
 from dominsert.words import (
     COLORED,
     DOUBLY,
@@ -35,6 +35,7 @@ from dominsert.words import (
     invert_dual,
     is_signed_permutation,
     neg_values,
+    walk_signed_permutations,
 )
 
 
@@ -72,6 +73,12 @@ def spin_ledger_by_grid(diagram):
     return True
 
 
+def enumerate_signed_permutations(n):
+    """All 2^n n! signed permutations of [n], lexicographically by
+    neg-values: the words of ``walk_signed_permutations``."""
+    return [word for word, _ in walk_signed_permutations(n)]
+
+
 def signed_permutations_by_sort(n):
     """All signed permutations of [n], sorted by their neg-values."""
     words = [
@@ -84,6 +91,12 @@ def signed_permutations_by_sort(n):
 
 # ---------------------------------------------------------------------------
 # spin statistics by enumeration
+
+
+def max_spin(lam):
+    """Largest spin over the standard tableaux of the shape."""
+    tabs = enumerate_standard(lam)
+    return max(tab.spin() for tab in tabs)
 
 
 def cospin(tab):

@@ -6,10 +6,12 @@ stated desk-scale bounds.
 """
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 from dominsert import verify
 from dominsert.cli import main as cli_main
-from dominsert.insertion import growth, insert_word
+from dominsert.insertion import growth, insert_word, word_matrix
 from dominsert.partitions import DominoShape
 from dominsert.words import parse_word
 
@@ -32,8 +34,8 @@ def test_criterion_01_figure_reproduction(capsys):
         (4, DominoShape(1, 3, "v")),
     )
     diagram = growth(word, 0)
-    assert diagram.p_chain() == ((), (1, 1), (2, 2), (2, 2, 2), (3, 3, 2))
-    assert diagram.q_chain() == ((), (1, 1), (3, 1), (3, 3), (3, 3, 2))
+    assert diagram.p.chain() == ((), (1, 1), (2, 2), (2, 2, 2), (3, 3, 2))
+    assert diagram.q.chain() == ((), (1, 1), (3, 1), (3, 3), (3, 3, 2))
     code = cli_main(["insert", "3' 4 2 1'", "--core", "0", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0 and payload["shape"] == [3, 3, 2]
@@ -163,3 +165,23 @@ def test_criterion_12_series(capsys):
     records.append(verify.check_specializations(2, 4))
     with capsys.disabled():
         report(12, "series identities at two variables, degrees 3 and 4", records)
+
+
+def test_readme_library_sketch_runs_as_commented():
+    """README's library sketch runs, and each line's commented value holds."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+        else:
+            shown.append((eval(expression, namespace), comment.strip()))
+    values = [value for value, _ in shown]
+    stated = [eval(comment.split(":")[0], {"Fraction": Fraction}) for _, comment in shown[:4]]
+    assert stated == [(3, 3, 2), Fraction(3, 2), True, ((), (1, 1), (2, 2), (2, 2, 2), (3, 3, 2))]
+    word = parse_word("3' 4 2 1'")
+    assert values == stated + [word, word_matrix(word)]

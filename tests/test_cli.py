@@ -350,6 +350,41 @@ def test_reverse_rejects_malformed_payload(capsys, monkeypatch, payload):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def _without(domino, key):
+    return {k: v for k, v in domino.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({}, "the reverse input object has no 'P' field"),
+        ({"P": {"core": [], "dominoes": []}}, "the reverse input object has no 'Q' field"),
+        ({"P": {}, "Q": {}}, "a tableau has no 'core' field"),
+        ({"P": {"core": []}, "Q": {"core": []}}, "a tableau has no 'dominoes' field"),
+        *(
+            ({"P": {"core": [], "dominoes": [_without(ONE, key)]}, "Q": {"core": [], "dominoes": [ONE]}},
+             f"a domino has no {key!r} field")
+            for key in ("value", "row", "col", "orient")
+        ),
+    ],
+)
+def test_reverse_names_a_missing_field(capsys, monkeypatch, payload, message):
+    # one line that says which field is missing and what should hold it, not a bare KeyError
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    code, out, err = run_cli(capsys, "reverse")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_reverse_rejects_a_payload_nested_too_deeply(capsys, tmp_path):
+    # the JSON reader recurses once per level, past the interpreter's limit here
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "reverse", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: reverse input is nested too deeply to read as JSON\n"
+
+
 def test_reverse_rejects_a_core_mismatch(capsys, monkeypatch):
     # P over core 1 and Q over core 0 (each a valid tableau) exit 2 with one line
     payload = {"P": ON_CORE, "Q": {"core": [], "dominoes": [ONE]}, "core": 1}
@@ -382,11 +417,6 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["no-such-command"])
     assert excinfo.value.code == 2
-
-
-def test_seed_free_flag(capsys):
-    code, out, _ = run_cli(capsys, "--seed-free", "imbalance", "2")
-    assert code == 0 and out.strip() == "1"
 
 
 GOLDEN_WORD = "5' 12 3 9' 1 11' 7 2' 10 4' 8 6'"

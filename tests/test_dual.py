@@ -8,7 +8,6 @@ from dominsert.words import (
     DUAL,
     colored_word,
     enumerate_biwords,
-    enumerate_signed_permutations,
     invert_dual,
     parse_biword,
     total_color,
@@ -19,6 +18,7 @@ from support import (
     dual_alpha_by_recording,
     dual_beta_by_recording,
     dual_biwords,
+    enumerate_signed_permutations,
     with_kind,
 )
 

@@ -17,7 +17,6 @@ from dominsert.partitions import (
     lift_domino,
     odd_rows,
     place_domino,
-    shape_stats,
     size,
     skew_domino,
     staircase,
@@ -132,10 +131,8 @@ def test_two_quotient_size_identity():
 
 
 def test_shape_stats_examples():
-    delta1 = shape_stats((1,))
-    assert (delta1.o, delta1.o_conj, delta1.d) == (1, 1, 0)
-    stats = shape_stats((2, 2))
-    assert (stats.o, stats.o_conj, stats.d, stats.v) == (0, 0, 1, 2)
+    assert (odd_rows((1,)), odd_rows(conjugate((1,))), d_stat((1,))) == (1, 1, 0)
+    assert (odd_rows((2, 2)), odd_rows(conjugate((2, 2))), d_stat((2, 2)), v_stat((2, 2))) == (0, 0, 1, 2)
 
 
 def test_d_symmetric_and_v_identity():

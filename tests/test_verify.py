@@ -69,6 +69,32 @@ def test_traced_names_resolve():
             assert callable(getattr(owner, path)), path
 
 
+# every library name perfbench/workloads.py reaches, as (module, dotted path)
+WORKLOAD_NAMES = (
+    ("verify", "SUITES"),
+    ("verify", "suite_instances"),
+    ("verify", "run_instance"),
+    ("insertion", "insert_word"),
+    ("insertion", "growth"),
+    ("insertion", "growth_reverse_word"),
+    ("insertion", "GrowthDiagram.p_tableau"),
+    ("insertion", "GrowthDiagram.q_tableau"),
+    ("words", "Letter"),
+    ("tableaux", "DominoTableau.to_json"),
+)
+
+
+def test_workload_names_resolve():
+    # the benchmark calls these by name, so a deletion that breaks it fails here
+    for module_name, path in WORKLOAD_NAMES:
+        owner = importlib.import_module(f"dominsert.{module_name}")
+        for name in path.split("."):
+            owner = getattr(owner, name)
+        assert owner == verify.SUITES or callable(owner), path
+    source = (ROOT / "perfbench" / "workloads.py").read_text()
+    assert all(path.split(".")[-1] in source for _, path in WORKLOAD_NAMES)
+
+
 def test_the_tracer_installs_and_restores_every_name():
     # perfbench/run.py --trace 1 patches each traced name where its module
     # holds it, and puts every module and class attribute back afterwards

@@ -12,7 +12,6 @@ from dominsert.words import (
     colored_word,
     dual_standardize,
     enumerate_involutions,
-    enumerate_signed_permutations,
     group_inverse,
     invert_colored,
     invert_dual,
@@ -27,6 +26,7 @@ from dominsert.words import (
 
 from support import (
     cycle_profile,
+    enumerate_signed_permutations,
     group_inverse_by_biword,
     involution_profile_by_biword,
     invert,
@@ -259,14 +259,6 @@ def test_profile_matches_standardization_brute_force():
             assert predicted == actual, w
             checked += 1
     assert checked > 300
-
-
-def test_json_round_trip():
-    from dominsert.words import from_json, to_json
-
-    assert from_json(to_json(W)) == W
-    word = parse_word("3' 4 2 1'")
-    assert from_json(to_json(word)) == word
 
 
 def test_enumerations():
