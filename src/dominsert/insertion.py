@@ -1,25 +1,22 @@
 """Domino insertion: bumping, growth rules, and the derived correspondences.
 
-The growth-rule formulation is taken as the authoritative semantics; the
-bumping procedure is implemented independently and the two are compared
-square-for-square in the test suite.  Bumping works on a row index of the
-tableau and visits only the dominoes on its path; see ``_RowIndex.insert``.
-``insert_all`` bumps every signed permutation of n by one walk over their
-prefixes, so each prefix is inserted once.  Growth and its reverse call a
-local rule, and the spin ledger checks one, only where a row's label changes.
+Bumping and growth are two independent implementations, compared square for
+square in the test suite; growth is the authoritative semantics.  Bumping
+works on a cell index of the tableau, by rows and by columns, and visits
+only the dominoes on its path; see ``_RowIndex``.  ``insert_all`` bumps
+every signed permutation of n by one walk over their prefixes, so each
+prefix is inserted once.
 
-Each edge of a growth diagram is labelled by the domino it adds, or None.
-A label is the same ``(row, col, orient)`` triple as ``DominoShape``; the
-labels a local rule builds stay bare triples, and ``place_domino`` or
-``lift_domino`` checks each one.  A square's local rule reads its two near
-labels and at most one row or column length of a corner.  Growth reads
-the standard pair (P, Q) off its last labels, and its reverse takes that
-pair; both run row by row, on one list of row lengths per column of the
-values inserted so far, and visit only the squares whose top label is set.
-Both hold a signed permutation as its word: letter i puts its sign (-1
-when barred) in column value - 1 of row i.  The dense matrix is a view,
-built by ``word_matrix`` for ``GrowthDiagram.matrix`` and
-``growth_reverse``.
+Each edge of a growth diagram is labelled by the domino it adds, or None:
+the ``(row, col, orient)`` triple of ``DominoShape``, left bare by a local
+rule and checked by ``place_domino`` or ``lift_domino``.  A square's local
+rule reads its two near labels and at most one row or column length of a
+corner.  Growth reads the standard pair (P, Q) off its last labels, and its
+reverse takes that pair; both run row by row, on one list of row lengths per
+column of the values inserted so far, visit only the squares whose top label
+is set and, like the spin ledger, call a local rule only where a row's label
+changes.  A signed permutation is held as its word: letter i puts its sign
+(-1 when barred) in column value - 1 of row i of the dense matrix, a view.
 """
 
 from __future__ import annotations
@@ -61,42 +58,36 @@ from .words import (
 
 
 class _RowIndex:
-    """A standard tableau indexed for bumping: per row, the values of its
-    non-core cells left to right, a sorted list since values weakly increase
-    along a row; the domino of each value; the sorted values, which a move
-    never changes; the row lengths.  Row r of staircase(k) has
-    max(k + 1 - r, 0) core cells."""
+    """A standard tableau indexed by cell for bumping: its non-core values by
+    rows and by columns, sorted lists empty past the shape.  Cell (r, c) is
+    ``rows[r - 1][c - 1 - off[r]]`` and ``cols[c - 1][r - 1 - off[c]]``, with
+    ``off[i] = max(k + 1 - i, 0)`` core cells in row i, and column i, of
+    staircase(k); the table reaches two past the lists, is shared by copies
+    and only gains zeros.  Also kept: each value's domino, the sorted values,
+    which a move never changes, and the row lengths."""
 
-    __slots__ = ("order", "rows", "lengths", "dominoes", "values")
+    __slots__ = ("off", "rows", "cols", "lengths", "dominoes", "values")
 
     def __init__(self, core, entries, shape):
-        self.order, self.lengths = len(core), list(shape)
-        self.rows = [[] for _ in shape]
+        width = shape[0] if shape else 0
+        self.off = list(range(len(core) + 1, 0, -1)) + [0] * (max(len(shape), width) + 2 - len(core))
+        self.lengths, self.rows, self.cols = list(shape), [[] for _ in shape], [[] for _ in range(width)]
         for value, dom in entries:
-            for r, _ in dom.cells():
+            for r, c in dom.cells():
                 self.rows[r - 1].append(value)
+                self.cols[c - 1].append(value)
         self.dominoes, self.values = dict(entries), [value for value, _ in entries]
 
     def copy(self):
         twin = _RowIndex.__new__(_RowIndex)
-        twin.order, twin.lengths, twin.rows = self.order, self.lengths[:], [row[:] for row in self.rows]
-        twin.dominoes, twin.values = dict(self.dominoes), self.values[:]
+        twin.off, twin.lengths, twin.values = self.off, self.lengths[:], self.values[:]
+        twin.dominoes, twin.rows, twin.cols = dict(self.dominoes), [r[:] for r in self.rows], [c[:] for c in self.cols]
         return twin
 
     @property
     def entries(self):
         """The (value, domino) pairs in value order, built on each read."""
         return tuple((value, self.dominoes[value]) for value in self.values)
-
-    def height(self, c, below):
-        """Height of column c among the values below ``below``, by bisection:
-        the column is a prefix of the rows."""
-        lo, hi, k = max(self.order + 1 - c, 0), len(self.rows), self.order
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            row, i = self.rows[mid - 1], c - 1 - max(k + 1 - mid, 0)
-            lo, hi = (mid, hi) if i < len(row) and row[i] < below else (lo, mid - 1)
-        return lo
 
     def insert(self, letter):
         """Insert one letter and return the domino the step adds.
@@ -105,28 +96,28 @@ class _RowIndex:
         values below the letter's.  Up to each value the new tableau exceeds
         the old one, T, by one domino D, at first the seed.  The next domino
         to move has the least value w under D, in D's first cell.  Equal to
-        D, it bumps to the next row (horizontal) or column (vertical).  Else
-        it must start at that cell with the other orientation, or the step
-        raises; its free cell slides to the cell diagonally below the shared
-        one and D's second cell follows: the moved domino is D, the next D
-        the old one, each shifted down (horizontal) or right (vertical).
-        Each move is checked against T_{<w} + D with ``place_domino``'s row
-        conditions, on row lengths read inline from ``rows``, which hold T
-        until the step ends (a term ``k <= n and ...`` is 0 off the rows).
+        D, it bumps past the values below w in the next row (horizontal) or
+        column (vertical).  Else it must start at that cell with the other
+        orientation, or the step raises; its free cell slides to the cell
+        diagonally below the shared one and D's second cell follows: the
+        moved domino is D, the next D the old one, each shifted down
+        (horizontal) or right (vertical).  Each move is checked against
+        T_{<w} + D with ``place_domino``'s row conditions, on row lengths
+        read inline from ``rows`` (a term ``k <= n and ...`` is 0 off them).
         A domino d that D never meets stays unvisited: d is addable to
         T_{<w}, and T_{<w} + D + d is the union of the partitions T_{<w} + D
         and T_{<w} + d.  Once no cell of T lies under D, ``place_domino``
         adds D to T's row lengths, which proves that the step adds exactly
-        D.  Only the new value joins the sorted values.
-        """
-        rows, lengths, order, dominoes = self.rows, self.lengths, self.order, self.dominoes
+        D.  Then D's cells are opened at the ends of their rows and columns
+        and each moved value, and the new one, fills its cells in both
+        views: the new dominoes tile the new shape and the others keep their
+        cells, so each changed cell is written exactly once."""
+        rows, cols, off, lengths, dominoes = self.rows, self.cols, self.off, self.lengths, self.dominoes
         value, n = letter.value, len(lengths)
         if value in dominoes:
             raise ValueError(f"value {value} already present")
-        if letter.barred:
-            dom = seed = DominoShape(self.height(1, value) + 1, 1, VERTICAL)
-        else:
-            dom = seed = DominoShape(1, (n and order + bisect_left(rows[0], value)) + 1, HORIZONTAL)
+        at = off[1] + (n and bisect_left(cols[0] if letter.barred else rows[0], value)) + 1
+        dom = seed = DominoShape(at, 1, VERTICAL) if letter.barred else DominoShape(1, at, HORIZONTAL)
         moves = []
         while True:
             row, col, orient = dom
@@ -134,13 +125,14 @@ class _RowIndex:
                 break  # then D's second cell is off T too, as T is a shape
             # the least value of T under D is in D's first cell, as values
             # increase along rows and down columns; D covers no core cell
-            w = rows[row - 1][col - 1 - max(order + 1 - row, 0)]
+            w = rows[row - 1][col - 1 - off[row]]
             old = dominoes[w]
             if old == dom and orient == HORIZONTAL:
-                below = row < n and max(order - row, 0) + bisect_left(rows[row], w)
+                below = row < n and off[row + 1] + bisect_left(rows[row], w)
                 new = grown = DominoShape(row + 1, below + 1, HORIZONTAL)
             elif old == dom:
-                new = grown = DominoShape(self.height(col + 1, w) + 1, col + 1, VERTICAL)
+                below = off[col + 1] + (col < len(cols) and bisect_left(cols[col], w))
+                new = grown = DominoShape(below + 1, col + 1, VERTICAL)
             elif old[0] != row or old[1] != col:
                 raise ValueError(f"{old} does not start at {(row, col)} in the insertion of {value}")
             elif orient == HORIZONTAL:
@@ -150,26 +142,35 @@ class _RowIndex:
             # rows r - 1, r and last of T_{<w} + D: core cells, cells below w, D's cells
             r, c, o = new
             last, end, lower = r + (o == VERTICAL), c + (o == HORIZONTAL), row + (orient == VERTICAL)
-            above = r > 1 and max(order + 2 - r, 0) + bisect_left(rows[r - 2], w) + (r - 1 == row) + (r - 1 == lower)
-            top = (r <= n and max(order + 1 - r, 0) + bisect_left(rows[r - 1], w)) + (r == row) + (r == lower)
+            above = r > 1 and off[r - 1] + bisect_left(rows[r - 2], w) + (r - 1 == row) + (r - 1 == lower)
+            top = (r <= n and off[r] + bisect_left(rows[r - 1], w)) + (r == row) + (r == lower)
             bottom = top if last == r else (
-                (last <= n and max(order - r, 0) + bisect_left(rows[r], w)) + (last == row) + (last == lower))
+                (last <= n and off[last] + bisect_left(rows[r], w)) + (last == row) + (last == lower))
             if not (top == bottom == c - 1 and (r == 1 or above >= end)):
                 raise ValueError(f"cannot move {old} to {new} in the insertion of {value}")
-            moves.append((w, old, new))
+            moves.append((w, new))
             dom = grown
-        dom = DominoShape(*dom)
+        dom = dom if type(dom) is DominoShape else DominoShape(*dom)
         place_domino(lengths, *dom)
-        while len(rows) < len(lengths):
-            rows.append([])
-        for w, (r, _, o), new in moves:
-            for i in (r - 1, r - (o == HORIZONTAL)):
-                del rows[i][bisect_left(rows[i], w)]
+        if len(lengths) > len(rows):  # a step adds at most two rows or columns
+            rows += [], []
+            off += [0] * (len(rows) + 2 - len(off))
+        if lengths[0] > len(cols):
+            cols += [], []
+            off += [0] * (len(cols) + 2 - len(off))
+        r, c, o = dom
+        rows[r - 1].append(None)
+        rows[r - (o == HORIZONTAL)].append(None)
+        cols[c - 1].append(None)
+        cols[c - (o == VERTICAL)].append(None)
         insort(self.values, value)
-        moves.append((value, None, seed))
-        for w, _, new in moves:
-            insort(rows[new.row - 1], w)
-            insort(rows[new.row - (new.orient == HORIZONTAL)], w)
+        for w, new in (*moves, (value, seed)):
+            r, c, o = new
+            rows[r - 1][c - 1 - off[r]] = cols[c - 1][r - 1 - off[c]] = w
+            if o == HORIZONTAL:
+                rows[r - 1][c - off[r]] = cols[c][r - 1 - off[c + 1]] = w
+            else:
+                rows[r][c - 1 - off[r + 1]] = cols[c - 1][r - off[c]] = w
             dominoes[w] = new
         return dom
 

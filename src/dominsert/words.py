@@ -184,8 +184,7 @@ def parse_biword(text, kind=COLORED):
 
 
 def is_signed_permutation(letters):
-    values = sorted(letter.value for letter in letters)
-    return values == list(range(1, len(letters) + 1))
+    return sorted([x.value for x in letters if type(x) is Letter]) == list(range(1, len(letters) + 1))
 
 
 def total_color(word):
@@ -313,7 +312,7 @@ def involution_profile(letters):
     return InvolutionProfile(counts[True, False], counts[True, True], counts[False, False], counts[False, True])
 
 
-def walk_signed_permutations(n, state=None, step=None):
+def walk_signed_permutations(n, state, step):
     """Every signed permutation of [n], lexicographically by neg-values, with
     the state its prefixes lead to.  Depth first, each node tries its unused
     letters by increasing ``neg``, which is one to one on letters: two words
@@ -321,7 +320,7 @@ def walk_signed_permutations(n, state=None, step=None):
     neg-value there lies under the earlier child, so it comes out first.
     ``step(state, letter, last)`` gives a child's state once per prefix, and
     may change its argument only for the last child.  Below a step that
-    raised ValueError, or with no state, a word comes with None."""
+    raised ValueError a word comes with None."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
 

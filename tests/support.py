@@ -75,8 +75,9 @@ def spin_ledger_by_grid(diagram):
 
 def enumerate_signed_permutations(n):
     """All 2^n n! signed permutations of [n], lexicographically by
-    neg-values: the words of ``walk_signed_permutations``."""
-    return [word for word, _ in walk_signed_permutations(n)]
+    neg-values: the words of ``walk_signed_permutations``, walked with a
+    state that no step changes."""
+    return [word for word, _ in walk_signed_permutations(n, (), lambda state, letter, last: state)]
 
 
 def signed_permutations_by_sort(n):

@@ -7,7 +7,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dominsert import insertion
 from dominsert import tableaux as tableaux_module
@@ -41,6 +41,7 @@ from dominsert.tableaux import DominoTableau, enumerate_standard, tiled_shape
 from dominsert.words import (
     Letter,
     group_inverse,
+    is_signed_permutation,
     parse_biword,
     parse_word,
     total_color,
@@ -593,6 +594,50 @@ def test_insert_word_matches_the_replay_at_benchmark_size(word):
         result = insert_word(word, core)
         assert result.p.entries == entries
         assert result.q == tableau_from_chain(shapes)
+
+
+def views_of(core, entries):
+    """P's non-core values read across each row and down each column, from
+    its cells, with P's shape."""
+    shape = tiled_shape(staircase(core), entries)
+    at = {cell: value for value, dom in entries for cell in dom.cells()}
+    rows = [[at[r, c] for c in range(max(core + 1 - r, 0) + 1, length + 1)] for r, length in enumerate(shape, 1)]
+    heights = [col_height(shape, c) for c in range(1, (shape[0] if shape else 0) + 1)]
+    cols = [[at[r, c] for r in range(max(core + 1 - c, 0) + 1, height + 1)] for c, height in enumerate(heights, 1)]
+    return rows, cols, shape
+
+
+def seeded_word(n, seed):
+    rng = random.Random(seed)
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    return tuple(Letter(v, rng.random() < 0.5) for v in values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_permutations(), st.integers(min_value=0, max_value=4))
+@example(seeded_word(200, 22), 3)
+def test_the_row_and_column_views_agree_with_p_after_every_step(word, core):
+    """After each letter the index's rows and columns hold the replay's P,
+    read across each row and down each column; lists past the shape are
+    empty."""
+    base, entries = staircase(core), ()
+    index = insertion._RowIndex(base, (), base)
+    for letter in word:
+        index.insert(letter)
+        entries = replay_bump(base, entries, letter)
+        rows, cols, shape = views_of(core, entries)
+        assert tuple(index.lengths) == shape
+        assert index.rows[:len(rows)] == rows and not any(index.rows[len(rows):])
+        assert index.cols[:len(cols)] == cols and not any(index.cols[len(cols):])
+
+
+def test_non_letters_are_not_a_signed_permutation():
+    # a matrix or bare integers raise ValueError, not AttributeError
+    assert not is_signed_permutation((1, 2)) and not is_signed_permutation((Letter(1), 2))
+    for call in (lambda: growth(((1, 0), (0, 1)), 1), lambda: insert_word((1, 2)), lambda: word_matrix((2, 1))):
+        with pytest.raises(ValueError, match="signed permutation"):
+            call()
 
 
 @settings(max_examples=20, deadline=None)
