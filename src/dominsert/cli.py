@@ -102,6 +102,14 @@ def cmd_growth(args):
     return 0
 
 
+def _read_tableau(data, name):
+    """``DominoTableau.from_json``, naming the tableau in its error."""
+    try:
+        return tableaux.DominoTableau.from_json(data)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def cmd_reverse(args):
     try:
         if args.input:
@@ -116,8 +124,7 @@ def cmd_reverse(args):
     for key in ("P", "Q"):
         if key not in payload:
             raise ValueError(f"the reverse input object has no {key!r} field")
-    p = tableaux.DominoTableau.from_json(payload["P"])
-    q = tableaux.DominoTableau.from_json(payload["Q"])
+    p, q = (_read_tableau(payload[key], key) for key in ("P", "Q"))
     core = _core_order(json_int(payload.get("core", args.core), "core"))
     word = insertion.biword_reverse(p, q, core)
     standard = all(bl.top.value == i for i, bl in enumerate(word.letters, start=1))

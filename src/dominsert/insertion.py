@@ -111,13 +111,16 @@ class _RowIndex:
         D.  Then D's cells are opened at the ends of their rows and columns
         and each moved value, and the new one, fills its cells in both
         views: the new dominoes tile the new shape and the others keep their
-        cells, so each changed cell is written exactly once."""
+        cells, so each changed cell is written exactly once.  Dominoes are
+        built unchecked (``DominoShape._make``): each coordinate is a count
+        plus 1 or a cell's plus 0 or 1, and the last one is placed first."""
         rows, cols, off, lengths, dominoes = self.rows, self.cols, self.off, self.lengths, self.dominoes
+        make = DominoShape._make
         value, n = letter.value, len(lengths)
         if value in dominoes:
             raise ValueError(f"value {value} already present")
         at = off[1] + (n and bisect_left(cols[0] if letter.barred else rows[0], value)) + 1
-        dom = seed = DominoShape(at, 1, VERTICAL) if letter.barred else DominoShape(1, at, HORIZONTAL)
+        dom = seed = make((at, 1, VERTICAL) if letter.barred else (1, at, HORIZONTAL))
         moves = []
         while True:
             row, col, orient = dom
@@ -129,16 +132,16 @@ class _RowIndex:
             old = dominoes[w]
             if old == dom and orient == HORIZONTAL:
                 below = row < n and off[row + 1] + bisect_left(rows[row], w)
-                new = grown = DominoShape(row + 1, below + 1, HORIZONTAL)
+                new = grown = make((row + 1, below + 1, HORIZONTAL))
             elif old == dom:
                 below = off[col + 1] + (col < len(cols) and bisect_left(cols[col], w))
-                new = grown = DominoShape(below + 1, col + 1, VERTICAL)
+                new = grown = make((below + 1, col + 1, VERTICAL))
             elif old[0] != row or old[1] != col:
                 raise ValueError(f"{old} does not start at {(row, col)} in the insertion of {value}")
             elif orient == HORIZONTAL:
-                new, grown = DominoShape(row + 1, col, HORIZONTAL), (row, col + 1, VERTICAL)
+                new, grown = make((row + 1, col, HORIZONTAL)), (row, col + 1, VERTICAL)
             else:
-                new, grown = DominoShape(row, col + 1, VERTICAL), (row + 1, col, HORIZONTAL)
+                new, grown = make((row, col + 1, VERTICAL)), (row + 1, col, HORIZONTAL)
             # rows r - 1, r and last of T_{<w} + D: core cells, cells below w, D's cells
             r, c, o = new
             last, end, lower = r + (o == VERTICAL), c + (o == HORIZONTAL), row + (orient == VERTICAL)
@@ -150,8 +153,8 @@ class _RowIndex:
                 raise ValueError(f"cannot move {old} to {new} in the insertion of {value}")
             moves.append((w, new))
             dom = grown
-        dom = dom if type(dom) is DominoShape else DominoShape(*dom)
         place_domino(lengths, *dom)
+        dom = make(dom)
         if len(lengths) > len(rows):  # a step adds at most two rows or columns
             rows += [], []
             off += [0] * (len(rows) + 2 - len(off))
@@ -456,7 +459,8 @@ def growth(word, core=0):
     is row i's last vertical label, P's domino j the last label of
     horizontal edge j; both are listed in value order, and both tableaux
     have the shape of grid[n][n]: the last kept column, or the core when
-    n = 0."""
+    n = 0.  Their dominoes are built unchecked (``DominoShape._make``): each
+    label passed ``place_domino`` (row, col >= 1), oriented by ``_grow``."""
     word = tuple(word)
     if not is_signed_permutation(word):
         raise ValueError("not a signed permutation")
@@ -464,7 +468,7 @@ def growth(word, core=0):
     present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
     horizontal = [None] * n
     recording, changes = [], []
-    grow, place = _grow, place_domino  # bound per call, so that a patched module name is seen
+    grow, place, make = _grow, place_domino, DominoShape._make  # bound per call, so that a patched name is seen
     for i, letter in enumerate(word, start=1):
         j = letter.value - 1
         k = bisect_left(present, j)
@@ -480,10 +484,10 @@ def growth(word, core=0):
                 row.append((j, left))
                 r, c, o = left
             place(column, r, c, o)
-        recording.append((i, DominoShape(*left)))
+        recording.append((i, make(left)))
         changes.append(tuple(row))
     shape = tuple(columns[-1]) if n else base
-    p = DominoTableau._placed(base, tuple((j, DominoShape(*dom)) for j, dom in enumerate(horizontal, start=1)), shape)
+    p = DominoTableau._placed(base, tuple((j, make(dom)) for j, dom in enumerate(horizontal, start=1)), shape)
     return GrowthDiagram(word, core, p, DominoTableau._placed(base, tuple(recording), shape), tuple(changes))
 
 

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import tracemalloc
 
 import pytest
@@ -49,6 +50,19 @@ def test_insert_biword_and_reverse(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reverse", "--input", str(path))
     assert code == 0
     assert out.strip() == "1/2' 1/3 2/4 3/1' 3/1'"
+
+
+def test_insert_json_into_reverse_gives_back_the_word(capsys, monkeypatch):
+    # seeded signed permutations up to n = 300, through the two commands users call
+    rng = random.Random(23)
+    for core in range(4):
+        for n in (0, 1, 2, rng.randrange(3, 100), 300):
+            text = " ".join(f"{v}'" if rng.random() < 0.5 else str(v) for v in rng.sample(range(1, n + 1), n))
+            code, out, _ = run_cli(capsys, "insert", text, "--core", str(core), "--format", "json")
+            assert code == 0
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code, out, _ = run_cli(capsys, "reverse", "--format", "json")
+            assert code == 0 and json.loads(out) == {"word": text, "core": core}
 
 
 def test_growth_matches_insert(capsys):
@@ -354,22 +368,37 @@ def _without(domino, key):
     return {k: v for k, v in domino.items() if k != key}
 
 
+VALID = {"core": [], "dominoes": [ONE]}
+# a tableau with one field missing or malformed, and the message without the tableau's name
+BROKEN_TABLEAUX = [
+    ({}, "a tableau has no 'core' field"),
+    ({"core": []}, "a tableau has no 'dominoes' field"),
+    *(({"core": [], "dominoes": [_without(ONE, key)]}, f"a domino has no {key!r} field")
+      for key in ("value", "row", "col", "orient")),
+    ({"core": [], "dominoes": [{**ONE, "row": 1.5}]}, "row must be an integer, got 1.5"),
+]
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
         ({}, "the reverse input object has no 'P' field"),
         ({"P": {"core": [], "dominoes": []}}, "the reverse input object has no 'Q' field"),
-        ({"P": {}, "Q": {}}, "a tableau has no 'core' field"),
-        ({"P": {"core": []}, "Q": {"core": []}}, "a tableau has no 'dominoes' field"),
+        # the next six ids predate the "P: " that names the tableau
+        pytest.param({"P": {}, "Q": {}}, "P: a tableau has no 'core' field",
+                     id="payload2-a tableau has no 'core' field"),
+        pytest.param({"P": {"core": []}, "Q": {"core": []}}, "P: a tableau has no 'dominoes' field",
+                     id="payload3-a tableau has no 'dominoes' field"),
         *(
-            ({"P": {"core": [], "dominoes": [_without(ONE, key)]}, "Q": {"core": [], "dominoes": [ONE]}},
-             f"a domino has no {key!r} field")
-            for key in ("value", "row", "col", "orient")
+            pytest.param({"P": broken, "Q": VALID}, f"P: {message}", id=f"payload{i}-{message}")
+            for i, (broken, message) in enumerate(BROKEN_TABLEAUX[2:6], start=4)
         ),
+        *(({"P": VALID, "Q": broken}, f"Q: {message}") for broken, message in BROKEN_TABLEAUX),
+        ({"P": BROKEN_TABLEAUX[-1][0], "Q": VALID}, f"P: {BROKEN_TABLEAUX[-1][1]}"),
     ],
 )
 def test_reverse_names_a_missing_field(capsys, monkeypatch, payload, message):
-    # one line that says which field is missing and what should hold it, not a bare KeyError
+    # one line that names the tableau, a missing or malformed field and what should hold it, not a bare KeyError
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
     code, out, err = run_cli(capsys, "reverse")
     assert code == 2 and out == ""

@@ -803,6 +803,27 @@ def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
             assert calls == Counter(lift_domino=visits - n, _shrink=changes)
 
 
+def test_proven_dominoes_skip_the_range_check(monkeypatch):
+    """Bumping and growth build the dominoes they prove in range without
+    ``DominoShape.__new__``, and each one would pass its check."""
+    calls = []
+
+    def counted(cls, *args, _original=DominoShape.__new__):
+        calls.append(args)
+        return _original(cls, *args)
+
+    monkeypatch.setattr(DominoShape, "__new__", counted)
+    word, tableaux = _random_word(random.Random(23), 200), []
+    for core in range(3):
+        bumped, grown = insert_word(word, core), growth(word, core)
+        tableaux += bumped.p, bumped.q, grown.p, grown.q
+    assert len(calls) == 0
+    monkeypatch.undo()
+    for tab in tableaux:
+        assert len(tab) == 200
+        assert all(type(d) is DominoShape and DominoShape(*d) == d for _, d in tab.entries)
+
+
 def test_growth_keeps_where_each_rows_label_changes(monkeypatch):
     """Row i's change list starts at its seed, column value - 1, rises in
     j, and each label differs from the one before: the row's label changes

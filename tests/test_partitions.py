@@ -231,6 +231,77 @@ def test_place_and_lift_domino_against_cells():
                     assert rows == want, (lam, move.__name__, row, col, orient)
 
 
+# (routine, row lengths, domino, the list after the call or the error message)
+# for lists the in-range case must treat as the general test does: trailing
+# zeros, negative entries, rows at or past either end, and one failed clause
+ROW_LIST_CASES = [
+    # lists with trailing zeros
+    (place_domino, [4, 2, 0], (2, 3, "h"), [4, 4, 0]),
+    (place_domino, [3, 2, 0], (3, 1, "h"), [3, 2, 2]),
+    (place_domino, [2, 0, 0], (2, 1, "v"), [2, 1, 1]),
+    (place_domino, [3, 1, 0], (3, 1, "h"), "cannot add (3, 1, 'h') to (3, 1, 0)"),
+    (lift_domino, [3, 1, 0], (1, 2, "h"), [1, 1]),
+    (lift_domino, [1, 1, 0], (1, 1, "v"), []),
+    (lift_domino, [3, 3, 1, 0], (1, 3, "v"), [2, 2, 1]),
+    (lift_domino, [4, 2, 2, 0], (2, 1, "v"), "cannot remove (2, 1, 'v') from (4, 2, 2, 0)"),
+    # lists with a negative entry
+    (place_domino, [5, -1], (2, 0, "h"), "cannot add (2, 0, 'h') to (5, -1)"),
+    (place_domino, [5, -1, -1], (2, 0, "v"), "cannot add (2, 0, 'v') to (5, -1, -1)"),
+    (place_domino, [5, 0, -3], (2, 1, "h"), [5, 2, -3]),
+    (place_domino, [5, 0, 0, -3], (2, 1, "v"), [5, 1, 1, -3]),
+    (lift_domino, [1, -5, 3], (1, 0, "h"), "cannot remove (1, 0, 'h') from (1, -5, 3)"),
+    (lift_domino, [0, 0, -1, 5], (1, 0, "v"), "cannot remove (1, 0, 'v') from (0, 0, -1, 5)"),
+    (lift_domino, [2, -3], (1, 1, "h"), [0, -3]),
+    (lift_domino, [1, 1, -3], (1, 1, "v"), [0, 0, -3]),
+    # row 1
+    (place_domino, [3, 2], (1, 4, "h"), [5, 2]),
+    (place_domino, [3, 3], (1, 4, "v"), [4, 4]),
+    (place_domino, [3], (1, 3, "h"), "cannot add (1, 3, 'h') to (3,)"),
+    (lift_domino, [5, 2], (1, 4, "h"), [3, 2]),
+    (lift_domino, [1, 1], (1, 1, "v"), []),
+    (lift_domino, [3, 2], (1, 1, "h"), "cannot remove (1, 1, 'h') from (3, 2)"),
+    # a row one past the end
+    (place_domino, [3, 2], (3, 1, "h"), [3, 2, 2]),
+    (place_domino, [2, 2], (3, 1, "v"), [2, 2, 1, 1]),
+    (place_domino, [3, 2], (3, 2, "h"), "cannot add (3, 2, 'h') to (3, 2)"),
+    (place_domino, [3, 1], (2, 2, "v"), "cannot add (2, 2, 'v') to (3, 1)"),
+    (lift_domino, [3, 2], (3, 1, "h"), "cannot remove (3, 1, 'h') from (3, 2)"),
+    (lift_domino, [2, 1], (2, 1, "v"), "cannot remove (2, 1, 'v') from (2, 1)"),
+    # row 0, the last row, and lists that fail one clause of the in-range case
+    (place_domino, [5, 2], (0, 3, "h"), "cannot add (0, 3, 'h') to (5, 2)"),
+    (place_domino, [2, 3, 2], (0, 3, "v"), "cannot add (0, 3, 'v') to (2, 3, 2)"),
+    (place_domino, [5, 3], (2, 2, "h"), "cannot add (2, 2, 'h') to (5, 3)"),
+    (place_domino, [3, 2], (2, 3, "h"), "cannot add (2, 3, 'h') to (3, 2)"),
+    (place_domino, [3, 1, 0], (2, 2, "v"), "cannot add (2, 2, 'v') to (3, 1, 0)"),
+    (place_domino, [2, 2, 2], (2, 3, "v"), "cannot add (2, 3, 'v') to (2, 2, 2)"),
+    (place_domino, [3, 2, 1], (2, 2, "v"), "cannot add (2, 2, 'v') to (3, 2, 1)"),
+    (place_domino, [2, 1, 1], (2, 2, "v"), [2, 2, 2]),
+    (lift_domino, [1, 3], (0, 2, "h"), "cannot remove (0, 2, 'h') from (1, 3)"),
+    (lift_domino, [5, 2], (2, 1, "h"), [5]),
+    (lift_domino, [3, 1], (1, 3, "h"), "cannot remove (1, 3, 'h') from (3, 1)"),
+    (lift_domino, [3, 2], (1, 2, "h"), "cannot remove (1, 2, 'h') from (3, 2)"),
+    (lift_domino, [2, 1, 2], (0, 2, "v"), "cannot remove (0, 2, 'v') from (2, 1, 2)"),
+    (lift_domino, [3, 2, 1], (1, 2, "v"), "cannot remove (1, 2, 'v') from (3, 2, 1)"),
+    (lift_domino, [3, 2, 1], (1, 3, "v"), "cannot remove (1, 3, 'v') from (3, 2, 1)"),
+    (lift_domino, [2, 2, 2], (1, 2, "v"), "cannot remove (1, 2, 'v') from (2, 2, 2)"),
+    (lift_domino, [3, 3, 2, 1], (1, 3, "v"), [2, 2, 2, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "move, rows, dom, want", ROW_LIST_CASES, ids=[f"{m.__name__}-{r}-{d}" for m, r, d, _ in ROW_LIST_CASES]
+)
+def test_place_and_lift_domino_on_lists_that_are_not_partitions(move, rows, dom, want):
+    got = list(rows)
+    if isinstance(want, str):
+        with pytest.raises(ValueError) as excinfo:
+            move(got, *dom)
+        assert str(excinfo.value) == want and got == rows
+    else:
+        move(got, *dom)
+        assert got == want
+
+
 def test_skew_domino_against_cells():
     # oracle: the cell set difference, read as a domino when it is two
     # edge-adjacent cells
