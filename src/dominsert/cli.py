@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import insertion, series, signimbalance, tableaux, verify, words
-from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_int, partition_str
+from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_value, partition_str
 from .polynomials import PARAMS
 from .render import render_tableau
 from .words import ColoredBiword
@@ -125,7 +125,7 @@ def cmd_reverse(args):
         if key not in payload:
             raise ValueError(f"the reverse input object has no {key!r} field")
     p, q = (_read_tableau(payload[key], key) for key in ("P", "Q"))
-    core = _core_order(json_int(payload.get("core", args.core), "core"))
+    core = _core_order(json_value(payload.get("core", args.core), "core"))
     word = insertion.biword_reverse(p, q, core)
     standard = all(bl.top.value == i for i, bl in enumerate(word.letters, start=1))
     text = words.word_str(word.bottom) if standard and words.is_signed_permutation(word.bottom) else str(word)

@@ -47,15 +47,19 @@ class DominoShape(namedtuple("DominoShape", "row col orient")):
     def from_json(cls, data):
         """Inverse of ``_asdict``; row and col must be JSON integers."""
         try:
-            return cls(json_int(data["row"], "row"), json_int(data["col"], "col"), data["orient"])
+            return cls(json_value(data["row"], "row"), json_value(data["col"], "col"), data["orient"])
         except KeyError as exc:
             raise ValueError(f"a domino has no {exc} field") from None
 
 
-def json_int(value, name):
-    """A JSON integer; a float, bool or string raises ValueError."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+_JSON_KINDS = {int: "an integer", list: "a JSON array", dict: "a JSON object"}
+
+
+def json_value(value, name, kind=int):
+    """A JSON integer, or by ``kind`` an array or object; any other type (a
+    float, bool or string where an integer belongs) raises ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {_JSON_KINDS[kind]}, got {value!r}")
     return value
 
 

@@ -1,6 +1,10 @@
 """Sparse exact polynomials in a fixed tuple of named variables.
 
-All coefficient arithmetic in this package is plain ``int`` arithmetic, so
+The one sparse type of the package: a map from exponent vectors to nonzero
+coefficients, with an optional bound on the total degree past which no term
+is kept.  Coefficients are ints, or ``MPoly``s themselves: a truncated
+series (``series.TruncatedSeries``) is an ``MPoly`` in x and y whose
+coefficients are polynomials in ``PARAMS``.  All arithmetic is exact, so
 every identity check is a literal coefficient-by-coefficient comparison.
 The variable ``s`` stands for the square root of ``q`` throughout: a spin of
 ``k/2`` is recorded as ``s**k`` and ``q**m`` as ``s**(2*m)``.
@@ -8,23 +12,28 @@ The variable ``s`` stands for the square root of ``q`` throughout: a spin of
 
 from __future__ import annotations
 
+from operator import add
+
 PARAMS = ("a", "b", "c", "s")
 SPIN = ("s",)
 IMBALANCE = ("x", "y", "q", "t")
 
 
 class MPoly:
-    """Multivariate polynomial over the integers.
+    """Multivariate polynomial, truncated past total degree ``bound`` unless
+    that is None.
 
     Terms are stored sparsely as a map from exponent vectors to nonzero
     coefficients.  Operands of binary operations must share the same
-    variable-name tuple; use :meth:`lift` to move into a larger ring.
+    variable-name tuple and bound; use :meth:`lift` to move into a larger
+    ring.
     """
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names", "terms", "bound")
 
-    def __init__(self, names, terms=None):
+    def __init__(self, names, terms=None, bound=None):
         self.names = tuple(names)
+        self.bound = bound
         width = len(self.names)
         table = {}
         if terms:
@@ -34,7 +43,7 @@ class MPoly:
                     raise ValueError(f"exponent vector {exps} does not fit variables {self.names}")
                 if any(e < 0 for e in exps):
                     raise ValueError(f"negative exponent in {exps}")
-                if coeff:
+                if coeff and (bound is None or sum(exps) <= bound):
                     table[exps] = coeff
         self.terms = table
 
@@ -52,13 +61,21 @@ class MPoly:
         exps[tuple(names).index(name)] = power
         return cls(names, {tuple(exps): coeff})
 
+    def _new(self, terms):
+        """An element of this ring with ``terms``, already nonzero and in bound."""
+        out = object.__new__(type(self))
+        out.names, out.terms, out.bound = self.names, terms, self.bound
+        return out
+
     def _coerce(self, other):
-        if isinstance(other, MPoly):
-            if other.names != self.names:
-                raise ValueError(f"variable mismatch: {self.names} vs {other.names}")
+        """``other`` in this ring: an int is a constant.  Another type is
+        NotImplemented, so that ``MPoly * series`` reaches the series."""
+        if type(other) is type(self):
+            if (other.names, other.bound) != (self.names, self.bound):
+                raise ValueError(f"ring mismatch: {self.names} vs {other.names}, bound {self.bound} vs {other.bound}")
             return other
         if isinstance(other, int):
-            return MPoly.const(other, self.names)
+            return self._new({(0,) * len(self.names): other} if other else {})
         return NotImplemented
 
     def __bool__(self):
@@ -66,10 +83,10 @@ class MPoly:
 
     def __eq__(self, other):
         if isinstance(other, int):
-            other = MPoly.const(other, self.names)
+            other = self._coerce(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        return self.names == other.names and self.terms == other.terms
+        return (self.names, self.bound, self.terms) == (other.names, other.bound, other.terms)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -77,51 +94,50 @@ class MPoly:
             return NotImplemented
         terms = dict(self.terms)
         for exps, coeff in other.terms.items():
-            new = terms.get(exps, 0) + coeff
-            if new:
-                terms[exps] = new
-            else:
-                terms.pop(exps, None)
-        out = MPoly(self.names)
-        out.terms = terms
-        return out
+            if exps in terms:
+                coeff = terms[exps] + coeff
+                if not coeff:
+                    del terms[exps]
+                    continue
+            terms[exps] = coeff
+        return self._new(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MPoly(self.names)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return self._new({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
+        """The product, with no term formed past the degree bound."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        bound = self.bound
         terms = {}
         for e1, c1 in self.terms.items():
+            room = None if bound is None else bound - sum(e1)
             for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                new = terms.get(key, 0) + c1 * c2
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        out = MPoly(self.names)
-        out.terms = terms
-        return out
+                if room is not None and sum(e2) > room:
+                    continue
+                key = tuple(map(add, e1, e2))
+                coeff = c1 * c2
+                if key in terms:
+                    coeff = terms[key] + coeff
+                    if not coeff:
+                        del terms[key]
+                        continue
+                terms[key] = coeff
+        return self._new(terms)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = MPoly.const(1, self.names)
+        result = self._coerce(1)
         base = self
         while exponent:
             if exponent & 1:
@@ -147,9 +163,7 @@ class MPoly:
                     terms[key] = total
                 else:
                     del terms[key]
-        out = MPoly(self.names)
-        out.terms = terms
-        return out
+        return self._new(terms)
 
     def lift(self, names):
         """Re-express the polynomial in a superset of variables."""
@@ -164,13 +178,7 @@ class MPoly:
         return MPoly(names, terms)
 
     def _monomial_str(self, exps):
-        parts = []
-        for name, e in zip(self.names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
+        return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.names, exps) if e)
 
     def __str__(self):
         if not self.terms:

@@ -1,16 +1,15 @@
 """Truncated symmetric series over exact coefficients.
 
-Series live in x-variables and optionally y-variables with a bound on the
-total degree; coefficients are polynomials in (a, b, c, s) with s = q^(1/2).
-Domino functions are homogeneous of degree equal to their number of
-dominoes, so bounding the shape size makes every truncated identity exact.
-A domino function is built in x only; the Cauchy sums place it in the x or
-the y block.
+A series is an ``MPoly`` in x-variables and optionally y-variables with a
+bound on the total degree, so it shares the polynomials' sparse add and
+product; its coefficients are polynomials in (a, b, c, s) with
+s = q^(1/2).  Domino functions are homogeneous of degree equal to their
+number of dominoes, so bounding the shape size makes every truncated
+identity exact.  A domino function is built in x only; the Cauchy sums
+place it in the x or the y block.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .partitions import (
     as_partition,
@@ -29,27 +28,25 @@ from .tableaux import enumerate_semistandard
 from .young import enumerate_ssyt
 
 
-class TruncatedSeries:
-    """Polynomial in x_1..x_nx (and y_1..y_ny) truncated in total degree."""
+class TruncatedSeries(MPoly):
+    """Polynomial in x_1..x_nx (and y_1..y_ny) truncated in total degree,
+    with coefficients in ``PARAMS``.  An int or a ``PARAMS`` polynomial on
+    either side of ``+`` or ``*`` is a constant series."""
 
-    __slots__ = ("nx", "ny", "bound", "terms")
+    __slots__ = ()
 
     def __init__(self, nx, ny, bound, terms=None):
         if nx < 0 or ny < 0 or bound < 0:
             raise ValueError(f"series sizes must be nonnegative, got nx={nx}, ny={ny}, bound={bound}")
-        self.nx = nx
-        self.ny = ny
-        self.bound = bound
-        table = {}
-        if terms:
-            width = nx + ny
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != width:
-                    raise ValueError(f"monomial {exps} does not fit {width} variables")
-                if sum(exps) <= bound and coeff:
-                    table[exps] = coeff
-        self.terms = table
+        super().__init__([f"x{i + 1}" for i in range(nx)] + [f"y{i + 1}" for i in range(ny)], terms, bound)
+
+    # MPoly's own functions, bound here since perfbench/spans.py reads each class's namespace
+    __add__ = __radd__ = MPoly.__add__
+    __mul__ = __rmul__ = MPoly.__mul__
+
+    # the block sizes, read off the variable names
+    nx = property(lambda self: sum(name[0] == "x" for name in self.names))
+    ny = property(lambda self: len(self.names) - self.nx)
 
     @classmethod
     def one(cls, nx, ny, bound):
@@ -59,54 +56,20 @@ class TruncatedSeries:
     def zero(cls, nx, ny, bound):
         return cls(nx, ny, bound)
 
-    def _check(self, other):
-        if (self.nx, self.ny, self.bound) != (other.nx, other.ny, other.bound):
-            raise ValueError("series configurations differ")
-
-    def __eq__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return (self.nx, self.ny, self.bound, self.terms) == (other.nx, other.ny, other.bound, other.terms)
-
-    def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            total = terms.get(exps, MPoly.zero(PARAMS)) + coeff
-            if total:
-                terms[exps] = total
-            else:
-                terms.pop(exps, None)
-        return TruncatedSeries(self.nx, self.ny, self.bound, terms)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, MPoly)):
-            coeff = other if isinstance(other, MPoly) else MPoly.const(other, PARAMS)
-            return TruncatedSeries(self.nx, self.ny, self.bound, {e: c * coeff for e, c in self.terms.items()})
-        self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > self.bound:
-                    continue
-                key = tuple(a + b for a, b in zip(e1, e2))
-                total = terms.get(key, MPoly.zero(PARAMS)) + c1 * c2
-                if total:
-                    terms[key] = total
-                else:
-                    del terms[key]
-        return TruncatedSeries(self.nx, self.ny, self.bound, terms)
-
-    __rmul__ = __mul__
+    def _coerce(self, other):
+        if isinstance(other, int):
+            other = MPoly.const(other, PARAMS)
+        if type(other) is MPoly:
+            if other.names != PARAMS:
+                raise ValueError(f"series coefficients are in {PARAMS}, not {other.names}")
+            return self._new({(0,) * len(self.names): other} if other else {})
+        return super()._coerce(other)
 
     def subs(self, assignments):
         return TruncatedSeries(self.nx, self.ny, self.bound, {e: c.subs(assignments) for e, c in self.terms.items()})
 
     def monomial_str(self, exps):
-        names = [f"x{i+1}" for i in range(self.nx)] + [f"y{i+1}" for i in range(self.ny)]
-        parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
-        return "*".join(parts) if parts else "1"
+        return self._monomial_str(exps) or "1"
 
     def lines(self):
         ordered = sorted(self.terms, key=lambda e: (sum(e), e))
@@ -116,43 +79,27 @@ class TruncatedSeries:
         return "\n".join(self.lines()) if self.terms else "0"
 
 
-@dataclass(frozen=True)
-class Factor:
-    """One factor (1 + coeff * monomial)^power with power +1 or -1."""
-
-    coeff: MPoly
-    exps: tuple
-    power: int = 1
-
-    def expand(self, nx, ny, bound):
-        degree = sum(self.exps)
+def expand_product(factors, nx, ny, bound):
+    """The product of (1 + coeff * monomial)^power over the ``(coeff, exps,
+    power)`` triples, power +1 or -1, truncated at ``bound``."""
+    total = TruncatedSeries.one(nx, ny, bound)
+    one = MPoly.const(1, PARAMS)
+    for coeff, exps, power in factors:
+        degree = sum(exps)
         if degree == 0:
             raise ValueError("factor monomial must have positive degree")
-        one = MPoly.const(1, PARAMS)
-        terms = {(0,) * (nx + ny): one}
-        if self.power == 1:
-            terms[self.exps] = self.coeff
-            return TruncatedSeries(nx, ny, bound, terms)
-        if self.power != -1:
+        if power not in (1, -1):
             raise ValueError("factor power must be +1 or -1")
-        # geometric expansion of 1 / (1 + u): alternating powers of u
-        u = -self.coeff
-        current = u
-        exps = self.exps
-        k = 1
-        while k * degree <= bound:
-            key = tuple(e * k for e in exps)
-            if current:
-                terms[key] = current
-            current = current * u
-            k += 1
-        return TruncatedSeries(nx, ny, bound, terms)
-
-
-def expand_product(factors, nx, ny, bound):
-    total = TruncatedSeries.one(nx, ny, bound)
-    for factor in factors:
-        total = total * factor.expand(nx, ny, bound)
+        terms = {(0,) * (nx + ny): one}
+        if power == 1:
+            terms[exps] = coeff
+        else:
+            # geometric expansion of 1 / (1 + u): alternating powers of u
+            u = current = -coeff
+            for k in range(1, bound // degree + 1):
+                terms[tuple(e * k for e in exps)] = current
+                current = current * u
+        total = total * TruncatedSeries(nx, ny, bound, terms)
     return total
 
 
@@ -227,7 +174,7 @@ def _xy_grid_product(nx, bound, sign, power):
     """Product over all i, j of ((1 + sign x_i y_j)(1 + sign q x_i y_j))^power."""
     coeffs = (MPoly.const(sign, PARAMS), MPoly.var("s", PARAMS, power=2, coeff=sign))
     cells = [_exponents(2 * nx, i, nx + j) for i in range(nx) for j in range(nx)]
-    factors = [Factor(coeff, exps, power) for exps in cells for coeff in coeffs]
+    factors = [(coeff, exps, power) for exps in cells for coeff in coeffs]
     return expand_product(factors, nx, nx, 2 * bound)
 
 
@@ -268,14 +215,14 @@ def weighted_domino_product(nx, bound):
     factors = []
     for i in range(nx):
         single = _exponents(nx, i)
-        factors.append(Factor(a * s, single))
-        factors.append(Factor(-b, single, power=-1))
-        factors.append(Factor(-c * q, _exponents(nx, i, i), power=-1))
+        factors.append((a * s, single, 1))
+        factors.append((-b, single, -1))
+        factors.append((-c * q, _exponents(nx, i, i), -1))
     for i in range(nx):
         for j in range(i + 1, nx):
             pair = _exponents(nx, i, j)
-            factors.append(Factor(-c, pair, power=-1))
-            factors.append(Factor(-c * q, pair, power=-1))
+            factors.append((-c, pair, -1))
+            factors.append((-c * q, pair, -1))
     return expand_product(factors, nx, 0, bound)
 
 
@@ -313,8 +260,8 @@ def specialization_zero_spin(total):
     rhs = schur_sum(nx, bound, weight=weight)
     b = MPoly.var("b", PARAMS)
     c = MPoly.var("c", PARAMS)
-    factors = [Factor(-b, _exponents(nx, i), power=-1) for i in range(nx)]
-    factors.extend(Factor(-c, _exponents(nx, i, j), power=-1) for i in range(nx) for j in range(i + 1, nx))
+    factors = [(-b, _exponents(nx, i), -1) for i in range(nx)]
+    factors.extend((-c, _exponents(nx, i, j), -1) for i in range(nx) for j in range(i + 1, nx))
     return total.subs({"s": 0}), rhs, expand_product(factors, nx, 0, bound)
 
 

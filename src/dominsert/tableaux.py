@@ -23,7 +23,7 @@ from .partitions import (
     contains,
     domino_predecessors,
     domino_successors,
-    json_int,
+    json_value,
     partition_str,
     place_domino,
     size,
@@ -197,11 +197,11 @@ class DominoTableau:
 
     @classmethod
     def from_json(cls, data):
+        json_value(data, "a tableau", dict)
         try:
-            core = as_partition(json_int(p, "core part") for p in data["core"])
-            entries = tuple((json_int(d["value"], "value"), DominoShape.from_json(d)) for d in data["dominoes"])
-        except TypeError as exc:
-            raise ValueError(f"malformed tableau: {exc}") from None
+            core = as_partition(json_value(p, "core part") for p in json_value(data["core"], "core", list))
+            dominoes = (json_value(d, "a domino", dict) for d in json_value(data["dominoes"], "dominoes", list))
+            entries = tuple((json_value(d["value"], "value"), DominoShape.from_json(d)) for d in dominoes)
         except KeyError as exc:  # a domino's other fields are named by DominoShape.from_json
             where = "a domino" if exc.args[0] == "value" else "a tableau"
             raise ValueError(f"{where} has no {exc} field") from None

@@ -29,6 +29,7 @@ from .polynomials import MPoly, PARAMS
 from .young import enumerate_syt, syt_sign
 
 SUITES = ("insertion", "semistandard", "dual", "sym", "sign", "counting", "series")
+VALUES = 2  # the largest top and bottom value of the semistandard and dual suites' biwords
 
 
 def _record(identity, params, sides):
@@ -178,7 +179,7 @@ def check_inverse_symmetry(n, core):
 # semistandard suite
 
 
-def check_semistandard(length, core, max_value=2):
+def check_semistandard(length, core):
     image = {}
 
     def violations(w):
@@ -209,10 +210,10 @@ def check_semistandard(length, core, max_value=2):
                 pass
 
     def pairs(lam):
-        return len(tableaux.enumerate_semistandard(lam, max_value)) ** 2
+        return len(tableaux.enumerate_semistandard(lam, VALUES)) ** 2
 
-    biwords = words.enumerate_biwords(max_value, max_value, length)
-    params = {"length": length, "core": core, "values": max_value}
+    biwords = words.enumerate_biwords(VALUES, VALUES, length)
+    params = {"length": length, "core": core, "values": VALUES}
     return _exhaustive("semistandard-bijection", params, biwords, violations, closing)
 
 
@@ -220,7 +221,7 @@ def check_semistandard(length, core, max_value=2):
 # dual suite
 
 
-def check_dual(length, core, max_value=2):
+def check_dual(length, core):
     """Both dual correspondences: alpha on dual biwords, beta on colored ones.
     Alpha's P is row-semistandard and its Q column-semistandard; beta's are
     the other way round."""
@@ -251,14 +252,14 @@ def check_dual(length, core, max_value=2):
         yield from _image_sizes(core, length, pairs, *images.values())
 
     def pairs(lam):
-        rows = tableaux.enumerate_semistandard(lam, max_value)
-        return len(rows) * len(tableaux.enumerate_column_semistandard(lam, max_value))
+        rows = tableaux.enumerate_semistandard(lam, VALUES)
+        return len(rows) * len(tableaux.enumerate_column_semistandard(lam, VALUES))
 
     biwords = itertools.chain.from_iterable(
-        words.enumerate_biwords(max_value, max_value, length, kind, multiplicity_free=True)
+        words.enumerate_biwords(VALUES, VALUES, length, kind, multiplicity_free=True)
         for kind in (words.DUAL, words.COLORED)
     )
-    params = {"length": length, "core": core, "values": max_value}
+    params = {"length": length, "core": core, "values": VALUES}
     return _exhaustive("dual-bijections", params, biwords, violations, closing)
 
 

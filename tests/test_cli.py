@@ -8,6 +8,7 @@ import tracemalloc
 import pytest
 
 from dominsert.cli import main
+from dominsert.words import parse_biword
 
 
 def run_cli(capsys, *argv):
@@ -63,6 +64,24 @@ def test_insert_json_into_reverse_gives_back_the_word(capsys, monkeypatch):
             monkeypatch.setattr("sys.stdin", io.StringIO(out))
             code, out, _ = run_cli(capsys, "reverse", "--format", "json")
             assert code == 0 and json.loads(out) == {"word": text, "core": core}
+
+
+def test_insert_json_into_reverse_gives_back_the_biword(capsys, monkeypatch):
+    # seeded colored biwords of length 0-30, tops 1-4, bottoms 1-5, each bottom
+    # barred with probability 1/2; one whose top row is 1..n and bottom row a
+    # signed permutation prints as its word, so the sides compare as biwords
+    rng = random.Random(24)
+    for core in range(4):
+        texts = [" ".join(f"{rng.randint(1, 4)}/{rng.randint(1, 5)}" + "'" * (rng.random() < 0.5)
+                          for _ in range(rng.randrange(31))) for _ in range(60)]
+        for text in texts + ["2/1 1/2'", "1/3' 3/1 2/2"]:
+            code, out, _ = run_cli(capsys, "insert", text, "--core", str(core), "--format", "json")
+            assert code == 0
+            monkeypatch.setattr("sys.stdin", io.StringIO(out))
+            code, out, _ = run_cli(capsys, "reverse", "--format", "json")
+            back = json.loads(out)
+            assert code == 0 and back["core"] == core
+            assert parse_biword(back["word"]) == parse_biword(text), text
 
 
 def test_growth_matches_insert(capsys):
@@ -376,7 +395,13 @@ BROKEN_TABLEAUX = [
     *(({"core": [], "dominoes": [_without(ONE, key)]}, f"a domino has no {key!r} field")
       for key in ("value", "row", "col", "orient")),
     ({"core": [], "dominoes": [{**ONE, "row": 1.5}]}, "row must be an integer, got 1.5"),
+    # a JSON value of the wrong type, named with what belongs there
+    (5, "a tableau must be a JSON object, got 5"),
+    ({"core": [], "dominoes": [5]}, "a domino must be a JSON object, got 5"),
+    ({"core": [], "dominoes": 5}, "dominoes must be a JSON array, got 5"),
+    ({"core": 5, "dominoes": []}, "core must be a JSON array, got 5"),
 ]
+WRONG_TYPES = 7  # BROKEN_TABLEAUX[WRONG_TYPES:] are the wrong-type cases
 
 
 @pytest.mark.parametrize(
@@ -393,8 +418,10 @@ BROKEN_TABLEAUX = [
             pytest.param({"P": broken, "Q": VALID}, f"P: {message}", id=f"payload{i}-{message}")
             for i, (broken, message) in enumerate(BROKEN_TABLEAUX[2:6], start=4)
         ),
-        *(({"P": VALID, "Q": broken}, f"Q: {message}") for broken, message in BROKEN_TABLEAUX),
-        ({"P": BROKEN_TABLEAUX[-1][0], "Q": VALID}, f"P: {BROKEN_TABLEAUX[-1][1]}"),
+        *(({"P": VALID, "Q": broken}, f"Q: {message}") for broken, message in BROKEN_TABLEAUX[:WRONG_TYPES]),
+        ({"P": BROKEN_TABLEAUX[WRONG_TYPES - 1][0], "Q": VALID}, f"P: {BROKEN_TABLEAUX[WRONG_TYPES - 1][1]}"),
+        *(({"P": broken, "Q": VALID}, f"P: {message}") for broken, message in BROKEN_TABLEAUX[WRONG_TYPES:]),
+        *(({"P": VALID, "Q": broken}, f"Q: {message}") for broken, message in BROKEN_TABLEAUX[WRONG_TYPES:]),
     ],
 )
 def test_reverse_names_a_missing_field(capsys, monkeypatch, payload, message):
@@ -458,6 +485,10 @@ GOLDEN_ARGUMENTS = {
     "ascii-trace": [GOLDEN_WORD, "--trace"],
     "biword": ["1/2' 1/3 2/4 3/1' 3/1'"],
     "sdt": ["sdt", "4,4"],
+    "expand": ["expand", "--vars", "2", "--degree", "4"],
+    "expand-json": ["expand", "--vars", "2", "--degree", "4", "--format", "json"],
+    "g-function": ["expand", "--g-function", "3,1,1", "--format", "json"],
+    "params": ["expand", "--vars", "2", "--degree", "4", "--params", "a=0,b=1,c=1,s=1"],
 }
 
 # sha256 of each output, so that a speed change cannot alter a byte unnoticed
@@ -476,6 +507,12 @@ GOLDEN_DIGESTS = {
     (2, "insert", "ascii-trace"): "6fb51f1330fe4c18a2905fdc61e57d935a688ba6e107b4aa557d20305b6ef036",
     (0, "insert", "biword"): "8907cdbba4fb7f59a632a5de3a86d9fce8ab0910a7222e2fdc95076f75733ac0",
     (0, "enumerate", "sdt"): "8d8a0c55e3e5888c9274ae1b05c2d29e3e32b4c6c0f7f4784f1639e262305bce",
+    # series expand prints monomial_str and the coefficients of the series' terms
+    (0, "series", "expand"): "225db1b4005e6f2e5706bfc64be791c3cf478cc68150ce77d9ee9b03c8542d8d",
+    (1, "series", "expand"): "225db1b4005e6f2e5706bfc64be791c3cf478cc68150ce77d9ee9b03c8542d8d",
+    (0, "series", "expand-json"): "ababcc30180ead3ca34dc17f772fa5fdc7930658f398ac039aa2b93b55745bce",
+    (0, "series", "g-function"): "9346ce1883b9c381939d69e98068fdbf3abbc8566c9492760b0ccb0b22228ba9",
+    (0, "series", "params"): "01e948af155d9363bb6450d96ae050bcc5aef59f90a1c2eddfb489d5a77ffbaf",
 }
 
 

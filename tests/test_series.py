@@ -1,12 +1,12 @@
 import itertools
+import operator
 
 import pytest
 
 from dominsert import series
 from dominsert.partitions import conjugate, enumerate_with_core, two_quotient
-from dominsert.polynomials import MPoly, PARAMS
+from dominsert.polynomials import MPoly, PARAMS, SPIN
 from dominsert.series import (
-    Factor,
     TruncatedSeries,
     cauchy_product,
     cauchy_sum,
@@ -60,17 +60,17 @@ def test_series_ring_basics():
 
 
 def test_geometric_factor():
-    geo = Factor(-ONE, (1,), power=-1).expand(1, 0, 3)
+    geo = expand_product([(-ONE, (1,), -1)], 1, 0, 3)
     assert geo == TruncatedSeries(1, 0, 3, {(0,): ONE, (1,): ONE, (2,): ONE, (3,): ONE})
-    binom = Factor(Q, (1,)).expand(1, 0, 3)
+    binom = expand_product([(Q, (1,), 1)], 1, 0, 3)
     assert binom.terms[(1,)] == Q
 
 
 def test_expand_product_small():
-    x1y1 = Factor(ONE, (1, 1))
+    x1y1 = (ONE, (1, 1), 1)
     assert expand_product([x1y1], 1, 1, 4).terms[(1, 1)] == ONE
     halves = expand_product(
-        [Factor(-ONE, (1, 0), power=-1), Factor(-ONE, (0, 1), power=-1)], 2, 0, 2
+        [(-ONE, (1, 0), -1), (-ONE, (0, 1), -1)], 2, 0, 2
     )
     assert halves.terms[(1, 1)] == ONE and halves.terms[(2, 0)] == ONE
 
@@ -176,3 +176,33 @@ def test_truncation_consistency():
 def test_series_config_mismatch():
     with pytest.raises(ValueError):
         TruncatedSeries.one(1, 0, 2) + TruncatedSeries.one(2, 0, 2)
+    for other in (TruncatedSeries.one(1, 1, 2), TruncatedSeries.one(1, 0, 3)):
+        for op in (operator.add, operator.mul):
+            with pytest.raises(ValueError):
+                op(TruncatedSeries.one(1, 0, 2), other)
+    with pytest.raises(ValueError):
+        TruncatedSeries.one(1, 0, 2) + MPoly.var("s", SPIN)
+
+
+def _with_coefficient(series, coeff, op):
+    """``series`` with ``coeff`` added to its constant term or multiplied
+    into every coefficient, built term by term."""
+    coeff = MPoly.const(coeff, PARAMS) if isinstance(coeff, int) else coeff
+    if op is operator.mul:
+        terms = {exps: c * coeff for exps, c in series.terms.items()}
+    else:
+        constant = (0,) * (series.nx + series.ny)
+        terms = {**series.terms, constant: series.terms.get(constant, MPoly.zero(PARAMS)) + coeff}
+    return TruncatedSeries(series.nx, series.ny, series.bound, terms)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.mul], ids=["add", "mul"])
+@pytest.mark.parametrize("coeff", [2, -1, 0, S, Q + 1], ids=["2", "-1", "0", "s", "q+1"])
+@pytest.mark.parametrize("constant", [0, 1], ids=["no-constant", "constant-1"])
+def test_a_coefficient_on_either_side(op, coeff, constant):
+    g = domino_function((2, 2), 2, 4)
+    if constant:
+        g = TruncatedSeries(2, 0, 4, {**g.terms, (0, 0): MPoly.const(constant, PARAMS)})
+    expected = _with_coefficient(g, coeff, op)
+    for result in (op(g, coeff), op(coeff, g)):
+        assert isinstance(result, TruncatedSeries) and result == expected
