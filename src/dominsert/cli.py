@@ -38,10 +38,6 @@ def _core_order(value):
     return value
 
 
-def _parse_cores(text):
-    return tuple(_core_order(int(c)) for c in text.split(","))
-
-
 def _insert_payload(word, core, trace):
     """Source text, P, Q and, if traced, the insertion tableau per letter."""
     if isinstance(word, ColoredBiword):
@@ -135,6 +131,8 @@ def cmd_reverse(args):
 
 def cmd_imbalance(args):
     if args.all_of is not None:
+        if args.shape:
+            raise ValueError("a shape and --all-of cannot be combined")
         m = args.all_of
         poly = signimbalance.imbalance_polynomial(m)
         target = signimbalance.imbalance_target(m)
@@ -161,25 +159,21 @@ def cmd_series(args):
             if name not in PARAMS:
                 raise ValueError(f"unknown parameter {name!r} (expected a, b, c, s)")
             params[name] = int(value)
-    if args.action == "expand":
-        if args.g_function:
-            lam = _parse_shape(args.g_function)
-            value = series.domino_function(lam, args.vars, args.degree)
-        elif args.schur:
-            lam = _parse_shape(args.schur)
-            value = series.schur(lam, args.vars, args.degree)
-        else:
-            value = series.weighted_domino_sum(args.core, args.vars, args.degree)
-        if params:
-            value = value.subs(params)
-        if args.format == "json":
-            print(json.dumps({"terms": {value.monomial_str(e): str(c) for e, c in sorted(value.terms.items())}}))
-        else:
-            print(value)
-        return 0
-    # action == "check": the series suite at the given sizes
-    sizes = {"vars": args.vars, "degree": args.degree, "cores": _parse_cores(args.cores)}
-    return _emit_records(verify.run_suite("series", sizes), args.format)
+    if args.g_function and args.schur:
+        raise ValueError("--g-function and --schur cannot be combined")
+    if args.g_function:
+        value = series.domino_function(_parse_shape(args.g_function), args.vars, args.degree)
+    elif args.schur:
+        value = series.schur(_parse_shape(args.schur), args.vars, args.degree)
+    else:
+        value = series.weighted_domino_sum(args.core, args.vars, args.degree)
+    if params:
+        value = value.subs(params)
+    if args.format == "json":
+        print(json.dumps({"terms": {value.monomial_str(e): str(c) for e, c in sorted(value.terms.items())}}))
+    else:
+        print(value)
+    return 0
 
 
 def cmd_enumerate(args):
@@ -235,7 +229,7 @@ def cmd_verify(args):
     # only the sizes given on the command line; the suites own the defaults
     sizes = {name: getattr(args, name) for name in verify.SIZES if getattr(args, name) is not None}
     if "cores" in sizes:
-        sizes["cores"] = _parse_cores(sizes["cores"])
+        sizes["cores"] = tuple(_core_order(int(c)) for c in sizes["cores"].split(","))
     if args.suite in ("insertion", "all") and (n := sizes.get("n", 0)) >= 7:
         print(f"note: the insertion suite checks 2^n*n! = {2 ** n * math.factorial(n):,} signed permutations"
               f" per core at n = {n}", file=sys.stderr)
@@ -249,56 +243,49 @@ def build_parser():
         description="Exact domino Schensted insertion, growth rules, and identity checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags several commands share, each declared once
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("ascii", "json"), default="ascii")
+    core = argparse.ArgumentParser(add_help=False)
+    core.add_argument("--core", type=int, default=0, help="staircase order of the 2-core")
 
-    p_insert = sub.add_parser("insert", help="insert a signed word or biword")
+    p_insert = sub.add_parser("insert", parents=[core, fmt], help="insert a signed word or biword")
     p_insert.add_argument("word", help="letters like \"3' 4 2 1'\" or pairs like \"1/2' 1/3\"")
-    p_insert.add_argument("--core", type=int, default=0, help="staircase order of the 2-core")
     p_insert.add_argument("--trace", action="store_true", help="print the tableau after each step")
-    p_insert.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_insert.set_defaults(func=cmd_insert)
 
-    p_growth = sub.add_parser("growth", help="print the growth diagram of a signed permutation")
+    p_growth = sub.add_parser("growth", parents=[core, fmt], help="print the growth diagram of a signed permutation")
     p_growth.add_argument("word")
-    p_growth.add_argument("--core", type=int, default=0)
     p_growth.add_argument("--cells", action="store_true", help="draw shapes as miniature diagrams")
-    p_growth.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_growth.set_defaults(func=cmd_growth)
 
-    p_reverse = sub.add_parser("reverse", help="recover the word from a JSON (P, Q) pair")
+    p_reverse = sub.add_parser("reverse", parents=[core, fmt], help="recover the word from a JSON (P, Q) pair")
     p_reverse.add_argument("--input", help="JSON file; standard input when omitted")
-    p_reverse.add_argument("--core", type=int, default=0)
-    p_reverse.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_reverse.set_defaults(func=cmd_reverse)
 
-    p_imb = sub.add_parser("imbalance", help="signed count of standard Young tableaux")
+    p_imb = sub.add_parser("imbalance", parents=[fmt], help="signed count of standard Young tableaux")
     p_imb.add_argument("shape", nargs="?", default="", help="shape like 3,3,2")
     p_imb.add_argument("--all-of", type=int, metavar="M",
                        help="four-variable polynomial over all shapes of M")
-    p_imb.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_imb.set_defaults(func=cmd_imbalance)
 
-    p_series = sub.add_parser("series", help="expand or check truncated series")
-    p_series.add_argument("action", choices=("expand", "check"))
+    p_series = sub.add_parser("series", parents=[core, fmt], help="expand a truncated series")
+    p_series.add_argument("action", choices=("expand",))
     p_series.add_argument("--vars", type=int, default=2)
     p_series.add_argument("--degree", type=int, default=3)
-    p_series.add_argument("--core", type=int, default=0)
-    p_series.add_argument("--cores", default="0,1,2", help="cores for the check action")
     p_series.add_argument("--g-function", metavar="SHAPE", help="expand one domino function")
     p_series.add_argument("--schur", metavar="SHAPE", help="expand one Schur polynomial")
     p_series.add_argument("--params", help="substitutions like a=0,b=1,c=1,s=1")
-    p_series.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_series.set_defaults(func=cmd_series)
 
-    p_enum = sub.add_parser("enumerate", help="list shapes, tableaux, or involutions")
+    p_enum = sub.add_parser("enumerate", parents=[core, fmt], help="list shapes, tableaux, or involutions")
     p_enum.add_argument("what", choices=("shapes", "partitions", "sdt", "ssdt", "involutions"))
     p_enum.add_argument("shape", nargs="?", default="", help="shape for sdt/ssdt")
     p_enum.add_argument("--n", type=int, default=0, help="dominoes (shapes) or size (partitions, involutions)")
-    p_enum.add_argument("--core", type=int, default=0)
     p_enum.add_argument("--max-value", type=int, default=2)
-    p_enum.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_enum.set_defaults(func=cmd_enumerate)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES + ("all",))
     p_verify.add_argument("--n", type=int, help="word length bound")
     p_verify.add_argument("--length", type=int, help="biword length bound")
@@ -308,7 +295,6 @@ def build_parser():
     p_verify.add_argument("--poly-n", type=int)
     p_verify.add_argument("--cores", help="comma-separated core orders")
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p_verify.add_argument("--format", choices=("ascii", "json"), default="ascii")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -21,7 +21,9 @@ import math
 from collections import Counter
 
 from .insertion import insert_word
-from .partitions import d_stat, enumerate_with_core, odd_rows, conjugate, staircase, two_quotient, size
+from .partitions import (
+    conjugate, d_stat, enumerate_partitions, enumerate_with_core, odd_rows, size, staircase, two_quotient,
+)
 from .polynomials import MPoly, PARAMS, SPIN, one_plus_q
 from .series import shape_weight
 from .tableaux import spin_poly, tableau_sign
@@ -132,8 +134,6 @@ def standard_tableau_count(lam):
 
 def classical_counts(n):
     """Hook-length oracles: sum of squares is n!, plain sum is t(n)."""
-    from .partitions import enumerate_partitions
-
     shapes = enumerate_partitions(n)
     counts = [hook_count(lam) for lam in shapes]
     return {

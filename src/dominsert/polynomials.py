@@ -202,7 +202,8 @@ class MPoly:
         return out
 
     def __repr__(self):
-        return f"MPoly({self.names!r}, {self.terms!r})"
+        bound = "" if self.bound is None else f", bound={self.bound}"
+        return f"MPoly({self.names!r}, {self.terms!r}{bound})"
 
 
 def one_plus_q(names=SPIN):

@@ -11,6 +11,8 @@ place it in the x or the y block.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
 from .partitions import (
     as_partition,
     conjugate,
@@ -78,6 +80,9 @@ class TruncatedSeries(MPoly):
     def __str__(self):
         return "\n".join(self.lines()) if self.terms else "0"
 
+    def __repr__(self):
+        return f"TruncatedSeries({self.nx}, {self.ny}, {self.bound}, {self.terms!r})"
+
 
 def expand_product(factors, nx, ny, bound):
     """The product of (1 + coeff * monomial)^power over the ``(coeff, exps,
@@ -113,11 +118,8 @@ def _exponents(width, *indices):
 
 def schur(lam, nx, bound):
     """Schur polynomial in nx variables by semistandard Young tableau enumeration."""
-    terms = {}
-    for tab in enumerate_ssyt(as_partition(lam), nx):
-        key = _exponents(nx, *(value - 1 for row in tab for value in row))
-        terms[key] = terms.get(key, MPoly.zero(PARAMS)) + 1
-    return TruncatedSeries(nx, 0, bound, terms)
+    counts = Counter(_exponents(nx, *(value - 1 for row in tab for value in row)) for tab in enumerate_ssyt(lam, nx))
+    return TruncatedSeries(nx, 0, bound, {key: MPoly.const(n, PARAMS) for key, n in counts.items()})
 
 
 def domino_function(lam, nx, bound, complement=False):
@@ -129,13 +131,12 @@ def domino_function(lam, nx, bound, complement=False):
     """
     lam = as_partition(lam)
     dominoes = (size(lam) - size(two_core(lam))) // 2
-    terms = {}
+    counts = defaultdict(Counter)  # x exponents -> (a, b, c, s) exponents -> tableaux
     for tab in enumerate_semistandard(lam, nx):
         v = tab.vertical_count()
         key = _exponents(nx, *(value - 1 for value in tab.values()))
-        spin = MPoly.var("s", PARAMS, power=dominoes - v if complement else v)
-        terms[key] = terms.get(key, MPoly.zero(PARAMS)) + spin
-    return TruncatedSeries(nx, 0, bound, terms)
+        counts[key][0, 0, 0, dominoes - v if complement else v] += 1
+    return TruncatedSeries(nx, 0, bound, {key: MPoly(PARAMS, spins) for key, spins in counts.items()})
 
 
 def shapes_up_to(core, max_dominoes):

@@ -28,33 +28,18 @@ def domino_sign_sum(lam):
     return sum(tableau_sign(t) for t in enumerate_standard(lam))
 
 
-def _swappable(tableau, low):
-    """Whether exchanging low and low+1 leaves a standard tableau."""
-    position = {}
-    for r, row in enumerate(tableau):
-        for c, value in enumerate(row):
-            if value in (low, low + 1):
-                position[value] = (r, c)
-    (r1, c1), (r2, c2) = position[low], position[low + 1]
-    return r1 != r2 and c1 != c2
-
-
 def pairing_involution(tableau, core_order):
-    """Swap the first swappable pair (2i-1, 2i), or (2i, 2i+1) over a one-box
-    core; fixed points are exactly the split domino tableaux."""
+    """Swap the first pair (2i-1, 2i), or (2i, 2i+1) over a one-box core,
+    whose cells share no row and no column, the test for the swap to leave
+    a standard tableau; fixed points are exactly the split domino tableaux."""
     if core_order not in (0, 1):
         raise ValueError("pairing involution needs core 0 or 1")
-    n = sum(len(row) for row in tableau)
-    for low in range(1 + core_order, n, 2):
-        if _swappable(tableau, low):
-            swapped = tuple(
-                tuple(
-                    low if v == low + 1 else (low + 1 if v == low else v)
-                    for v in row
-                )
-                for row in tableau
-            )
-            return swapped
+    cell = {value: (r, c) for r, row in enumerate(tableau) for c, value in enumerate(row)}
+    for low in range(1 + core_order, len(cell), 2):
+        (r1, c1), (r2, c2) = cell[low], cell[low + 1]
+        if r1 != r2 and c1 != c2:
+            swap = {low: low + 1, low + 1: low}
+            return tuple(tuple(swap.get(v, v) for v in row) for row in tableau)
     return tableau
 
 

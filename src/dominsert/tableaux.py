@@ -33,6 +33,7 @@ from .partitions import (
 )
 from .polynomials import MPoly, SPIN
 from .words import value_weight
+from .young import syt_sign
 
 
 def tiled_shape(core, entries):
@@ -292,37 +293,26 @@ def associated_young_tableau(tab):
 
     With an empty core, domino i receives 2i-1 and 2i.  With core (1), the
     core cell receives 1 and domino i receives 2i and 2i+1.  The earlier cell
-    of a domino (row, then column order) gets the smaller value.
+    of a domino (row, then column order; ``cells()`` lists it first) gets the
+    smaller value.  The split of a standard tableau is standard, so it is not
+    checked again: a cell left of or above a cell of domino i is a core cell,
+    a cell of a domino j < i, or the earlier cell of domino i itself.
     """
     core_order = staircase_order(tab.core)
     if core_order not in (0, 1):
         raise ValueError("associated Young tableau needs a core of at most one box")
     if not tab.is_standard():
         raise ValueError("associated Young tableau is defined for standard tableaux")
-    grid = {}
+    rows = [[None] * length for length in tab.shape()]
     if core_order == 1:
-        grid[(1, 1)] = 1
+        rows[0][0] = 1
     for value, dom in tab.entries:
-        first, second = sorted(dom.cells())
         low = 2 * value - 1 + core_order
-        grid[first] = low
-        grid[second] = low + 1
-    lam = tab.shape()
-    tableau = tuple(
-        tuple(grid[(r, c)] for c in range(1, length + 1))
-        for r, length in enumerate(lam, start=1)
-    )
-    for r, row in enumerate(tableau):
-        for c, value in enumerate(row):
-            if c + 1 < len(row) and row[c + 1] < value:
-                raise ValueError("split tableau is not standard")
-            if r + 1 < len(tableau) and c < len(tableau[r + 1]) and tableau[r + 1][c] < value:
-                raise ValueError("split tableau is not standard")
-    return tableau
+        (r1, c1), (r2, c2) = dom.cells()
+        rows[r1 - 1][c1 - 1], rows[r2 - 1][c2 - 1] = low, low + 1
+    return tuple(map(tuple, rows))
 
 
 def tableau_sign(tab):
     """Sign of the reading word of the associated Young tableau."""
-    from .young import syt_sign
-
     return syt_sign(associated_young_tableau(tab))

@@ -55,44 +55,29 @@ def enumerate_ssyt(lam, max_value):
     results = []
 
     def strips(base):
-        # choices of the next shape nu with base <= nu <= lam, nu/base a horizontal strip
-        options = []
-        for r in range(rows):
-            lo = base[r]
-            hi = min(lam[r], base[r - 1]) if r else lam[0]
-            options.append(range(lo, hi + 1))
-        for choice in itertools.product(*options):
-            if all(choice[r] >= choice[r + 1] for r in range(rows - 1)):
-                yield choice
+        # the next shapes nu with base <= nu <= lam and nu/base a horizontal strip;
+        # every choice is a partition, as nu_r <= base_(r-1) <= nu_(r-1)
+        highs = [min(lam[r], base[r - 1]) if r else lam[0] for r in range(rows)]
+        return itertools.product(*(range(lo, hi + 1) for lo, hi in zip(base, highs)))
 
     def extend(base, value, grid):
         if value > max_value:
-            if tuple(base) == tuple(lam) + (0,) * (rows - len(lam)):
+            if base == lam:
                 results.append(tuple(tuple(row) for row in grid))
             return
         for nu in strips(base):
             new_grid = [row + [value] * (nu[r] - base[r]) for r, row in enumerate(grid)]
-            extend(list(nu), value + 1, new_grid)
+            extend(nu, value + 1, new_grid)
 
-    extend([0] * rows, 1, [[] for _ in range(rows)])
+    extend((0,) * rows, 1, [[] for _ in range(rows)])
     return results
 
 
-def reading_word(tableau):
-    """Rows read left to right, top row first."""
-    return [v for row in tableau for v in row]
-
-
-def perm_sign(word):
-    """Sign of a sequence of distinct integers via inversion count."""
-    inversions = sum(
-        1 for i, j in itertools.combinations(range(len(word)), 2) if word[i] > word[j]
-    )
-    return -1 if inversions % 2 else 1
-
-
 def syt_sign(tableau):
-    return perm_sign(reading_word(tableau))
+    """Sign of the reading word (rows left to right, top row first) by its
+    inversion count."""
+    word = [v for row in tableau for v in row]
+    return -1 if sum(a > b for a, b in itertools.combinations(word, 2)) % 2 else 1
 
 
 @lru_cache(maxsize=None)

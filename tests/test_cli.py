@@ -130,23 +130,6 @@ def test_series_expand(capsys):
     assert "x1^2: 1" in out
 
 
-def test_series_check(capsys):
-    code, out, _ = run_cli(
-        capsys, "series", "check", "--vars", "2", "--degree", "2", "--cores", "0,1"
-    )
-    assert code == 0
-    assert "9/9 checks passed" in out
-
-    def records(*command):
-        argv = (*command, "--vars", "2", "--degree", "2", "--cores", "0,1", "--format", "json")
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        return [{k: v for k, v in json.loads(line).items() if k != "ms"} for line in out.splitlines()]
-
-    # the same records as the series suite at the same sizes, apart from ms
-    assert records("series", "check") == records("verify", "series")
-
-
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "shapes", "--core", "0", "--n", "2")
     assert code == 0
@@ -215,7 +198,6 @@ def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
     [
         ["series", "expand", "--degree", "-1"],
         ["series", "expand", "--vars", "-1"],
-        ["series", "check", "--vars", "0", "--degree", "1"],
         ["enumerate", "involutions", "--n", "-1"],
         ["verify", "counting", "--jobs", "-3"],
         ["verify", "counting", "--jobs", "0"],
@@ -227,6 +209,21 @@ def test_bad_sizes_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["series", "expand", "--g-function", "2", "--schur", "1,1"], ("--g-function", "--schur")),
+        (["imbalance", "3,1", "--all-of", "2"], ("shape", "--all-of")),
+    ],
+)
+def test_clashing_flags_exit_2(capsys, argv, flags):
+    # a flag is never dropped silently: two that ask for different outputs are an error naming both
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert all(flag in err for flag in flags)
 
 
 @pytest.mark.parametrize(
@@ -316,7 +313,6 @@ def test_negative_core_rejected(capsys):
         ("growth", "2' 1", "--core", "1000000000"),
         ("reverse", "--core", "1000000000"),
         ("series", "expand", "--core", "1000000000"),
-        ("series", "check", "--cores", "0,1000000000"),
         ("enumerate", "shapes", "--core", "1000000000"),
         ("verify", "insertion", "--cores", "1000000000"),
     ],

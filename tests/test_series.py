@@ -206,3 +206,20 @@ def test_a_coefficient_on_either_side(op, coeff, constant):
     expected = _with_coefficient(g, coeff, op)
     for result in (op(g, coeff), op(coeff, g)):
         assert isinstance(result, TruncatedSeries) and result == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        MPoly.var("s", PARAMS, power=2, coeff=-3) + 1,
+        MPoly(("x", "y"), {(1, 2): 5, (3, 0): 1}, bound=3),
+        TruncatedSeries.one(1, 0, 2),
+        domino_function((2, 2), 2, 4),
+        cauchy_product(1, 2),
+    ],
+    ids=["mpoly", "bounded-mpoly", "series-one", "series", "series-x-and-y"],
+)
+def test_repr_evaluates_back_to_the_value(value):
+    # repr names the class and keeps the degree bound, so a series and a polynomial print apart
+    copy = eval(repr(value), {"MPoly": MPoly, "TruncatedSeries": TruncatedSeries})
+    assert type(copy) is type(value) and copy == value

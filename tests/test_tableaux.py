@@ -331,6 +331,33 @@ def test_associated_young_tableau():
         associated_young_tableau(DominoTableau((2, 1), ()))
 
 
+def _is_standard_young(tableau, shape):
+    """Rows of the shape's lengths, the values 1..|shape| once each, and
+    increasing along every row and down every column."""
+    values = sorted(v for row in tableau for v in row)
+    return (
+        tuple(map(len, tableau)) == tuple(shape)
+        and values == list(range(1, sum(shape) + 1))
+        and all(a < b for row in tableau for a, b in zip(row, row[1:]))
+        and all(upper[c] < lower[c] for upper, lower in zip(tableau, tableau[1:]) for c in range(len(lower)))
+    )
+
+
+def test_the_split_of_a_standard_tableau_is_standard():
+    # associated_young_tableau does not check its output again; its docstring proves it standard
+    count = 0
+    for r in (0, 1):
+        for n in range(8):
+            for lam in enumerate_with_core(r, n):
+                for tab in enumerate_standard(lam):
+                    split = associated_young_tableau(tab)
+                    assert _is_standard_young(split, lam), tab
+                    for value, dom in tab.entries:
+                        assert {split[i - 1][j - 1] for i, j in dom.cells()} == {2 * value - 1 + r, 2 * value + r}
+                    count += 1
+    assert count == 16626
+
+
 def test_sign_formula_small():
     for r in (0, 1):
         for n in range(4):
