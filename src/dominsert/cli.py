@@ -159,14 +159,16 @@ def cmd_series(args):
             if name not in PARAMS:
                 raise ValueError(f"unknown parameter {name!r} (expected a, b, c, s)")
             params[name] = int(value)
-    if args.g_function and args.schur:
-        raise ValueError("--g-function and --schur cannot be combined")
+    flags = {"--g-function": args.g_function, "--schur": args.schur, "--core": args.core}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if len(given) > 1:  # a domino function's core is its shape's
+        raise ValueError(f"{given[0]} and {given[1]} cannot be combined")
     if args.g_function:
         value = series.domino_function(_parse_shape(args.g_function), args.vars, args.degree)
     elif args.schur:
         value = series.schur(_parse_shape(args.schur), args.vars, args.degree)
     else:
-        value = series.weighted_domino_sum(args.core, args.vars, args.degree)
+        value = series.weighted_domino_sum(args.core or 0, args.vars, args.degree)
     if params:
         value = value.subs(params)
     if args.format == "json":
@@ -269,8 +271,9 @@ def build_parser():
                        help="four-variable polynomial over all shapes of M")
     p_imb.set_defaults(func=cmd_imbalance)
 
-    p_series = sub.add_parser("series", parents=[core, fmt], help="expand a truncated series")
+    p_series = sub.add_parser("series", parents=[fmt], help="expand a truncated series")
     p_series.add_argument("action", choices=("expand",))
+    p_series.add_argument("--core", type=int, help="staircase order of the 2-core of the weighted sum (default 0)")
     p_series.add_argument("--vars", type=int, default=2)
     p_series.add_argument("--degree", type=int, default=3)
     p_series.add_argument("--g-function", metavar="SHAPE", help="expand one domino function")
@@ -304,7 +307,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _core_order(getattr(args, "core", 0))
+        _core_order(getattr(args, "core", None) or 0)
         return args.func(args)
     except BrokenPipeError:  # the reader left: the exit flush goes nowhere, the status is SIGPIPE's
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

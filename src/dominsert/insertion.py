@@ -22,7 +22,7 @@ changes.  A signed permutation is held as its word: letter i puts its sign
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .partitions import (
@@ -200,10 +200,7 @@ def insert_frames(letters, core=0):
     return frames
 
 
-@dataclass(frozen=True)
-class InsertionResult:
-    p: DominoTableau
-    q: DominoTableau
+InsertionResult = namedtuple("InsertionResult", "p q")
 
 
 def _result(base, index, recording):
@@ -352,17 +349,11 @@ def local_rule_reverse(rho, mu, nu):
     return tuple(lam), entry
 
 
-@dataclass(frozen=True)
-class GrowthDiagram:
-    """Growth diagram of a signed permutation, kept as its word, its (P, Q)
-    pair and where each row's vertical label changes; letter i puts its sign
-    in square (i, value - 1)."""
-
-    word: tuple
-    core_order: int
-    p: DominoTableau  # domino j labels grid[n][j] / grid[n][j - 1]
-    q: DominoTableau  # domino i labels grid[i][n] / grid[i - 1][n]
-    changes: tuple  # changes[i]: the (j, label) where row i's square j changes its label
+class GrowthDiagram(namedtuple("GrowthDiagram", "word core_order p q changes")):
+    """Growth diagram of a signed permutation: its word, (P, Q) and in
+    ``changes[i]`` the (j, label) where row i's square j changes its vertical
+    label; letter i puts its sign in square (i, value - 1).  P's domino j labels
+    grid[n][j] / grid[n][j - 1], Q's domino i grid[i][n] / grid[i - 1][n]."""
 
     @property
     def n(self):

@@ -12,7 +12,6 @@ vertical count (the exponent of ``s``).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .partitions import (
@@ -32,7 +31,7 @@ from .partitions import (
     two_core,
 )
 from .polynomials import MPoly, SPIN
-from .words import value_weight
+from .words import read_only, value_weight
 from .young import syt_sign
 
 
@@ -71,20 +70,29 @@ def tiled_shape(core, entries):
     return tuple(counts)
 
 
-@dataclass(frozen=True)
 class DominoTableau:
-    core: tuple
-    entries: tuple  # (value, DominoShape) pairs, sorted; values start at 1
-    _shape: tuple = field(init=False, repr=False)
+    """A staircase core and sorted (value, DominoShape) entries, values from 1."""
 
-    def __post_init__(self):
-        if staircase_order(self.core) is None:
-            raise ValueError(f"core {self.core} is not a staircase")
-        ordered = tuple(sorted(self.entries))
+    def __init__(self, core, entries):
+        if staircase_order(core) is None:
+            raise ValueError(f"core {core} is not a staircase")
+        ordered = tuple(sorted(entries))
         if ordered and ordered[0][0] < 1:
             raise ValueError(f"tableau values start at 1, got {ordered[0][0]}")
-        object.__setattr__(self, "entries", ordered)
-        object.__setattr__(self, "_shape", tiled_shape(self.core, ordered))
+        self.__dict__.update(core=core, entries=ordered, _shape=tiled_shape(core, ordered))
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.core, self.entries, self._shape) == (other.core, other.entries, other._shape)
+
+    def __hash__(self):
+        return hash((self.core, self.entries, self._shape))
+
+    def __repr__(self):
+        return f"DominoTableau(core={self.core!r}, entries={self.entries!r})"
 
     @classmethod
     def _placed(cls, core, entries, shape):

@@ -12,7 +12,6 @@ import itertools
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import insertion, involutions, series, signimbalance, tableaux, words
@@ -636,6 +635,8 @@ def run_suite(suite, sizes=None, jobs=1):
         instances.extend(suite_instances(name, sizes))
     workers = min(jobs, os.cpu_count() or 1, len(instances))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_instance, instances))
     else:

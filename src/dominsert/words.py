@@ -18,23 +18,26 @@ Three biword kinds share one representation:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 COLORED = "colored"
 DOUBLY = "doubly"
 DUAL = "dual"
 
 
-@dataclass(frozen=True, order=False)
-class Letter:
-    value: int
-    barred: bool = False
+class Letter(namedtuple("Letter", "value barred")):
+    """The ``(value, barred)`` pair itself, like ``DominoShape``, but unordered."""
 
-    def __post_init__(self):
-        if self.value < 1:
+    __slots__ = ()
+
+    def __new__(cls, value, barred=False):
+        if value < 1:
             raise ValueError("letter values are positive")
+        return tuple.__new__(cls, (value, barred))
+
+    def __lt__(self, other):  # also against a plain tuple, whose order would put 1 before 1'
+        raise TypeError("letters have no order; sort them by key()")
+    __le__ = __gt__ = __ge__ = __lt__
 
     @property
     def neg(self):
@@ -54,9 +57,8 @@ class Letter:
         return f"{self.value}'" if self.barred else str(self.value)
 
 
-class Biletter(NamedTuple):
-    top: Letter
-    bottom: Letter
+class Biletter(namedtuple("Biletter", "top bottom")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.top}/{self.bottom}"
@@ -102,10 +104,26 @@ def _sort_key(kind):
     raise ValueError(f"unknown biword kind {kind!r}")
 
 
-@dataclass(frozen=True)
+def read_only(self, name, *value):  # __setattr__ and __delattr__ of an immutable value
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
 class ColoredBiword:
-    letters: tuple
-    kind: str
+    def __init__(self, letters, kind):
+        self.__dict__.update(letters=letters, kind=kind)
+
+    __setattr__ = __delattr__ = read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.letters, self.kind) == (other.letters, other.kind)
+
+    def __hash__(self):
+        return hash((self.letters, self.kind))
+
+    def __repr__(self):
+        return f"ColoredBiword(letters={self.letters!r}, kind={self.kind!r})"
 
     def __iter__(self):
         return iter(self.letters)
@@ -285,14 +303,10 @@ def is_involution(word):
     return is_signed_permutation(word) and group_inverse(word) == tuple(word)
 
 
-@dataclass(frozen=True)
-class InvolutionProfile:
+class InvolutionProfile(namedtuple("InvolutionProfile", "fixed barred_fixed two_cycles barred_two_cycles")):
     """Cycle counts of a signed involution."""
 
-    fixed: int
-    barred_fixed: int
-    two_cycles: int
-    barred_two_cycles: int
+    __slots__ = ()
 
     @property
     def length(self):

@@ -3,7 +3,10 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +218,8 @@ def test_bad_sizes_exit_2(capsys, argv):
     "argv, flags",
     [
         (["series", "expand", "--g-function", "2", "--schur", "1,1"], ("--g-function", "--schur")),
+        (["series", "expand", "--g-function", "2", "--core", "1"], ("--g-function", "--core")),
+        (["series", "expand", "--schur", "2", "--core", "0"], ("--schur", "--core")),
         (["imbalance", "3,1", "--all-of", "2"], ("shape", "--all-of")),
     ],
 )
@@ -246,6 +251,15 @@ def test_verify_jobs_flag(capsys):
     )
     assert code == 0
     assert "checks passed" in out
+
+
+def test_the_import_loads_no_process_pool_and_no_dataclasses():
+    # only ``verify --jobs`` above 1 starts a pool; -S keeps site hooks out of what is counted
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses")
+    code = f"import sys, dominsert, dominsert.verify, dominsert.cli; print([m for m in {heavy} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_parse_error_exit_code(capsys):
@@ -514,7 +528,9 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("core, command, flag", sorted(GOLDEN_DIGESTS))
 def test_output_bytes_are_unchanged(capsys, core, command, flag):
-    code, out, _ = run_cli(capsys, command, *GOLDEN_ARGUMENTS[flag], "--core", str(core))
+    # a domino function's core is its shape's, so that case takes no --core
+    core_flag = () if flag == "g-function" else ("--core", str(core))
+    code, out, _ = run_cli(capsys, command, *GOLDEN_ARGUMENTS[flag], *core_flag)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[core, command, flag]
 

@@ -1,4 +1,4 @@
-import dataclasses
+import pickle
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -40,7 +40,9 @@ from dominsert.insertion import (
 from dominsert.tableaux import DominoTableau, enumerate_standard, tiled_shape
 from dominsert.words import (
     Letter,
+    colored_word,
     group_inverse,
+    involution_profile,
     is_signed_permutation,
     parse_biword,
     parse_word,
@@ -177,6 +179,47 @@ def test_growth_empty_word():
     diagram = growth((), 2)
     assert diagram.grid == ((staircase(2),),)
     assert diagram.p_tableau() == DominoTableau(staircase(2), ())
+
+
+_H12, _V21 = "DominoShape(row=1, col=2, orient='h')", "DominoShape(row=2, col=1, orient='v')"
+_TAB = f"DominoTableau(core=(1,), entries=((1, {_H12}), (2, {_V21})))"
+_TAB_Q = f"DominoTableau(core=(1,), entries=((1, {_V21}), (2, {_H12})))"
+_WORD = "(Letter(value=2, barred=True), Letter(value=1, barred=False))"
+# each value type: how to build one, a field, and its repr
+VALUES = {
+    "Letter": (lambda: Letter(3, True), "value", "Letter(value=3, barred=True)"),
+    "DominoTableau": (lambda: DominoTableau((1,), [(2, DominoShape(2, 1, V)), (1, DominoShape(1, 2, H))]), "core", _TAB),
+    "InvolutionProfile": (
+        lambda: involution_profile(parse_word("1 3' 2'")),
+        "fixed",
+        "InvolutionProfile(fixed=1, barred_fixed=0, two_cycles=0, barred_two_cycles=1)",
+    ),
+    "GrowthDiagram": (
+        lambda: growth(parse_word("2' 1"), 1),
+        "word",
+        f"GrowthDiagram(word={_WORD}, core_order=1, p={_TAB}, q={_TAB_Q},"
+        " changes=(((1, (2, 1, 'v')),), ((0, (1, 2, 'h')),)))",
+    ),
+    "InsertionResult": (lambda: insert_word(parse_word("2' 1"), 1), "p", f"InsertionResult(p={_TAB}, q={_TAB_Q})"),
+    "ColoredBiword": (
+        lambda: colored_word(parse_word("2' 1")),
+        "letters",
+        "ColoredBiword(letters=(Biletter(top=Letter(value=1, barred=False), bottom=Letter(value=2, barred=True)),"
+        " Biletter(top=Letter(value=2, barred=False), bottom=Letter(value=1, barred=False))), kind='colored')",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_values_are_immutable_and_compare_by_content(name):
+    build, field, text = VALUES[name]
+    value, again = build(), build()
+    assert value == again and hash(value) == hash(again) and value is not again and value != object()
+    assert repr(value) == text
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(again, field))
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and type(copy) is type(value) and repr(copy) == text
 
 
 def test_local_rule_validation():
@@ -856,7 +899,7 @@ def test_growth_keeps_where_each_rows_label_changes(monkeypatch):
 def _toggled(diagram, i):
     """The diagram with the bar of letter i toggled, the sign of its entry."""
     word = diagram.word
-    return dataclasses.replace(diagram, word=word[:i] + (word[i].with_bar(not word[i].barred),) + word[i + 1:])
+    return diagram._replace(word=word[:i] + (word[i].with_bar(not word[i].barred),) + word[i + 1:])
 
 
 def test_spin_ledger_derives_no_label_from_shapes(monkeypatch):

@@ -1,5 +1,6 @@
 """The shared skeleton of the verify checks: failures surface, records stay fixed."""
 
+import concurrent.futures
 import importlib
 import importlib.util
 import json
@@ -279,7 +280,7 @@ def test_run_suite_caps_its_workers(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     sizes = {"n": 1, "cores": (0,)}  # five records
     serial = verify.run_suite("insertion", sizes)
     for cpus, jobs, pool in ((64, 10**9, 5), (3, 10**9, 3), (64, 2, 2), (None, 8, None), (64, 1, None)):

@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import pytest
 
@@ -74,6 +75,17 @@ def test_letter_parsing():
         parse_word("0")
 
 
+def test_a_letter_is_its_pair_without_an_order():
+    # tuple order would put 1 before 1'; letters sort by ``key`` only
+    assert Letter(3, True) == (3, True) and Letter(3) == Letter(3, False) != Letter(3, True)
+    for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+        for left, right in ((Letter(1, True), Letter(1)), (Letter(1), (2, False)), ((1, True), Letter(1))):
+            with pytest.raises(TypeError):
+                compare(left, right)
+    with pytest.raises(ValueError, match="^letter values are positive$"):
+        Letter(0)
+
+
 def test_canonical_order_running_example():
     shuffled = biword(reversed(W.letters), COLORED)
     assert shuffled == W
@@ -102,6 +114,7 @@ def test_dual_order_tie_break():
 def test_single_biletter_sorts_to_itself():
     one = biword([Biletter(Letter(2), Letter(5, True))], COLORED)
     assert len(one) == 1
+    assert one != biword(one.letters, DUAL) and one != one.letters  # the kind takes part in equality
 
 
 def test_invert_colored_example():
