@@ -179,20 +179,20 @@ def cmd_series(args):
 
 
 def cmd_enumerate(args):
-    if args.what in ("shapes", "partitions"):
-        items = enumerate_with_core(args.core, args.n) if args.what == "shapes" else enumerate_partitions(args.n)
-        if args.format == "json":
-            print(json.dumps([list(lam) for lam in items]))
-        else:
-            for lam in items:
-                print(partition_str(lam))
-    elif args.what in ("sdt", "ssdt"):
-        lam = _parse_shape(args.shape)
+    reads = {"shapes": ("--n", "--core"), "partitions": ("--n",), "involutions": ("--n",),
+             "sdt": ("shape",), "ssdt": ("shape", "--max-value")}[args.what]
+    given = {"shape": args.shape, "--n": args.n, "--core": args.core, "--max-value": args.max_value}
+    for flag, value in given.items():  # a tableau's core is its shape's
+        if value is not None and flag not in reads:
+            raise ValueError(f"enumerate {args.what} reads no {flag}; it reads {' and '.join(reads)}")
+    n, max_value = args.n or 0, 2 if args.max_value is None else args.max_value
+    if args.what in ("sdt", "ssdt"):
+        lam = _parse_shape(args.shape or "")
         if args.what == "sdt":
             tabs, title = tableaux.enumerate_standard(lam), f"standard tableaux of {partition_str(lam)}"
         else:
-            tabs = tableaux.enumerate_semistandard(lam, args.max_value)
-            title = f"semistandard tableaux of {partition_str(lam)} with entries <= {args.max_value}"
+            tabs = tableaux.enumerate_semistandard(lam, max_value)
+            title = f"semistandard tableaux of {partition_str(lam)} with entries <= {max_value}"
         if args.format == "json":
             print(json.dumps([t.to_json() for t in tabs]))
         else:
@@ -200,13 +200,17 @@ def cmd_enumerate(args):
             for t in tabs:
                 print(render_tableau(t))
                 print()
-    elif args.what == "involutions":
-        items = words.enumerate_involutions(args.n)
-        if args.format == "json":
-            print(json.dumps([words.word_str(pi) for pi in items]))
-        else:
-            for pi in items:
-                print(words.word_str(pi))
+        return 0
+    if args.what == "involutions":
+        items, show, as_json = words.enumerate_involutions(n), words.word_str, words.word_str
+    else:
+        items = enumerate_with_core(args.core or 0, n) if args.what == "shapes" else enumerate_partitions(n)
+        show, as_json = partition_str, list
+    if args.format == "json":
+        print(json.dumps([as_json(item) for item in items]))
+    else:
+        for item in items:
+            print(show(item))
     return 0
 
 
@@ -229,9 +233,12 @@ def _emit_records(records, fmt):
 
 def cmd_verify(args):
     # only the sizes given on the command line; the suites own the defaults
-    sizes = {name: getattr(args, name) for name in verify.SIZES if getattr(args, name) is not None}
+    sizes = {name: getattr(args, name) for name in verify.SIZE_NAMES if getattr(args, name) is not None}
     if "cores" in sizes:
-        sizes["cores"] = tuple(_core_order(int(c)) for c in sizes["cores"].split(","))
+        cores = sizes["cores"].split(",")
+        if not all(c.strip().removeprefix("-").isdecimal() for c in cores):  # the digits int() reads
+            raise ValueError(f"--cores takes comma-separated integers, got {sizes['cores']!r}")
+        sizes["cores"] = tuple(_core_order(int(c)) for c in cores)
     if args.suite in ("insertion", "all") and (n := sizes.get("n", 0)) >= 7:
         print(f"note: the insertion suite checks 2^n*n! = {2 ** n * math.factorial(n):,} signed permutations"
               f" per core at n = {n}", file=sys.stderr)
@@ -281,22 +288,19 @@ def build_parser():
     p_series.add_argument("--params", help="substitutions like a=0,b=1,c=1,s=1")
     p_series.set_defaults(func=cmd_series)
 
-    p_enum = sub.add_parser("enumerate", parents=[core, fmt], help="list shapes, tableaux, or involutions")
+    p_enum = sub.add_parser("enumerate", parents=[fmt], help="list shapes, tableaux, or involutions")
     p_enum.add_argument("what", choices=("shapes", "partitions", "sdt", "ssdt", "involutions"))
-    p_enum.add_argument("shape", nargs="?", default="", help="shape for sdt/ssdt")
-    p_enum.add_argument("--n", type=int, default=0, help="dominoes (shapes) or size (partitions, involutions)")
-    p_enum.add_argument("--max-value", type=int, default=2)
+    p_enum.add_argument("shape", nargs="?", help="shape for sdt/ssdt")
+    p_enum.add_argument("--n", type=int, help="dominoes (shapes) or size (partitions, involutions); default 0")
+    p_enum.add_argument("--core", type=int, help="staircase order of the 2-core of shapes; default 0")
+    p_enum.add_argument("--max-value", type=int, help="largest entry of ssdt; default 2")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES + ("all",))
-    p_verify.add_argument("--n", type=int, help="word length bound")
-    p_verify.add_argument("--length", type=int, help="biword length bound")
-    p_verify.add_argument("--max-size", type=int, help="shape size bound for sign checks")
-    p_verify.add_argument("--vars", type=int)
-    p_verify.add_argument("--degree", type=int)
-    p_verify.add_argument("--poly-n", type=int)
-    p_verify.add_argument("--cores", help="comma-separated core orders")
+    for name in verify.SIZE_NAMES:  # "cores" takes comma-separated core orders
+        defaults = ", ".join(f"{suite} {sizes[name]}" for suite, sizes in verify.SUITE_SIZES.items() if name in sizes)
+        p_verify.add_argument("--" + name.replace("_", "-"), type=None if name == "cores" else int, help=defaults)
     p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
     p_verify.set_defaults(func=cmd_verify)
 

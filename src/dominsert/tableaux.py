@@ -12,7 +12,6 @@ vertical count (the exponent of ``s``).
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .partitions import (
     HORIZONTAL,
@@ -119,6 +118,7 @@ class DominoTableau:
         return sum(1 for _, dom in self.entries if dom.orient == "v")
 
     def spin(self):
+        from fractions import Fraction  # its one use; the import loads decimal and re
         return Fraction(self.vertical_count(), 2)
 
     def odd_vertical(self):

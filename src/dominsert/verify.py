@@ -27,7 +27,19 @@ from .partitions import (
 from .polynomials import MPoly, PARAMS
 from .young import enumerate_syt, syt_sign
 
-SUITES = ("insertion", "semistandard", "dual", "sym", "sign", "counting", "series")
+# the sizes each suite reads, with their defaults; the sign suite always runs at cores 0 and 1,
+# as its insertion sign is a tableau sign, defined only over a core of at most one box
+SUITE_SIZES = {
+    "insertion": {"n": 4, "cores": (0, 1, 2)},
+    "semistandard": {"length": 4, "cores": (0, 1)},
+    "dual": {"length": 3, "cores": (0, 1)},
+    "sym": {"n": 4, "cores": (0, 1, 2)},
+    "sign": {"max_size": 8, "n": 4},
+    "counting": {"n": 4, "cores": (0, 1, 2), "poly_n": 6, "max_size": 8},
+    "series": {"vars": 2, "degree": 3, "cores": (0, 1, 2)},
+}
+SUITES = tuple(SUITE_SIZES)
+SIZE_NAMES = tuple(dict.fromkeys(name for sizes in SUITE_SIZES.values() for name in sizes))
 VALUES = 2  # the largest top and bottom value of the semistandard and dual suites' biwords
 
 
@@ -530,86 +542,83 @@ def check_specializations(nx, bound):
 # suite assembly
 
 
-SIZES = ("n", "length", "max_size", "vars", "degree", "poly_n", "cores")
-
-
 def suite_instances(suite, sizes):
-    """The (check name, kwargs) pairs of one suite at the given sizes.
+    """The (check name, kwargs) pairs of one suite, or of 'all', at the given sizes.
 
-    An unknown or negative size is a ValueError, and so are sizes that leave
-    the suite nothing to check: no selection passes vacuously.
+    A suite reads the sizes of its ``SUITE_SIZES`` entry, at their defaults
+    unless given.  An unknown suite, a size no named suite reads, a negative
+    size, or sizes that leave a suite nothing to check is a ValueError: no
+    selection passes vacuously.
     """
+    names = SUITES if suite == "all" else (suite,)
+    if not set(names) <= SUITE_SIZES.keys():
+        raise ValueError(f"unknown suite {suite!r}")
+    reads = sorted(set().union(*(SUITE_SIZES[name] for name in names)))
     for key, value in sizes.items():
-        if key not in SIZES:
-            raise ValueError(f"unknown size {key!r}; the sizes are {', '.join(SIZES)}")
+        if key not in reads:
+            raise ValueError(f"suite {suite} reads no size {key}; it reads {', '.join(reads)}")
         low = 1 if key == "vars" else 0  # a series in no variables is a constant
         if any(v < low for v in (value if key == "cores" else (value,))):
             raise ValueError(f"size {key} must be at least {low}, got {value}")
-    instances = list(_instances(suite, sizes))
-    if not instances:
-        raise ValueError(f"suite {suite} has nothing to check at sizes {sizes}")
+        if key == "cores" and len(set(value)) < len(value):
+            raise ValueError(f"cores must be distinct, got {value}")
+    instances = []
+    for name in names:
+        resolved = {key: sizes.get(key, default) for key, default in SUITE_SIZES[name].items()}
+        found = list(_instances(name, resolved))
+        if not found:
+            raise ValueError(f"suite {name} has nothing to check at sizes {resolved}")
+        instances += found
     return instances
 
 
 def _instances(suite, sizes):
-    n_max = sizes.get("n", 4)
-    cores = sizes.get("cores", (0, 1, 2))
-    degree = sizes.get("degree", 3)
-    nx = sizes.get("vars", 2)
-    max_size = sizes.get("max_size", 8)
     if suite == "insertion":
-        for n in range(1, n_max + 1):
-            for core in cores:
-                yield ("check_standard_bijection", {"n": n, "core": core})
-                yield ("check_oracle_equivalence", {"n": n, "core": core})
-                yield ("check_color_to_spin", {"n": n, "core": core})
-                yield ("check_ascent_lemmas", {"n": n, "core": core})
-                yield ("check_inverse_symmetry", {"n": n, "core": core})
-    elif suite == "semistandard":
-        for length in range(0, sizes.get("length", 4) + 1):
-            for core in sizes.get("cores", (0, 1)):
-                yield ("check_semistandard", {"length": length, "core": core})
-    elif suite == "dual":
-        for length in range(0, sizes.get("length", 3) + 1):
-            for core in sizes.get("cores", (0, 1)):
-                yield ("check_dual", {"length": length, "core": core})
+        for n in range(1, sizes["n"] + 1):
+            for core in sizes["cores"]:
+                for check in ("check_standard_bijection", "check_oracle_equivalence", "check_color_to_spin",
+                              "check_ascent_lemmas", "check_inverse_symmetry"):
+                    yield (check, {"n": n, "core": core})
+    elif suite in ("semistandard", "dual"):
+        for length in range(0, sizes["length"] + 1):
+            for core in sizes["cores"]:
+                yield ("check_" + suite, {"length": length, "core": core})
     elif suite == "sym":
-        for n in range(0, n_max + 1):
-            for core in cores:
+        for n in range(0, sizes["n"] + 1):
+            for core in sizes["cores"]:
                 yield ("check_involution_statistics", {"n": n, "core": core})
     elif suite == "sign":
-        yield ("check_split_sign_formula", {"max_size": max_size})
-        yield ("check_imbalance_via_dominoes", {"max_size": max_size})
-        yield ("check_pairing_involution", {"max_size": min(max_size, 7)})
+        yield ("check_split_sign_formula", {"max_size": sizes["max_size"]})
+        yield ("check_imbalance_via_dominoes", {"max_size": sizes["max_size"]})
+        yield ("check_pairing_involution", {"max_size": min(sizes["max_size"], 7)})
         for core in (0, 1):
-            yield ("check_insertion_sign", {"n": n_max, "core": core})
-            yield ("check_bar_toggle", {"n": n_max, "core": core})
-        for m in range(1, max_size + 1):
+            yield ("check_insertion_sign", {"n": sizes["n"], "core": core})
+            yield ("check_bar_toggle", {"n": sizes["n"], "core": core})
+        for m in range(1, sizes["max_size"] + 1):
             yield ("check_imbalance_polynomial", {"m": m})
             yield ("check_imbalance_hooks", {"m": m})
-        for n in range(1, max_size + 1):
+        for n in range(1, sizes["max_size"] + 1):
             yield ("check_signed_total", {"n": n})
     elif suite == "counting":
         yield ("check_spin_poly_examples", {})
-        for core in cores:
+        for core in sizes["cores"]:
             yield ("check_vertical_parity_difference", {"max_dominoes": 5, "core": core})
             yield ("check_max_spin_split", {"max_dominoes": 4, "core": core})
-            for n in range(0, n_max + 1):
+            for n in range(0, sizes["n"] + 1):
                 yield ("check_spin_square_sum", {"n": n, "core": core})
-        for n in range(0, sizes.get("poly_n", 6) + 1):
-            yield ("check_involution_poly", {"n": n, "cores": tuple(cores) if n <= 4 else ()})
-        for n in range(0, max_size + 1):
+        for n in range(0, sizes["poly_n"] + 1):
+            yield ("check_involution_poly", {"n": n, "cores": tuple(sizes["cores"]) if n <= 4 else ()})
+        for n in range(0, sizes["max_size"] + 1):
             yield ("check_classical_counts", {"n": n})
-    elif suite == "series":
+    else:
+        nx, bound, cores = sizes["vars"], sizes["degree"], sizes["cores"]
         yield ("check_domino_function_examples", {})
         for core in cores:
-            yield ("check_cauchy", {"core": core, "nx": nx, "bound": degree})
-            yield ("check_dual_cauchy", {"core": core, "nx": nx, "bound": degree})
-            yield ("check_weighted_series", {"core": core, "nx": nx, "bound": degree})
-        yield ("check_series_core_independence", {"nx": nx, "bound": degree, "cores": tuple(cores)})
-        yield ("check_specializations", {"nx": nx, "bound": degree})
-    else:
-        raise ValueError(f"unknown suite {suite!r}")
+            yield ("check_cauchy", {"core": core, "nx": nx, "bound": bound})
+            yield ("check_dual_cauchy", {"core": core, "nx": nx, "bound": bound})
+            yield ("check_weighted_series", {"core": core, "nx": nx, "bound": bound})
+        yield ("check_series_core_independence", {"nx": nx, "bound": bound, "cores": tuple(cores)})
+        yield ("check_specializations", {"nx": nx, "bound": bound})
 
 
 _CHECKS = {
@@ -628,11 +637,7 @@ def run_suite(suite, sizes=None, jobs=1):
     """Run one suite (or 'all') in at most ``jobs`` processes; returns records sorted canonically."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    sizes = sizes or {}
-    names = SUITES if suite == "all" else (suite,)
-    instances = []
-    for name in names:
-        instances.extend(suite_instances(name, sizes))
+    instances = suite_instances(suite, sizes or {})
     workers = min(jobs, os.cpu_count() or 1, len(instances))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loaded only when a pool runs

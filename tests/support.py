@@ -417,3 +417,18 @@ def signed_permutations(draw, max_n=60, min_n=0):
 colored_biwords = biwords()
 dual_biwords = biwords(DUAL, multiplicity_free=True)
 cores = st.integers(min_value=0, max_value=2)
+
+
+# the sizes each verify suite reads, written out here and not read from
+# verify.SUITE_SIZES, so that the tests against them check that table
+SUITE_READS = {
+    "insertion": {"n", "cores"},
+    "semistandard": {"length", "cores"},
+    "dual": {"length", "cores"},
+    "sym": {"n", "cores"},
+    "sign": {"max_size", "n"},
+    "counting": {"n", "cores", "poly_n", "max_size"},
+    "series": {"vars", "degree", "cores"},
+}
+# a small value of each size at which every suite still has something to check
+TINY_SIZES = {"n": 1, "cores": (0,), "length": 0, "max_size": 1, "poly_n": 0, "vars": 1, "degree": 0}

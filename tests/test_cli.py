@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,9 +10,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dominsert.cli import main
+from dominsert import verify
+from dominsert.cli import build_parser, main
 from dominsert.words import parse_biword
+from support import SUITE_READS
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +186,17 @@ def test_verify_defaults_match_library(capsys):
         ("insertion", {"n": 0}, ["--n", "0"]),  # no records at all
         ("insertion", {"nn": 2}, None),  # no such size; the CLI has no such flag
         ("series", {"vars": 0}, ["--vars", "0"]),  # series in no variables are constants
+        # sizes the suite does not read
+        (
+            "insertion",
+            {"n": 2, "cores": (0,), "max_size": 4, "poly_n": 9, "vars": 5},
+            ["--n", "2", "--cores", "0", "--vars", "5", "--max-size", "4", "--poly-n", "9"],
+        ),
+        ("sign", {"max_size": 3, "cores": (5,)}, ["--max-size", "3", "--cores", "5"]),
+        ("insertion", {"poly_n": 9}, ["--poly-n", "9"]),
+        ("sign", {"cores": (0, 1)}, ["--cores", "0,1"]),  # the cores it runs, but not a size it reads
+        ("insertion", {"n": 1, "cores": (1, 1)}, ["--n", "1", "--cores", "1,1"]),  # a repeated core
+        ("series", {"cores": (1, 1)}, ["--cores", "1,1"]),
     ],
 )
 def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
@@ -194,6 +209,91 @@ def test_verify_rejects_bad_sizes(capsys, suite, sizes, flags):
         code, out, err = run_cli(capsys, "verify", suite, *flags)
         assert code == 2 and out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
+        # the error names an unread size if there is one, else the bad one
+        unread = [f"reads no size {key};" for key in sizes if key not in SUITE_READS[suite]]
+        assert any(name in err for name in unread) if unread else any(key in err for key in sizes)
+
+
+@pytest.mark.parametrize("cores", ["", "1,", "1.5", "a", "0,,1", "--1"])
+def test_malformed_cores_name_the_flag(capsys, cores):
+    code, out, err = run_cli(capsys, "verify", "insertion", f"--cores={cores}")
+    assert code == 2 and out == ""
+    assert err == f"error: --cores takes comma-separated integers, got {cores!r}\n"
+
+
+def test_verify_all_runs_at_the_smallest_sizes(capsys):
+    # every suite reads some of these and has something to check at them
+    argv = ["--n", "1", "--max-size", "1", "--poly-n", "0", "--length", "0", "--degree", "0", "--cores", "0"]
+    code, out, err = run_cli(capsys, "verify", "all", *argv)
+    assert code == 0 and err == ""
+    assert out.endswith(" checks passed\n")
+
+
+def test_verify_size_flags_are_the_table_sizes():
+    # the verify parser declares one flag per size of the suite table, and no other size
+    args = vars(build_parser().parse_args(["verify", "all"]))
+    sizes = set(args) - {"command", "func", "suite", "format", "jobs"}
+    assert sizes == set(verify.SIZE_NAMES) == set().union(*SUITE_READS.values())
+    assert all(args[name] is None for name in sizes)  # the suites own the defaults
+
+
+# tiny values of every verify size, and the inputs each kind of enumerate reads
+VERIFY_FLAGS = {
+    "n": ["1", "2"],
+    "cores": ["0", "1", "0,1", "2,0"],
+    "length": ["0", "1"],
+    "max-size": ["1", "2"],
+    "poly-n": ["0", "1"],
+    "vars": ["1", "2"],
+    "degree": ["0", "1"],
+}
+ENUMERATE_READS = {
+    "shapes": {"--n", "--core"},
+    "partitions": {"--n"},
+    "involutions": {"--n"},
+    "sdt": {"shape"},
+    "ssdt": {"shape", "--max-value"},
+}
+ENUMERATE_VALUES = {"shape": ["2", "1,1", "2,1,1"], "--n": ["0", "2"], "--core": ["0", "1"], "--max-value": ["0", "2"]}
+
+
+def _call(argv):
+    # run_cli without capsys, which is shared by all the examples of one Hypothesis test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_verify_and_enumerate_reject_exactly_the_unread_flags(data):
+    # every input a command reads at a tiny value, plus at most one more:
+    # exit 2 with one error line exactly when that one is not read, never a traceback
+    if data.draw(st.booleans(), label="verify"):
+        suite = data.draw(st.sampled_from(sorted(SUITE_READS) + ["all"]), label="suite")
+        reads = {name.replace("_", "-") for name in SUITE_READS.get(suite, set().union(*SUITE_READS.values()))}
+        argv = ["verify", suite]
+        for name in sorted(reads):
+            argv += [f"--{name}", data.draw(st.sampled_from(VERIFY_FLAGS[name]), label=name)]
+        extra = data.draw(st.sampled_from([None, *sorted(VERIFY_FLAGS)]), label="extra")
+        if extra is not None:
+            argv += [f"--{extra}", data.draw(st.sampled_from(VERIFY_FLAGS[extra]), label="extra value")]
+    else:
+        kind = data.draw(st.sampled_from(sorted(ENUMERATE_READS)), label="kind")
+        reads = ENUMERATE_READS[kind]
+        extra = data.draw(st.sampled_from([None, *sorted(ENUMERATE_VALUES)]), label="extra")
+        argv = ["enumerate", kind]
+        # the shape comes first: argparse reads no positional after a flag
+        for flag in sorted(reads | {extra} - {None}, key=lambda flag: flag != "shape"):
+            value = data.draw(st.sampled_from(ENUMERATE_VALUES[flag]), label=flag)
+            argv += [value] if flag == "shape" else [flag, value]
+    code, out, err = _call(argv)
+    if extra is not None and extra not in reads:
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+    else:
+        assert code in (0, 1) and err == ""
 
 
 @pytest.mark.parametrize(
@@ -255,7 +355,7 @@ def test_verify_jobs_flag(capsys):
 
 def test_the_import_loads_no_process_pool_and_no_dataclasses():
     # only ``verify --jobs`` above 1 starts a pool; -S keeps site hooks out of what is counted
-    heavy = ("concurrent.futures", "multiprocessing", "dataclasses")
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "fractions")
     code = f"import sys, dominsert, dominsert.verify, dominsert.cli; print([m for m in {heavy} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
@@ -528,8 +628,8 @@ GOLDEN_DIGESTS = {
 
 @pytest.mark.parametrize("core, command, flag", sorted(GOLDEN_DIGESTS))
 def test_output_bytes_are_unchanged(capsys, core, command, flag):
-    # a domino function's core is its shape's, so that case takes no --core
-    core_flag = () if flag == "g-function" else ("--core", str(core))
+    # a domino function's or a tableau's core is its shape's, so those cases take no --core
+    core_flag = () if flag in ("g-function", "sdt") else ("--core", str(core))
     code, out, _ = run_cli(capsys, command, *GOLDEN_ARGUMENTS[flag], *core_flag)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[core, command, flag]

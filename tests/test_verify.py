@@ -13,6 +13,7 @@ import pytest
 import dominsert
 from dominsert import insertion, involutions, polynomials, series, tableaux, verify, words
 from dominsert.cli import main
+from support import SUITE_READS, TINY_SIZES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -299,3 +300,18 @@ def test_biword_suites_run_at_the_given_cores(suite):
     records = verify.run_suite(suite, {"length": 1, "cores": (2,)})
     assert len(records) == 2  # lengths 0 and 1
     assert all(record["pass"] and record["params"]["core"] == 2 for record in records)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_READS) + ["all"])
+def test_each_suite_accepts_exactly_the_sizes_it_reads(suite):
+    # the oracle is the read sets written out in support, not the library's table
+    assert set(verify.SUITES) == set(SUITE_READS)
+    reads = set().union(*SUITE_READS.values()) if suite == "all" else SUITE_READS[suite]
+    for key, value in {**TINY_SIZES, "nn": 1}.items():
+        if key in reads:
+            assert verify.suite_instances(suite, {key: value})
+        else:
+            message = f"^suite {suite} reads no size {key}; it reads {', '.join(sorted(reads))}$"
+            with pytest.raises(ValueError, match=message):
+                verify.suite_instances(suite, {key: value})
+    assert verify.suite_instances(suite, {key: TINY_SIZES[key] for key in reads})
