@@ -246,8 +246,16 @@ def cmd_verify(args):
     return _emit_records(records, args.format)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with the one-line ``error:`` of every other usage error; the
+    subcommand parsers inherit the class, and ``--help`` is unchanged."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dominsert",
         description="Exact domino Schensted insertion, growth rules, and identity checks.",
     )

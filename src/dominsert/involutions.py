@@ -26,7 +26,7 @@ from .partitions import (
 )
 from .polynomials import MPoly, PARAMS, SPIN, one_plus_q
 from .series import shape_weight
-from .tableaux import spin_poly, tableau_sign
+from .tableaux import spin_polys, tableau_sign
 from .words import enumerate_involutions, involution_profile
 from .young import hook_count, involution_number
 
@@ -62,9 +62,10 @@ def involution_statistics(pi, core=0):
 def involution_poly(n, core=0):
     """Sum over shapes with n dominoes of a^.. b^.. c^.. times the spin
     polynomial; independent of the core."""
+    shapes = enumerate_with_core(core, n)
     total = MPoly.zero(PARAMS)
-    for lam in enumerate_with_core(core, n):
-        total = total + shape_weight(lam, core) * spin_poly(lam).lift(PARAMS)
+    for lam, poly in zip(shapes, spin_polys(shapes)):
+        total = total + shape_weight(lam, core) * poly.lift(PARAMS)
     return total
 
 
@@ -109,8 +110,7 @@ def involution_poly_egf(n):
 def spin_square_sum(n, core=0):
     """Sum of the squared spin polynomials over shapes with n dominoes."""
     total = MPoly.zero(SPIN)
-    for lam in enumerate_with_core(core, n):
-        poly = spin_poly(lam)
+    for poly in spin_polys(enumerate_with_core(core, n)):
         total = total + poly * poly
     return total
 

@@ -224,6 +224,29 @@ def domino_predecessors(lam):
     return out
 
 
+def fold_down(top, below, combine, memo):
+    """The value of ``top`` in a recursion down the shape lattice.
+
+    A shape not in ``memo`` has the value ``combine(pairs)``, with one
+    ``(label, value of mu)`` pair for each ``(mu, label)`` in ``below(shape)``.
+    ``memo`` holds the base values and receives every value found, so the
+    calls that share it share the work.  The walk keeps its own stack, so a
+    deep shape does not reach Python's recursion limit.
+    """
+    stack = [(top, None)]
+    while stack:
+        shape, edges = stack.pop()
+        if shape in memo:
+            continue
+        if edges is None:  # first visit: the shapes below go first, then this one again
+            edges = below(shape)
+            stack.append((shape, edges))
+            stack.extend((mu, None) for mu, _ in edges if mu not in memo)
+        else:
+            memo[shape] = combine([(label, memo[mu]) for mu, label in edges])
+    return memo[top]
+
+
 def _runners(lam):
     """The two runners of lam's 2-abacus with an even bead count: the positions
     b // 2 of the even and of the odd beta-numbers, largest first."""

@@ -11,15 +11,40 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import conjugate, d_stat, enumerate_partitions, v_stat
+from .partitions import as_partition, conjugate, d_stat, enumerate_partitions, fold_down, v_stat
 from .polynomials import IMBALANCE, MPoly
 from .tableaux import enumerate_standard, tableau_sign
-from .young import enumerate_syt, syt_sign
+
+
+def _corners(lam):
+    """(lam less the corner of row r, (-1)^(cells below row r)) for each corner.
+
+    The largest entry of a standard tableau sits in a corner and comes before
+    every cell of the rows below it in the reading word, so the imbalance of
+    lam is the signed sum of those of these shapes, and 1 at the empty shape.
+    """
+    out, below = [], 0
+    for r in range(len(lam) - 1, -1, -1):
+        length = lam[r]
+        if r == len(lam) - 1 or length > lam[r + 1]:
+            out.append((lam[:r] + (length - 1,) * (length > 1) + lam[r + 1:], -1 if below % 2 else 1))
+        below += length
+    return out
+
+
+def _signed_sum(pairs):
+    return sum(sign * value for sign, value in pairs)
+
+
+def _imbalances(shapes):
+    """The imbalance of each shape, by one walk with one memo for this call."""
+    memo = {(): 1}
+    return [fold_down(lam, _corners, _signed_sum, memo) for lam in shapes]
 
 
 def imbalance(lam):
     """Signed count of the standard Young tableaux of the shape."""
-    return sum(syt_sign(t) for t in enumerate_syt(lam))
+    return _imbalances([as_partition(lam)])[0]
 
 
 def domino_sign_sum(lam):
@@ -45,9 +70,9 @@ def pairing_involution(tableau, core_order):
 
 def _imbalance_sum(shapes):
     """Sum over the given shapes of x^v y^v' q^d t^d' times the imbalance."""
+    shapes = list(shapes)
     counts = Counter()
-    for lam in shapes:
-        value = imbalance(lam)
+    for lam, value in zip(shapes, _imbalances(shapes)):
         if value:
             counts[v_stat(lam), v_stat(conjugate(lam)), d_stat(lam), d_stat(conjugate(lam))] += value
     return MPoly(IMBALANCE, counts)
@@ -70,4 +95,4 @@ def imbalance_target(m):
 
 def signed_tableau_total(n):
     """Signed count of all standard Young tableaux with n cells."""
-    return sum(imbalance(lam) for lam in enumerate_partitions(n))
+    return sum(_imbalances(enumerate_partitions(n)))

@@ -11,16 +11,16 @@ vertical count (the exponent of ``s``).
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .partitions import (
     HORIZONTAL,
+    VERTICAL,
     DominoShape,
     as_partition,
     conjugate,
     contains,
     domino_predecessors,
     domino_successors,
+    fold_down,
     json_value,
     partition_str,
     place_domino,
@@ -291,9 +291,36 @@ def enumerate_column_semistandard(lam, max_value):
     )
 
 
+def _by_vertical(pairs):
+    """Tableau counts of a shape by vertical dominoes, index k for s^k, from
+    (removable domino, counts of the shape without it) pairs."""
+    out = [0] * max(len(counts) + (dom.orient == VERTICAL) for dom, counts in pairs)
+    for dom, counts in pairs:
+        for k, count in enumerate(counts, dom.orient == VERTICAL):
+            out[k] += count
+    return out
+
+
+def spin_polys(shapes):
+    """The spin polynomial of each shape, without listing tableaux.
+
+    The largest domino of a standard tableau is a removable domino D of its
+    shape, so spin_poly(lam) is the sum over D of s^[D vertical] times
+    spin_poly(lam - D), and 1 at the 2-core.  One walk down the lattice
+    serves all the shapes, with one memo that lives for this call only.
+    """
+    memo, polys = {}, []
+    for lam in shapes:
+        lam = as_partition(lam)
+        memo.setdefault(two_core(lam), (1,))
+        counts = fold_down(lam, domino_predecessors, _by_vertical, memo)
+        polys.append(MPoly(SPIN, {(k,): count for k, count in enumerate(counts)}))
+    return polys
+
+
 def spin_poly(lam):
     """Sum of q^spin over the standard tableaux of the shape, in s = q^(1/2)."""
-    return MPoly(SPIN, Counter((tab.vertical_count(),) for tab in enumerate_standard(lam)))
+    return spin_polys([lam])[0]
 
 
 def associated_young_tableau(tab):

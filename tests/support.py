@@ -4,6 +4,7 @@ permutations."""
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -21,6 +22,7 @@ from dominsert.partitions import (
     skew_domino,
     staircase,
 )
+from dominsert.polynomials import SPIN, MPoly
 from dominsert.tableaux import DominoTableau, enumerate_standard
 from dominsert.words import (
     COLORED,
@@ -37,6 +39,7 @@ from dominsert.words import (
     neg_values,
     walk_signed_permutations,
 )
+from dominsert.young import enumerate_syt, syt_sign
 
 
 def tableau_from_chain(shapes, values=None):
@@ -91,7 +94,17 @@ def signed_permutations_by_sort(n):
 
 
 # ---------------------------------------------------------------------------
-# spin statistics by enumeration
+# spin statistics and sign imbalance by enumeration
+
+
+def imbalance_by_listing(lam):
+    """Signed count of the standard Young tableaux of the shape, each listed."""
+    return sum(syt_sign(t) for t in enumerate_syt(lam))
+
+
+def spin_poly_by_listing(lam):
+    """Sum of s^(vertical count) over the standard domino tableaux of the shape, each listed."""
+    return MPoly(SPIN, Counter((tab.vertical_count(),) for tab in enumerate_standard(lam)))
 
 
 def max_spin(lam):

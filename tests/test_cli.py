@@ -19,7 +19,10 @@ from support import SUITE_READS
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse's own errors exit from inside parse_args
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -123,6 +126,12 @@ def test_imbalance(capsys):
     assert code == 0 and len(lines) == 3 and lines[-1] == "equal"
     code, out, _ = run_cli(capsys, "imbalance", "--all-of", "0", "--format", "json")
     assert code == 0 and json.loads(out)["equal"] is True
+
+
+def test_the_imbalance_of_a_long_row_is_1(capsys):
+    # the walk down the shapes keeps its own stack, so a thousand cells reach no recursion limit
+    code, out, err = run_cli(capsys, "imbalance", "1000")
+    assert (code, out, err) == (0, "1\n", "")
 
 
 def test_series_expand(capsys):
@@ -305,10 +314,13 @@ def test_verify_and_enumerate_reject_exactly_the_unread_flags(data):
         ["verify", "counting", "--jobs", "-3"],
         ["verify", "counting", "--jobs", "0"],
         ["enumerate", "ssdt", "4,2", "--max-value", "-5"],
+        ["verify", "insertion", "--n", "x"],
+        ["enumerate", "sdt", "--format", "json", "2,2"],
     ],
 )
 def test_bad_sizes_exit_2(capsys, argv):
-    # a negative size, a series in no variables or fewer than one job is an error, not an empty pass
+    # a negative size, a series in no variables or fewer than one job is an error, not an empty pass;
+    # so are what argparse rejects itself, a size that is no integer and a shape after a flag
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1

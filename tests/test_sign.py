@@ -1,3 +1,5 @@
+import pytest
+
 from dominsert.partitions import enumerate_partitions, staircase_order, two_core
 from dominsert.signimbalance import (
     domino_sign_sum,
@@ -11,6 +13,7 @@ from dominsert.signimbalance import (
 from dominsert.polynomials import IMBALANCE, MPoly
 from dominsert.verify import check_bar_toggle, check_pairing_involution
 from dominsert.young import enumerate_syt, hook_count, syt_sign
+from support import imbalance_by_listing
 
 
 def test_imbalance_small():
@@ -19,6 +22,23 @@ def test_imbalance_small():
     assert imbalance((2, 1)) == 0  # 2-core is the two-step staircase
     assert imbalance((2, 2)) == 0
     assert domino_sign_sum((2, 2)) == 0
+
+
+@pytest.mark.parametrize("m", range(11))
+def test_imbalance_by_corners_matches_the_listing(m):
+    for lam in enumerate_partitions(m):
+        assert imbalance(lam) == imbalance_by_listing(lam), lam
+
+
+def test_imbalance_walks_deep_shapes_without_recursion():
+    assert imbalance((1000,)) == imbalance((1,) * 1000) == 1
+    assert imbalance((500, 499)) == 0  # its 2-core has three cells
+
+
+def test_imbalance_identities_past_the_reach_of_listing():
+    assert imbalance_polynomial(24) == imbalance_target(24)
+    assert imbalance_polynomial_hooks(24) == imbalance_target(24)
+    assert signed_tableau_total(20) == 2**10
 
 
 def test_imbalance_matches_domino_sum():

@@ -4,7 +4,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from dominsert.partitions import DominoShape, domino_successors, enumerate_with_core, conjugate, staircase
+from dominsert.partitions import (
+    DominoShape, conjugate, domino_successors, enumerate_partitions, enumerate_with_core, staircase,
+)
 from dominsert.polynomials import MPoly, SPIN
 from dominsert.tableaux import (
     DominoTableau,
@@ -13,6 +15,7 @@ from dominsert.tableaux import (
     enumerate_semistandard,
     enumerate_standard,
     spin_poly,
+    spin_polys,
     tableau_sign,
 )
 from dominsert.involutions import standard_tableau_count
@@ -21,6 +24,7 @@ from support import (
     max_even_vertical,
     max_odd_vertical,
     max_spin,
+    spin_poly_by_listing,
     standardized_top_to_bottom,
     tableau_from_chain,
 )
@@ -300,6 +304,29 @@ def test_spin_poly_examples():
     assert spin_poly((3, 1, 1)) == 2 * s
     assert spin_poly((2, 2)) == 1 + s * s
     assert spin_poly(staircase(2)) == MPoly.const(1, SPIN)
+
+
+def test_spin_poly_by_dominoes_matches_the_listing():
+    shapes = [lam for m in range(11) for lam in enumerate_partitions(m)]
+    shapes += [lam for r in (0, 1, 2) for n in range(7) for lam in enumerate_with_core(r, n)]
+    for lam in shapes:
+        assert spin_poly(lam) == spin_poly_by_listing(lam), lam
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_spin_poly_coefficients_sum_to_the_hook_count(r):
+    # the count of the 2-quotient's hook formula; the shapes share one memo, in any order
+    shapes = [lam for n in range(13) for lam in enumerate_with_core(r, n)]
+    polys = spin_polys(shapes[::-1])[::-1]
+    for lam, poly in zip(shapes, polys):
+        assert sum(poly.terms.values()) == standard_tableau_count(lam), lam
+    assert polys[-60:] == [spin_poly(lam) for lam in shapes[-60:]]
+
+
+def test_spin_poly_walks_deep_shapes_without_recursion():
+    s = MPoly.var("s", SPIN)
+    assert spin_poly((2000,)) == MPoly.const(1, SPIN)
+    assert spin_poly((1,) * 2000) == s**1000
 
 
 def test_max_spin_and_cospin():

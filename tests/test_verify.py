@@ -315,3 +315,16 @@ def test_each_suite_accepts_exactly_the_sizes_it_reads(suite):
             with pytest.raises(ValueError, match=message):
                 verify.suite_instances(suite, {key: value})
     assert verify.suite_instances(suite, {key: TINY_SIZES[key] for key in reads})
+
+
+def test_the_sign_records_that_list_tableaux_stop_at_their_caps():
+    # read off the instances, none of them run: the records that list tableaux stop at their caps,
+    # and the recursions over shapes run to the size asked for
+    instances = verify.suite_instances("sign", {"max_size": 24})
+    listed = {name: params["max_size"] for name, params in instances if "max_size" in params}
+    assert listed == {"check_split_sign_formula": 16, "check_imbalance_via_dominoes": 16, "check_pairing_involution": 7}
+    for name, key in (("check_imbalance_polynomial", "m"), ("check_imbalance_hooks", "m"), ("check_signed_total", "n")):
+        assert [params[key] for check, params in instances if check == name] == list(range(1, 25))
+    # at the default size 8 only the pairing involution's cap binds
+    defaults = {name: params["max_size"] for name, params in verify.suite_instances("sign", {}) if "max_size" in params}
+    assert defaults == {"check_split_sign_formula": 8, "check_imbalance_via_dominoes": 8, "check_pairing_involution": 7}
