@@ -152,25 +152,24 @@ def cmd_imbalance(args):
 
 def cmd_series(args):
     params = {}
-    if args.params:
-        for piece in args.params.split(","):
-            name, _, value = piece.partition("=")
-            name = name.strip()
-            if name not in PARAMS:
-                raise ValueError(f"unknown parameter {name!r} (expected a, b, c, s)")
-            params[name] = int(value)
+    for piece in args.params.split(",") if args.params else ():
+        name, _, value = (text.strip() for text in piece.partition("="))
+        if name not in PARAMS or not value.removeprefix("-").isdecimal():  # the digits int() reads
+            raise ValueError(f"--params takes name=integer pieces, names among a, b, c, s; got {piece!r}")
+        if name in params:
+            raise ValueError(f"--params sets {name} twice; got {piece!r} after {name}={params[name]}")
+        params[name] = int(value)
     flags = {"--g-function": args.g_function, "--schur": args.schur, "--core": args.core}
     given = [flag for flag, value in flags.items() if value is not None]
     if len(given) > 1:  # a domino function's core is its shape's
         raise ValueError(f"{given[0]} and {given[1]} cannot be combined")
-    if args.g_function:
+    if args.g_function is not None:  # "" is the empty shape
         value = series.domino_function(_parse_shape(args.g_function), args.vars, args.degree)
-    elif args.schur:
+    elif args.schur is not None:
         value = series.schur(_parse_shape(args.schur), args.vars, args.degree)
     else:
         value = series.weighted_domino_sum(args.core or 0, args.vars, args.degree)
-    if params:
-        value = value.subs(params)
+    value = value.subs(params)
     if args.format == "json":
         print(json.dumps({"terms": {value.monomial_str(e): str(c) for e, c in sorted(value.terms.items())}}))
     else:

@@ -18,15 +18,13 @@ from .partitions import (
     conjugate,
     d_stat,
     enumerate_partitions,
-    enumerate_with_core,
     odd_rows,
-    size,
     staircase,
     two_core,
     v_stat,
 )
 from .polynomials import MPoly, PARAMS
-from .tableaux import enumerate_semistandard
+from .tableaux import strip_transfer
 from .young import enumerate_ssyt
 
 
@@ -122,26 +120,22 @@ def schur(lam, nx, bound):
     return TruncatedSeries(nx, 0, bound, {key: MPoly.const(n, PARAMS) for key, n in counts.items()})
 
 
+def _from_row(row, nx, bound, complement=False):
+    """G in x from its row of ``strip_transfer``: x^exps has the sum of s^v
+    over its tableaux, or with ``complement`` of s^(m - v), m = |exps| dominoes."""
+    spins = defaultdict(dict)  # x exponents -> (a, b, c, s) exponents -> tableaux
+    for (*exps, v), count in row.items():
+        spins[tuple(exps)][0, 0, 0, sum(exps) - v if complement else v] = count
+    return TruncatedSeries(nx, 0, bound, {exps: MPoly(PARAMS, terms) for exps, terms in spins.items()})
+
+
 def domino_function(lam, nx, bound, complement=False):
-    """Domino function in x: sum of q^spin x^weight over semistandard fillings.
-
-    With ``complement=True`` the spin exponent is replaced by its complement
-    against the domino count, which realises q^(m/2) G(X; 1/q) for the dual
-    Cauchy identity without negative exponents.
-    """
+    """Domino function in x: sum of q^spin x^weight over semistandard fillings,
+    read off a strip transfer kept inside lam.  ``complement=True`` gives the
+    spin's complement against the domino count, q^(m/2) G(X; 1/q) for the
+    dual Cauchy identity without negative exponents."""
     lam = as_partition(lam)
-    dominoes = (size(lam) - size(two_core(lam))) // 2
-    counts = defaultdict(Counter)  # x exponents -> (a, b, c, s) exponents -> tableaux
-    for tab in enumerate_semistandard(lam, nx):
-        v = tab.vertical_count()
-        key = _exponents(nx, *(value - 1 for value in tab.values()))
-        counts[key][0, 0, 0, dominoes - v if complement else v] += 1
-    return TruncatedSeries(nx, 0, bound, {key: MPoly(PARAMS, spins) for key, spins in counts.items()})
-
-
-def shapes_up_to(core, max_dominoes):
-    for n in range(max_dominoes + 1):
-        yield from enumerate_with_core(core, n)
+    return _from_row(strip_transfer(two_core(lam), nx, bound, _limit=lam).get(lam, {}), nx, bound, complement)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +144,14 @@ def shapes_up_to(core, max_dominoes):
 
 def _cauchy_sum(core, nx, bound, dual):
     """Sum over the shapes lam of one 2-core of G_lam(X) G_lam(Y), or with
-    ``dual`` of G_lam(X) q^(m/2) G_lam'(Y; 1/q).  Each G is built in x once
-    and padded with nx zeros to place it in the x or the y block."""
+    ``dual`` of G_lam(X) q^(m/2) G_lam'(Y; 1/q), each G read off one strip
+    transfer in x and padded with nx zeros to place it in the x or y block."""
     total = TruncatedSeries.zero(nx, nx, 2 * bound)
     zeros = (0,) * nx
-    for lam in shapes_up_to(core, bound):
-        g = domino_function(lam, nx, bound)
-        h = domino_function(conjugate(lam), nx, bound, complement=True) if dual else g
+    table = strip_transfer(staircase(core), nx, bound)
+    for lam, row in table.items():
+        g = _from_row(row, nx, bound)  # lam' has lam's core, and G = 0 off the table
+        h = _from_row(table.get(conjugate(lam), {}), nx, bound, complement=True) if dual else g
         gx = TruncatedSeries(nx, nx, 2 * bound, {e + zeros: c for e, c in g.terms.items()})
         gy = TruncatedSeries(nx, nx, 2 * bound, {zeros + e: c for e, c in h.terms.items()})
         total = total + gx * gy
@@ -203,8 +198,8 @@ def shape_weight(lam, core):
 def weighted_domino_sum(core, nx, bound):
     """Three-parameter sum of a^.. b^.. c^.. G(X; q) over one 2-core class."""
     total = TruncatedSeries.zero(nx, 0, bound)
-    for lam in shapes_up_to(core, bound):
-        total = total + domino_function(lam, nx, bound) * shape_weight(lam, core)
+    for lam, row in strip_transfer(staircase(core), nx, bound).items():
+        total = total + _from_row(row, nx, bound) * shape_weight(lam, core)
     return total
 
 
@@ -268,11 +263,11 @@ def specialization_zero_spin(total):
 
 def _even_shapes(total, values, columns):
     """``total`` at ``values`` and the sum of G over the shapes with even
-    rows, and with ``columns`` even columns too."""
+    rows, and with ``columns`` even columns too, from one strip transfer."""
     rhs = TruncatedSeries.zero(total.nx, 0, total.bound)
-    for lam in shapes_up_to(0, total.bound):
+    for lam, row in strip_transfer((), total.nx, total.bound).items():
         if odd_rows(lam) == 0 and not (columns and odd_rows(conjugate(lam))):
-            rhs = rhs + domino_function(lam, total.nx, total.bound)
+            rhs = rhs + _from_row(row, total.nx, total.bound)
     return total.subs(values), rhs
 
 

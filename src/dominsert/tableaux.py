@@ -11,6 +11,8 @@ vertical count (the exponent of ``s``).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .partitions import (
     HORIZONTAL,
     VERTICAL,
@@ -131,19 +133,19 @@ class DominoTableau:
         return self.values() == tuple(range(1, len(self.entries) + 1)) and self.is_semistandard()
 
     def is_semistandard(self):
-        return self._replay() is not None
+        return self._replay is not None
 
     def semistandard_shape(self):
         """The shape that the ``_replay`` reaches, None unless semistandard."""
-        replay = self._replay()
-        return None if replay is None else replay[1]
+        return self._replay and self._replay[1]
 
+    @cached_property
     def _replay(self):
         """Place each value class left to right with ``place_domino`` on the
         core: the entries numbered 1..n in that order and the final rows, or
         None unless prefix shapes are partitions and each value class is a
         horizontal strip of dominoes (pairwise disjoint, increasing column
-        ranges).  It never reads the stored shape."""
+        ranges); it never reads the stored shape, and runs once per tableau."""
         rows, entries, last = list(self.core), [], (0, 0)
         for value, dom in sorted(self.entries, key=lambda entry: (entry[0], entry[1].col)):
             if (value, dom.col) <= last:  # a domino of the class meets or precedes the last one
@@ -186,10 +188,9 @@ class DominoTableau:
         """
         if columns:
             return self.conjugated().standardized().conjugated()
-        replay = self._replay()
-        if replay is None:
+        if self._replay is None:
             raise ValueError("tableau is not semistandard")
-        return DominoTableau._placed(self.core, *replay)
+        return DominoTableau._placed(self.core, *self._replay)
 
     def conjugated(self):
         """Transposed cells tile the conjugate over the same staircase core."""
@@ -241,54 +242,63 @@ def enumerate_standard(lam):
     return results
 
 
-def _strip_extensions(base, limit):
-    """All horizontal domino strips addable to base inside limit.
+def _strip_walk(core, steps, max_dominoes, limit, start, extend):
+    """Each shape reached by ``steps`` horizontal domino strips up from core,
+    at most max_dominoes dominoes, inside ``limit`` unless None, mapped to its
+    row: chains counted by label from ``start``.  ``extend(row, k, strip)``
+    labels a row's chains after a nonempty strip of step k, dominoes left to
+    right, each strictly right of the last.  Its strip memo dies with the call."""
 
-    Yields (dominoes, shape); dominoes are listed left to right, each one
-    strictly to the right of the previous.
-    """
-    found = [((), base)]
+    def strips(shape, room):  # (strip, shape, last column) of each; read while it grows, so it never recurses
+        out = [((), shape, 0)]
+        for before, base, min_col in out:
+            for mu, dom in domino_successors(base) if len(before) < room else ():
+                if dom.col > min_col and (limit is None or contains(limit, mu)):
+                    out.append((before + (dom,), mu, dom.max_col))
+        return out[1:]
 
-    def grow(shape, strip, min_col):
-        for mu, dom in domino_successors(shape):
-            if dom.col > min_col and contains(limit, mu):
-                extended = strip + (dom,)
-                found.append((extended, mu))
-                grow(mu, extended, dom.max_col)
-
-    grow(base, (), 0)
-    return found
+    rows, found = {core: {start: 1}}, {}
+    for k in range(steps):
+        step = {shape: dict(row) for shape, row in rows.items()}
+        for shape, row in rows.items():
+            if shape not in found:
+                found[shape] = strips(shape, max_dominoes - (size(shape) - size(core)) // 2)
+            for strip, nu, _ in found[shape]:
+                target = step.setdefault(nu, {})
+                for label, count in extend(row, k, strip):
+                    target[label] = target.get(label, 0) + count
+        rows = step
+    return rows
 
 
 def enumerate_semistandard(lam, max_value):
     """All semistandard domino tableaux with entries at most max_value: the
-    chains of strips from the core that end at lam, their entries sorted."""
+    chains of strips from the core to lam, labelled by their entries."""
     if max_value < 0:
         raise ValueError(f"max_value must be nonnegative, got {max_value}")
     lam = as_partition(lam)
     core = two_core(lam)
-    partial = [(core, ())]  # (shape, entries) with the values placed so far
-    strips = {}  # shape -> its strip extensions inside lam, the same for every value
-    for value in range(1, max_value + 1):
-        for shape, _ in partial:
-            if shape not in strips:
-                strips[shape] = _strip_extensions(shape, lam)
-        partial = [
-            (new_shape, entries + tuple((value, dom) for dom in strip))
-            for shape, entries in partial
-            for strip, new_shape in strips[shape]
-        ]
-    results = [DominoTableau._placed(core, tuple(sorted(entries)), lam) for shape, entries in partial if shape == lam]
-    results.sort(key=lambda t: t.entries)
-    return results
+    chains = _strip_walk(core, max_value, (size(lam) - size(core)) // 2, lam, (), _with_entries).get(lam, ())
+    return sorted((DominoTableau._placed(core, tuple(sorted(e)), lam) for e in chains), key=lambda t: t.entries)
 
 
-def enumerate_column_semistandard(lam, max_value):
-    lam = as_partition(lam)
-    return sorted(
-        (t.conjugated() for t in enumerate_semistandard(conjugate(lam), max_value)),
-        key=lambda t: t.entries,
-    )
+def _with_entries(row, k, strip):
+    placed = tuple((k + 1, dom) for dom in strip)
+    return ((entries + placed, count) for entries, count in row.items())
+
+
+def _with_weight(row, k, strip):
+    d, v = len(strip), sum(dom.orient == VERTICAL for dom in strip)
+    return (((*key[:k], d, *key[k + 1:-1], key[-1] + v), count) for key, count in row.items())
+
+
+def strip_transfer(core, nvars, max_dominoes, _limit=None):
+    """Semistandard domino tableaux over core, values at most nvars, at most
+    max_dominoes dominoes, counted by ``enumerate_semistandard``'s walk over all
+    shapes at once, a strip of value k weighing x_k^(dominoes) s^(vertical ones):
+    shape -> row, x-exponents then vertical count -> tableaux.  ``_limit`` keeps
+    the walk inside one shape, at no more cost than listing its tableaux."""
+    return _strip_walk(core, nvars, max_dominoes, _limit, (0,) * (nvars + 1), _with_weight)
 
 
 def _by_vertical(pairs):

@@ -216,15 +216,13 @@ def check_semistandard(length, core):
         for (p, q), w in image.items():
             if image.get((q, p)) != words.invert_colored(w):
                 yield str(w)
-        yield from _image_sizes(core, length, pairs, image)
+        table = tableaux.strip_transfer(staircase(core), VALUES, length)  # each shape's tableaux, counted
+        yield from _image_sizes(core, length, lambda lam: sum(table.get(lam, {}).values()) ** 2, image)
         for p, q in itertools.islice(image, 1):  # the reverse rejects a pair over another core
             try:
                 yield f"reversed over core {core + 1}: {insertion.biword_reverse(p, q, core + 1)}"
             except ValueError:
                 pass
-
-    def pairs(lam):
-        return len(tableaux.enumerate_semistandard(lam, VALUES)) ** 2
 
     biwords = words.enumerate_biwords(VALUES, VALUES, length)
     params = {"length": length, "core": core, "values": VALUES}
@@ -263,11 +261,9 @@ def check_dual(length, core):
         for (p, q), w in images["alpha"].items():
             if images["beta"].get((q, p)) != words.invert_dual(w):
                 yield ("alpha-beta-duality", str(w))
-        yield from _image_sizes(core, length, pairs, *images.values())
-
-    def pairs(lam):
-        rows = tableaux.enumerate_semistandard(lam, VALUES)
-        return len(rows) * len(tableaux.enumerate_column_semistandard(lam, VALUES))
+        table = tableaux.strip_transfer(staircase(core), VALUES, length)  # lam' counts lam's column tableaux
+        count = {lam: sum(row.values()) for lam, row in table.items()}.get
+        yield from _image_sizes(core, length, lambda lam: count(lam, 0) * count(conjugate(lam), 0), *images.values())
 
     biwords = itertools.chain.from_iterable(
         words.enumerate_biwords(VALUES, VALUES, length, kind, multiplicity_free=True)
@@ -426,7 +422,7 @@ def check_vertical_parity_difference(max_dominoes, core):
         lhs = 2 * (tab.odd_vertical() - tab.even_vertical())
         return _failures([lhs == odd_rows(lam) - odd_rows(base)], lambda: str(tab))
 
-    shapes = series.shapes_up_to(core, max_dominoes)
+    shapes = (lam for n in range(max_dominoes + 1) for lam in enumerate_with_core(core, n))
     tabs = ((lam, tab) for lam in shapes for tab in tableaux.enumerate_standard(lam))
     params = {"max_dominoes": max_dominoes, "core": core}
     return _exhaustive("vertical-parity-difference", params, tabs, violations)
@@ -446,7 +442,7 @@ def check_max_spin_split(max_dominoes, core):
         )
         return _failures(claims, lambda: lam)
 
-    shapes = series.shapes_up_to(core, max_dominoes)
+    shapes = (lam for n in range(max_dominoes + 1) for lam in enumerate_with_core(core, n))
     return _exhaustive("max-spin-split", {"max_dominoes": max_dominoes, "core": core}, shapes, violations)
 
 

@@ -4,7 +4,7 @@ permutations."""
 
 import itertools
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from hypothesis import strategies as st
@@ -16,14 +16,18 @@ from dominsert.partitions import (
     DominoShape,
     as_partition,
     col_height,
+    conjugate,
     lift_domino,
     part,
     place_domino,
+    size,
     skew_domino,
     staircase,
+    two_core,
 )
-from dominsert.polynomials import SPIN, MPoly
-from dominsert.tableaux import DominoTableau, enumerate_standard
+from dominsert.polynomials import PARAMS, SPIN, MPoly
+from dominsert.series import TruncatedSeries
+from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard
 from dominsert.words import (
     COLORED,
     DOUBLY,
@@ -105,6 +109,28 @@ def imbalance_by_listing(lam):
 def spin_poly_by_listing(lam):
     """Sum of s^(vertical count) over the standard domino tableaux of the shape, each listed."""
     return MPoly(SPIN, Counter((tab.vertical_count(),) for tab in enumerate_standard(lam)))
+
+
+def enumerate_column_semistandard(lam, max_value):
+    """The column-semistandard domino tableaux of the shape: the conjugates of
+    the semistandard ones of its conjugate, sorted."""
+    tabs = enumerate_semistandard(conjugate(as_partition(lam)), max_value)
+    return sorted((t.conjugated() for t in tabs), key=lambda t: t.entries)
+
+
+def domino_function_by_listing(lam, nx, bound, complement=False):
+    """``series.domino_function`` from its semistandard tableaux, each listed:
+    q^spin x^weight, or q^(m/2 - spin) x^weight with ``complement``."""
+    lam = as_partition(lam)
+    dominoes = (size(lam) - size(two_core(lam))) // 2
+    counts = defaultdict(Counter)  # x exponents -> (a, b, c, s) exponents -> tableaux
+    for tab in enumerate_semistandard(lam, nx):
+        v = tab.vertical_count()
+        exps = [0] * nx
+        for value in tab.values():
+            exps[value - 1] += 1
+        counts[tuple(exps)][0, 0, 0, dominoes - v if complement else v] += 1
+    return TruncatedSeries(nx, 0, bound, {key: MPoly(PARAMS, spins) for key, spins in counts.items()})
 
 
 def max_spin(lam):

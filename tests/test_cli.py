@@ -144,6 +144,9 @@ def test_series_expand(capsys):
         capsys, "series", "expand", "--schur", "2", "--vars", "2", "--degree", "2"
     )
     assert "x1^2: 1" in out
+    # an empty shape is a shape: its domino function and Schur polynomial are 1, not the weighted sum
+    for flag in ("--g-function", "--schur"):
+        assert run_cli(capsys, "series", "expand", flag, "", "--vars", "1", "--degree", "2") == (0, "1: 1\n", "")
 
 
 def test_enumerate(capsys):
@@ -305,6 +308,40 @@ def test_verify_and_enumerate_reject_exactly_the_unread_flags(data):
         assert code in (0, 1) and err == ""
 
 
+SERIES_SHAPES = {"2": True, "2,2": True, "3,1,1": True, "": True, "1,2": False, "x": False}  # shape -> valid
+SERIES_CORES = {"0": True, "2": True, "-1": False}
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_series_expand_exits_0_or_2_with_one_error_line(data):
+    # small sizes, one or two of the three flags that pick a series, and --params from a grammar
+    # with repeats, floats and unknown names: exit 2 exactly when some input is bad, never a traceback
+    argv = ["series", "expand"]
+    for flag in ("--vars", "--degree"):
+        argv += [flag, data.draw(st.sampled_from(["0", "1", "2"]), label=flag)]
+    picked = data.draw(st.lists(st.sampled_from(["--g-function", "--schur", "--core"]), min_size=1, max_size=2, unique=True))
+    valid = len(picked) == 1
+    for flag in picked:
+        table = SERIES_CORES if flag == "--core" else SERIES_SHAPES
+        value = data.draw(st.sampled_from(sorted(table)), label=flag)
+        argv += [flag, value]
+        valid = valid and table[value]
+    pieces = data.draw(st.lists(st.tuples(st.sampled_from("abcsx"), st.sampled_from(["0", "1", "-2", "1.5", ""])), max_size=3))
+    names = [name for name, _ in pieces]
+    params_valid = "x" not in names and len(set(names)) == len(names) and all(value not in ("1.5", "") for _, value in pieces)
+    if pieces:
+        argv += ["--params", ",".join(f"{name}={value}" for name, value in pieces)]
+    code, out, err = _call(argv)
+    assert "Traceback" not in err
+    if valid and params_valid:
+        assert code == 0 and err == "", argv
+    else:
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
+        assert params_valid or "--params" in err, err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -316,6 +353,8 @@ def test_verify_and_enumerate_reject_exactly_the_unread_flags(data):
         ["enumerate", "ssdt", "4,2", "--max-value", "-5"],
         ["verify", "insertion", "--n", "x"],
         ["enumerate", "sdt", "--format", "json", "2,2"],
+        ["series", "expand", "--params", "a=1,a=2"],
+        ["series", "expand", "--params", "a=1.5"],
     ],
 )
 def test_bad_sizes_exit_2(capsys, argv):

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 from dominsert import tableaux
 from dominsert.insertion import biword_insert, dual_insert_alpha, dual_insert_beta, growth, insert_frames, insert_word
 from dominsert.partitions import enumerate_with_core
-from dominsert.tableaux import DominoTableau, enumerate_column_semistandard, enumerate_semistandard, enumerate_standard
+from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard
 from dominsert.words import Letter, invert_dual
-from support import colored_biwords, cores, dual_biwords, signed_permutations
+from support import colored_biwords, cores, dual_biwords, enumerate_column_semistandard, signed_permutations
 
 
 def assert_validated(tab):

@@ -4,7 +4,7 @@ import operator
 import pytest
 
 from dominsert import series
-from dominsert.partitions import conjugate, enumerate_with_core, two_quotient
+from dominsert.partitions import enumerate_with_core, staircase, two_quotient
 from dominsert.polynomials import MPoly, PARAMS, SPIN
 from dominsert.series import (
     TruncatedSeries,
@@ -22,6 +22,8 @@ from dominsert.series import (
     weighted_domino_product,
     weighted_domino_sum,
 )
+from dominsert.tableaux import strip_transfer
+from support import domino_function_by_listing
 
 ONE = MPoly.const(1, PARAMS)
 Q = MPoly.var("s", PARAMS, power=2)
@@ -123,20 +125,35 @@ def test_cauchy_identities():
     assert dual_cauchy_sum(0, 2, 2) == dual_cauchy_product(2, 2)
 
 
-def test_cauchy_sums_enumerate_each_shape_once(monkeypatch):
-    # G is built in x once and placed in its block: one enumeration per shape,
-    # and in the dual sum one for the shape and one for its conjugate
+def test_each_sum_runs_one_strip_transfer(monkeypatch):
+    # every G of a sum, and in the dual sum the conjugate's G too, is read off one transfer per call
     calls = []
-    real_enumerate = series.enumerate_semistandard
-    monkeypatch.setattr(series, "enumerate_semistandard", lambda lam, n: calls.append(lam) or real_enumerate(lam, n))
+    real_transfer = series.strip_transfer
+    monkeypatch.setattr(series, "strip_transfer", lambda *args, **kwargs: calls.append(args) or real_transfer(*args, **kwargs))
     for core in (0, 1, 2):
-        shapes = [lam for m in range(4) for lam in enumerate_with_core(core, m)]
+        for total, product in ((cauchy_sum, cauchy_product), (dual_cauchy_sum, dual_cauchy_product)):
+            calls.clear()
+            assert total(core, 2, 3) == product(2, 3)
+            assert calls == [(staircase(core), 2, 3)], (total, core)
         calls.clear()
-        assert cauchy_sum(core, 2, 3) == cauchy_product(2, 3)
-        assert calls == shapes, core
+        assert weighted_domino_sum(core, 2, 3) == weighted_domino_product(2, 3)
+        assert calls == [(staircase(core), 2, 3)], core
+    total = weighted_domino_sum(0, 2, 4)
+    for specialization in (specialization_even_rows, specialization_even_both):
         calls.clear()
-        assert dual_cauchy_sum(core, 2, 3) == dual_cauchy_product(2, 3)
-        assert calls == [mu for lam in shapes for mu in (lam, conjugate(lam))], core
+        lhs, rhs = specialization(total)
+        assert lhs == rhs and calls == [((), 2, 4)]
+
+
+def test_domino_functions_match_the_listing():
+    # the transfer kept inside one shape, and the one over every shape of its core, against listed tableaux
+    for core in (0, 1, 2):
+        table = strip_transfer(staircase(core), 2, 4)
+        for lam in (lam for n in range(5) for lam in enumerate_with_core(core, n)):
+            assert table.get(lam, {}) == strip_transfer(staircase(core), 2, 4, _limit=lam).get(lam, {}), lam
+            for complement in (False, True):
+                expected = domino_function_by_listing(lam, 2, 4, complement)
+                assert domino_function(lam, 2, 4, complement) == expected, (lam, complement)
 
 
 def test_weighted_sum_product_and_core_independence():

@@ -11,16 +11,17 @@ from dominsert.polynomials import MPoly, SPIN
 from dominsert.tableaux import (
     DominoTableau,
     associated_young_tableau,
-    enumerate_column_semistandard,
     enumerate_semistandard,
     enumerate_standard,
     spin_poly,
     spin_polys,
+    strip_transfer,
     tableau_sign,
 )
 from dominsert.involutions import standard_tableau_count
 from support import (
     cospin,
+    enumerate_column_semistandard,
     max_even_vertical,
     max_odd_vertical,
     max_spin,
@@ -272,6 +273,9 @@ def test_enumerate_standard_counts():
 def test_enumerate_semistandard_takes_a_large_bound():
     # one list of partial tableaux, extended value by value: no recursion per value
     assert len(enumerate_semistandard((2,), 1000)) == 1000
+    # nor per domino of a strip: a row of a thousand dominoes is one strip of value 1
+    assert len(enumerate_semistandard((2000,), 1)) == 1
+    assert strip_transfer((), 1, 1000, _limit=(2000,))[(2000,)] == {(1000, 0): 1}
 
 
 def test_enumerate_semistandard_small():
@@ -291,6 +295,19 @@ def test_enumerate_semistandard_small():
         standard = set(enumerate_standard(lam))
         for tab in enumerate_semistandard(lam, 3):
             assert tab.standardized() in standard
+
+
+def test_strip_transfer_counts_the_listed_tableaux():
+    # the shapes reached are those within the domino bound that have a tableau; a column-semistandard
+    # tableau of lam is a conjugated one of lam', so lam' has its count
+    for core in (0, 1, 2):
+        shapes = [lam for n in range(6) for lam in enumerate_with_core(core, n)]
+        for k in range(4):
+            counts = {lam: sum(row.values()) for lam, row in strip_transfer(staircase(core), k, 5).items()}
+            listed = {lam: len(enumerate_semistandard(lam, k)) for lam in shapes}
+            assert counts == {lam: n for lam, n in listed.items() if n}, (core, k)
+            for lam in shapes:
+                assert counts.get(conjugate(lam), 0) == len(enumerate_column_semistandard(lam, k)), (lam, k)
 
 
 def test_column_semistandard():
