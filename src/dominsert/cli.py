@@ -22,11 +22,20 @@ from .render import render_tableau
 from .words import ColoredBiword
 
 
-def _parse_shape(text):
-    text = text.strip()
-    if text in ("", "()", "-"):
+def _int(text, name):
+    """int(text), its error naming the flag or argument the token came from,
+    where int()'s own message names neither."""
+    try:
+        return int(text)
+    except ValueError:
+        got = repr(text) if len(text) <= 30 else f"one of {len(text)} characters"
+        raise ValueError(f"{name} takes integers of at most {sys.get_int_max_str_digits()} digits, got {got}") from None
+
+
+def _parse_shape(text, name):
+    if text.strip() in ("", "()", "-"):  # int() reads each part past its spaces
         return ()
-    return as_partition(int(p) for p in text.replace("(", "").replace(")", "").split(","))
+    return as_partition(_int(p, name) for p in text.replace("(", "").replace(")", "").split(","))
 
 
 MAX_CORE = 1000  # a core is built as its whole staircase, so its order is bounded
@@ -144,7 +153,7 @@ def cmd_imbalance(args):
             print(f"(x + y)^{m // 2}:  {target}")
             print("equal" if poly == target else "DIFFERENT")
         return 0 if poly == target else 1
-    lam = _parse_shape(args.shape)
+    lam = _parse_shape(args.shape, "shape")
     value = signimbalance.imbalance(lam)
     print(json.dumps({"shape": list(lam), "imbalance": value}) if args.format == "json" else value)
     return 0
@@ -158,15 +167,15 @@ def cmd_series(args):
             raise ValueError(f"--params takes name=integer pieces, names among a, b, c, s; got {piece!r}")
         if name in params:
             raise ValueError(f"--params sets {name} twice; got {piece!r} after {name}={params[name]}")
-        params[name] = int(value)
+        params[name] = _int(value, "--params")
     flags = {"--g-function": args.g_function, "--schur": args.schur, "--core": args.core}
     given = [flag for flag, value in flags.items() if value is not None]
     if len(given) > 1:  # a domino function's core is its shape's
         raise ValueError(f"{given[0]} and {given[1]} cannot be combined")
     if args.g_function is not None:  # "" is the empty shape
-        value = series.domino_function(_parse_shape(args.g_function), args.vars, args.degree)
+        value = series.domino_function(_parse_shape(args.g_function, "--g-function"), args.vars, args.degree)
     elif args.schur is not None:
-        value = series.schur(_parse_shape(args.schur), args.vars, args.degree)
+        value = series.schur(_parse_shape(args.schur, "--schur"), args.vars, args.degree)
     else:
         value = series.weighted_domino_sum(args.core or 0, args.vars, args.degree)
     value = value.subs(params)
@@ -186,7 +195,7 @@ def cmd_enumerate(args):
             raise ValueError(f"enumerate {args.what} reads no {flag}; it reads {' and '.join(reads)}")
     n, max_value = args.n or 0, 2 if args.max_value is None else args.max_value
     if args.what in ("sdt", "ssdt"):
-        lam = _parse_shape(args.shape or "")
+        lam = _parse_shape(args.shape or "", "shape")
         if args.what == "sdt":
             tabs, title = tableaux.enumerate_standard(lam), f"standard tableaux of {partition_str(lam)}"
         else:
@@ -237,7 +246,7 @@ def cmd_verify(args):
         cores = sizes["cores"].split(",")
         if not all(c.strip().removeprefix("-").isdecimal() for c in cores):  # the digits int() reads
             raise ValueError(f"--cores takes comma-separated integers, got {sizes['cores']!r}")
-        sizes["cores"] = tuple(_core_order(int(c)) for c in cores)
+        sizes["cores"] = tuple(_core_order(_int(c, "--cores")) for c in cores)
     if args.suite in ("insertion", "all") and (n := sizes.get("n", 0)) >= 7:
         print(f"note: the insertion suite checks 2^n*n! = {2 ** n * math.factorial(n):,} signed permutations"
               f" per core at n = {n}", file=sys.stderr)

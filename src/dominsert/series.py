@@ -121,21 +121,19 @@ def schur(lam, nx, bound):
 
 
 def _from_row(row, nx, bound, complement=False):
-    """G in x from its row of ``strip_transfer``: x^exps has the sum of s^v
-    over its tableaux, or with ``complement`` of s^(m - v), m = |exps| dominoes."""
+    """G in x from its row of ``strip_transfer``: x^exps has the sum of s^v over
+    its tableaux, or with ``complement`` of s^(m - v), m = |exps|: q^(m/2) G(X; 1/q)."""
     spins = defaultdict(dict)  # x exponents -> (a, b, c, s) exponents -> tableaux
     for (*exps, v), count in row.items():
         spins[tuple(exps)][0, 0, 0, sum(exps) - v if complement else v] = count
     return TruncatedSeries(nx, 0, bound, {exps: MPoly(PARAMS, terms) for exps, terms in spins.items()})
 
 
-def domino_function(lam, nx, bound, complement=False):
+def domino_function(lam, nx, bound):
     """Domino function in x: sum of q^spin x^weight over semistandard fillings,
-    read off a strip transfer kept inside lam.  ``complement=True`` gives the
-    spin's complement against the domino count, q^(m/2) G(X; 1/q) for the
-    dual Cauchy identity without negative exponents."""
+    read off a strip transfer kept inside lam."""
     lam = as_partition(lam)
-    return _from_row(strip_transfer(two_core(lam), nx, bound, _limit=lam).get(lam, {}), nx, bound, complement)
+    return _from_row(strip_transfer(two_core(lam), nx, bound, _limit=lam).get(lam, {}), nx, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Standard and semistandard domino tableaux and their statistics.
 
 A tableau is a staircase core plus value-labelled domino placements tiling
-the skew shape.  Its shape is stored: validated by one pass over the core
-and the dominoes (``tiled_shape``) where a tableau enters from outside, and
-handed over by the producer that proved it where the library builds one
-(``DominoTableau._placed``).  Spin is half the number of vertical dominoes;
-to keep the arithmetic exact it is usually handled through the integer
-vertical count (the exponent of ``s``).
+the skew shape.  Its shape is stored: validated by placing the dominoes on
+the core one at a time in diagonal order (``tiled_shape``) where a tableau
+enters from outside, and handed over by the producer that proved it where
+the library builds one (``DominoTableau._placed``).  Spin is half the number
+of vertical dominoes; to keep the arithmetic exact it is usually handled
+through the integer vertical count (the exponent of ``s``).
 """
 
 from __future__ import annotations
@@ -36,39 +36,34 @@ from .words import read_only, value_weight
 from .young import syt_sign
 
 
-def tiled_shape(core, entries):
-    """Row lengths of a core plus (value, domino) entries, in one pass.
+def _diagonal_order(entry):
+    row, col, orient = entry[1]
+    return row + col, orient == VERTICAL, row if orient == HORIZONTAL else -row
 
-    A row's bit mask holds its cells past the core, bit k for column core
-    length + k, so a row with no domino holds 0.  A core cell or a set bit
-    is an overlap; a row is full when its mask is the bits 1..k for some k,
-    that is, when adding 2 carries through all of them.  ValueError unless
-    no cell repeats, every row is full and the counts weakly decrease, that
-    is, unless the cells tile a partition shape.
+
+def tiled_shape(core, entries):
+    """Row lengths of a core plus (value, domino) entries, the dominoes
+    placed on the core with ``place_domino`` by the diagonal r + c of their
+    first cell, horizontal ones first, horizontal ones by row and vertical
+    ones by row descending.  ValueError unless the cells tile a partition.
+
+    The order works.  Let the cells tile a partition, and x be a cell above
+    or left of a cell y of domino d, in another domino e.  x lies on the
+    diagonal before y's, so e's first cell comes no later than d's.  They tie
+    only when x is e's first cell and y is d's second: d horizontal at (r, c)
+    and e horizontal at (r-1, c+1), placed first by row; or d vertical at
+    (r, c) and e vertical at (r+1, c-1), placed first by row descending.  So
+    every prefix of the order is a partition, each placement succeeds, and a
+    failed placement means the cells tile no partition.
     """
-    base, masks = list(core), [0] * len(core)
-    cells = sum(core) + 2 * len(entries)
-    for _, dom in entries:
-        row, col, orient = dom
-        if row + col > cells:  # far cell (r, c) with r * c > cells; keeps masks small
-            raise ValueError("cells do not tile a partition shape")
-        i = row - 1
-        if orient == HORIZONTAL:
-            j, width = i, 3
-        else:
-            j, width = i + 1, 1
-        if j >= len(masks):
-            masks.extend([0] * (j + 1 - len(masks)))
-            base.extend([0] * (j + 1 - len(base)))
-        top, bottom = col - base[i], col - base[j]
-        if top < 1 or bottom < 1 or masks[i] & (width << top) or masks[j] & (width << bottom):
-            raise ValueError(f"overlapping cell in {dom}")
-        masks[i] |= width << top
-        masks[j] |= width << bottom
-    counts = [length + mask.bit_count() for length, mask in zip(base, masks)]
-    if any([mask & (mask + 2) for mask in masks]) or counts != sorted(counts, reverse=True):
-        raise ValueError("cells do not tile a partition shape")
-    return tuple(counts)
+    rows = list(core)
+    for _, dom in sorted(entries, key=_diagonal_order):
+        try:
+            place_domino(rows, *dom)
+        except ValueError:
+            overlap = any(r <= len(rows) and c <= rows[r - 1] for r, c in dom.cells())
+            raise ValueError(f"overlapping cell in {dom}" if overlap else "cells do not tile a partition shape") from None
+    return tuple(rows)
 
 
 class DominoTableau:
@@ -223,21 +218,18 @@ class DominoTableau:
 
 
 def enumerate_standard(lam):
-    """All standard domino tableaux of the given shape; each is built from
-    lam down, so its entries reversed are sorted."""
+    """All standard domino tableaux of the given shape, built from lam down
+    on a stack of (shape, entries above it), so no shape recurses per domino."""
     lam = as_partition(lam)
     core = two_core(lam)
-    results = []
-
-    def descend(shape, entries):
-        if shape == core:
-            results.append(DominoTableau._placed(core, tuple(reversed(entries)), lam))
-            return
-        n = (size(shape) - size(core)) // 2
-        for mu, dom in domino_predecessors(shape):
-            descend(mu, entries + [(n, dom)])
-
-    descend(lam, [])
+    n = (size(lam) - size(core)) // 2
+    results, stack = [], [(lam, ())]
+    while stack:
+        shape, entries = stack.pop()
+        if len(entries) == n:
+            results.append(DominoTableau._placed(core, entries, lam))
+        else:
+            stack.extend((mu, ((n - len(entries), dom),) + entries) for mu, dom in domino_predecessors(shape))
     results.sort(key=lambda t: t.entries)
     return results
 

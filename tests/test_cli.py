@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -273,7 +274,10 @@ def _call(argv):
     # run_cli without capsys, which is shared by all the examples of one Hypothesis test
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors, such as a shape that reads as a flag
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -387,13 +391,63 @@ def test_clashing_flags_exit_2(capsys, argv, flags):
     [
         (["enumerate", "ssdt", "2", "--max-value", "1000"], 1 + 1000 * 4),
         (["series", "expand", "--g-function", "2", "--vars", "1000", "--degree", "1"], 1000),
+        (["enumerate", "sdt", "2400"], 1 + 4),
     ],
 )
 def test_a_thousand_values_exit_0(capsys, argv, lines):
-    # one tableau per value: a term x_k per variable, or a picture of 3 lines and a blank after the header
+    # one tableau per value: a term x_k per variable, or a picture of 3 lines and a blank after the header;
+    # the one standard tableau of a row of 1,200 dominoes is listed without recursing per domino
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert len(out.splitlines()) == lines
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["imbalance", "HUGE"], "shape"),
+        (["imbalance", "3,HUGE"], "shape"),
+        (["enumerate", "sdt", "HUGE"], "shape"),
+        (["enumerate", "ssdt", "2,HUGE", "--max-value", "1"], "shape"),
+        (["series", "expand", "--g-function", "HUGE"], "--g-function"),
+        (["series", "expand", "--schur", "1,HUGE"], "--schur"),
+        (["series", "expand", "--params", "a=-HUGE"], "--params"),
+        (["verify", "insertion", "--cores", "0,HUGE"], "--cores"),
+    ],
+)
+def test_an_integer_past_the_digit_limit_names_its_flag(capsys, argv, name):
+    # int() reads at most 4,300 digits by default, and its own message names no flag
+    huge = "9" * 5000
+    code, out, err = run_cli(capsys, *(arg.replace("HUGE", huge) for arg in argv))
+    assert code == 2 and out == ""
+    limit = sys.get_int_max_str_digits()
+    assert re.fullmatch(f"error: {name} takes integers of at most {limit} digits, got one of 500[01] characters\n", err)
+    assert "set_int_max_str_digits" not in err
+
+
+IMBALANCE_PARTS = ["0", "1", "2", "3", "-1", "x", "", "HUGE"]
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_imbalance_exits_0_or_2_with_one_error_line(data):
+    # a shape from small parts (unsorted, empty, negative, non-digit or past the digit limit), --all-of 0-6
+    # and --format, each maybe left out: exit 2 exactly when an input is bad, never a traceback
+    parts = data.draw(st.lists(st.sampled_from(IMBALANCE_PARTS), max_size=4), label="parts")
+    shape = data.draw(st.sampled_from([None, ",".join(parts)]), label="shape")
+    all_of = data.draw(st.none() | st.integers(0, 6), label="--all-of")
+    fmt = data.draw(st.sampled_from([None, "ascii", "json"]), label="--format")
+    argv = ["imbalance"] + ([shape.replace("HUGE", "9" * 5000)] if shape is not None else [])
+    argv += (["--all-of", str(all_of)] if all_of is not None else []) + (["--format", fmt] if fmt else [])
+    numbers = [int(part) for part in parts if part.removeprefix("-").isdecimal()]
+    valid = not shape or (len(numbers) == len(parts) and numbers == sorted(numbers, reverse=True) and min(numbers) >= 0)
+    code, out, err = _call(argv)
+    assert "Traceback" not in err
+    if valid and not (shape and all_of is not None):
+        assert code == 0 and err == "", argv[:4]
+    else:
+        assert code == 2 and out == "", argv[:4]
+        assert err.startswith("error:") and len(err.splitlines()) == 1, err
 
 
 def test_verify_jobs_flag(capsys):

@@ -1,4 +1,4 @@
-import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -139,12 +139,32 @@ def tiling_oracle(core, placements):
 
 
 def test_construction_against_oracle_on_standard_tableaux():
-    for r, n in itertools.product(range(3), range(6)):
-        for lam in enumerate_with_core(r, n):
-            for tab in enumerate_standard(lam):
-                placements = [(d.row, d.col, d.orient) for _, d in tab.entries]
-                assert tiling_oracle(tab.core, placements) == lam
-                assert DominoTableau(tab.core, tab.entries).shape() == lam
+    # each distinct tiling of cores 0-3 by up to 8 dominoes once, grown a domino at a time, its values shuffled
+    rng, tilings = random.Random(0), 0
+    for r in range(4):
+        level = {(staircase(r), frozenset())}
+        for _ in range(9):
+            for lam, dominoes in sorted((lam, sorted(tiling)) for lam, tiling in level):
+                rng.shuffle(dominoes)
+                assert tiling_oracle(staircase(r), dominoes) == lam
+                assert DominoTableau(staircase(r), tuple(enumerate(dominoes, start=1))).shape() == lam
+            tilings += len(level)
+            level = {(mu, tiling | {dom}) for lam, tiling in level for mu, dom in domino_successors(lam)}
+    assert tilings == 6222
+
+
+@pytest.mark.parametrize(
+    "entries, shape",
+    [
+        # vertical dominoes on one diagonal: the lower one holds the cell left of the upper one's second
+        (((1, DominoShape(1, 2, V)), (2, DominoShape(2, 1, V))), (2, 2, 1)),
+        # horizontal dominoes on one diagonal: the upper one holds the cell above the lower one's second
+        (((1, DominoShape(2, 1, H)), (2, DominoShape(1, 2, H))), (3, 2)),
+    ],
+)
+def test_construction_places_a_diagonal_tie_in_its_order(entries, shape):
+    # the domino that must be placed first has the larger value, so no value order places it first
+    assert DominoTableau((1,), entries).shape() == shape
 
 
 placement = st.tuples(st.integers(1, 5), st.integers(1, 5), st.sampled_from((H, V)))
