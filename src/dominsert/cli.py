@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 from . import insertion, series, signimbalance, tableaux, verify, words
 from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_value, partition_str
@@ -30,6 +31,14 @@ def _int(text, name):
     except ValueError:
         got = repr(text) if len(text) <= 30 else f"one of {len(text)} characters"
         raise ValueError(f"{name} takes integers of at most {sys.get_int_max_str_digits()} digits, got {got}") from None
+
+
+def _int_flag(text):
+    """``type`` of every integer flag; argparse names the flag before the message."""
+    try:
+        return _int(text, "the flag")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_shape(text, name):
@@ -116,12 +125,13 @@ def _read_tableau(data, name):
 
 
 def cmd_reverse(args):
+    parse_int = partial(_int, name="the reverse input")  # the JSON reader hands int() digits only
     try:
         if args.input:
             with open(args.input) as handle:
-                payload = json.load(handle)
+                payload = json.load(handle, parse_int=parse_int)
         else:
-            payload = json.load(sys.stdin)
+            payload = json.load(sys.stdin, parse_int=parse_int)
     except RecursionError:
         raise ValueError("reverse input is nested too deeply to read as JSON") from None
     if not isinstance(payload, dict):
@@ -272,7 +282,7 @@ def build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("ascii", "json"), default="ascii")
     core = argparse.ArgumentParser(add_help=False)
-    core.add_argument("--core", type=int, default=0, help="staircase order of the 2-core")
+    core.add_argument("--core", type=_int_flag, default=0, help="staircase order of the 2-core")
 
     p_insert = sub.add_parser("insert", parents=[core, fmt], help="insert a signed word or biword")
     p_insert.add_argument("word", help="letters like \"3' 4 2 1'\" or pairs like \"1/2' 1/3\"")
@@ -290,15 +300,15 @@ def build_parser():
 
     p_imb = sub.add_parser("imbalance", parents=[fmt], help="signed count of standard Young tableaux")
     p_imb.add_argument("shape", nargs="?", default="", help="shape like 3,3,2")
-    p_imb.add_argument("--all-of", type=int, metavar="M",
+    p_imb.add_argument("--all-of", type=_int_flag, metavar="M",
                        help="four-variable polynomial over all shapes of M")
     p_imb.set_defaults(func=cmd_imbalance)
 
     p_series = sub.add_parser("series", parents=[fmt], help="expand a truncated series")
     p_series.add_argument("action", choices=("expand",))
-    p_series.add_argument("--core", type=int, help="staircase order of the 2-core of the weighted sum (default 0)")
-    p_series.add_argument("--vars", type=int, default=2)
-    p_series.add_argument("--degree", type=int, default=3)
+    p_series.add_argument("--core", type=_int_flag, help="staircase order of the 2-core of the weighted sum (default 0)")
+    p_series.add_argument("--vars", type=_int_flag, default=2)
+    p_series.add_argument("--degree", type=_int_flag, default=3)
     p_series.add_argument("--g-function", metavar="SHAPE", help="expand one domino function")
     p_series.add_argument("--schur", metavar="SHAPE", help="expand one Schur polynomial")
     p_series.add_argument("--params", help="substitutions like a=0,b=1,c=1,s=1")
@@ -307,17 +317,17 @@ def build_parser():
     p_enum = sub.add_parser("enumerate", parents=[fmt], help="list shapes, tableaux, or involutions")
     p_enum.add_argument("what", choices=("shapes", "partitions", "sdt", "ssdt", "involutions"))
     p_enum.add_argument("shape", nargs="?", help="shape for sdt/ssdt")
-    p_enum.add_argument("--n", type=int, help="dominoes (shapes) or size (partitions, involutions); default 0")
-    p_enum.add_argument("--core", type=int, help="staircase order of the 2-core of shapes; default 0")
-    p_enum.add_argument("--max-value", type=int, help="largest entry of ssdt; default 2")
+    p_enum.add_argument("--n", type=_int_flag, help="dominoes (shapes) or size (partitions, involutions); default 0")
+    p_enum.add_argument("--core", type=_int_flag, help="staircase order of the 2-core of shapes; default 0")
+    p_enum.add_argument("--max-value", type=_int_flag, help="largest entry of ssdt; default 2")
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_verify = sub.add_parser("verify", parents=[fmt], help="run a verification suite")
     p_verify.add_argument("suite", choices=verify.SUITES + ("all",))
     for name in verify.SIZE_NAMES:  # "cores" takes comma-separated core orders
         defaults = ", ".join(f"{suite} {sizes[name]}" for suite, sizes in verify.SUITE_SIZES.items() if name in sizes)
-        p_verify.add_argument("--" + name.replace("_", "-"), type=None if name == "cores" else int, help=defaults)
-    p_verify.add_argument("--jobs", type=int, default=1, help="worker processes")
+        p_verify.add_argument("--" + name.replace("_", "-"), type=None if name == "cores" else _int_flag, help=defaults)
+    p_verify.add_argument("--jobs", type=_int_flag, default=1, help="worker processes")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

@@ -164,22 +164,22 @@ def dual_cauchy_sum(core, nx, bound):
     return _cauchy_sum(core, nx, bound, dual=True)
 
 
-def _xy_grid_product(nx, bound, sign, power):
-    """Product over all i, j of ((1 + sign x_i y_j)(1 + sign q x_i y_j))^power."""
+def _xy_grid_product(nx, bound, sign):
+    """Product over all i, j of ((1 + sign x_i y_j)(1 + sign q x_i y_j))^sign, for sign 1 or -1."""
     coeffs = (MPoly.const(sign, PARAMS), MPoly.var("s", PARAMS, power=2, coeff=sign))
     cells = [_exponents(2 * nx, i, nx + j) for i in range(nx) for j in range(nx)]
-    factors = [(coeff, exps, power) for exps in cells for coeff in coeffs]
+    factors = [(coeff, exps, sign) for exps in cells for coeff in coeffs]
     return expand_product(factors, nx, nx, 2 * bound)
 
 
 def cauchy_product(nx, bound):
     """Product of 1 / ((1 - x_i y_j)(1 - q x_i y_j)) over all i, j."""
-    return _xy_grid_product(nx, bound, -1, -1)
+    return _xy_grid_product(nx, bound, -1)
 
 
 def dual_cauchy_product(nx, bound):
     """Product of (1 + x_i y_j)(1 + q x_i y_j) over all i, j."""
-    return _xy_grid_product(nx, bound, 1, 1)
+    return _xy_grid_product(nx, bound, 1)
 
 
 def shape_weight(lam, core):

@@ -2,8 +2,9 @@
 
 Each check returns a dict with the identity name, its parameters, rendered
 left and right sides, and a pass flag that is true exactly when the two
-rendered sides are identical strings.  Suites are deterministic and sorted,
-so their output is reproducible.
+rendered sides are identical strings; an exhaustive check states named claims
+about each case and lists the false ones as (case, claim) pairs.  Suites are
+deterministic and sorted, so their output is reproducible.
 """
 
 from __future__ import annotations
@@ -57,14 +58,16 @@ def _record(identity, params, sides):
     }
 
 
-def _exhaustive(identity, params, cases, violations, closing=None):
+def _exhaustive(identity, params, cases, claims, closing=None):
     """The skeleton of every exhaustive check.
 
-    ``violations(case)`` gives what is wrong with one case (a ValueError is
-    one violation: the case, a word by its letters, and the message) and
-    ``closing()`` what is wrong with the cases taken together.  The record
-    counts the cases and shows the first three violations.  ``cases`` is
-    consumed inside the clock, so a generator times its own enumeration.
+    ``claims(case)`` gives the (claim name, holds) pairs of one case.  Each
+    false claim is one violation, (case, claim name), and a ValueError inside
+    the case is one, (case, message); a case is named by its letters if it is
+    a word and by str otherwise.  ``closing()`` gives what is wrong with the
+    cases taken together.  The record counts the cases and shows the first
+    three violations.  ``cases`` is consumed inside the clock, so a generator
+    times its own enumeration.
     """
 
     def sides():
@@ -73,23 +76,19 @@ def _exhaustive(identity, params, cases, violations, closing=None):
         for case in cases:
             total += 1
             try:
-                bad.extend(violations(case))
+                false = [name for name, holds in claims(case) if not holds]
             except ValueError as exc:
-                word = isinstance(case, tuple) and all(isinstance(letter, words.Letter) for letter in case)
-                bad.append((words.word_str(case) if word else str(case), str(exc)))
+                false = [str(exc)]
+            if false:
+                word = isinstance(case, tuple) and case and all(isinstance(letter, words.Letter) for letter in case)
+                label = words.word_str(case) if word else str(case)
+                bad.extend((label, name) for name in false)
         if closing is not None:
             bad.extend(closing())
         lhs = f"{len(bad)} violations in {total} cases" + (f": {bad[:3]}" if bad else "")
         return lhs, f"0 violations in {total} cases"
 
     return _record(identity, params, sides)
-
-
-def _failures(claims, witness):
-    """One violation, named by ``witness()``, for each false claim; the name
-    is built only when a claim is false."""
-    false = sum(not claim for claim in claims)
-    return [witness()] * false if false else []
 
 
 def _image_sizes(core, size, pairs, *images):
@@ -104,8 +103,8 @@ def _image_sizes(core, size, pairs, *images):
 # insertion suite (standard correspondence)
 
 
-def _insertion_check(identity, n, core, violations, closing=None):
-    """``violations(pi, result)`` for each signed permutation of n, inserted by
+def _insertion_check(identity, n, core, claims, closing=None):
+    """``claims(pi, result)`` for each signed permutation of n, inserted by
     ``insert_all``, or inside its case, raising, where the walk could not."""
     results = {}
 
@@ -115,7 +114,7 @@ def _insertion_check(identity, n, core, violations, closing=None):
             yield pi
 
     def case(pi):
-        return violations(pi, results.pop(pi) or insertion.insert_word(pi, core))
+        return claims(pi, results.pop(pi) or insertion.insert_word(pi, core))
 
     return _exhaustive(identity, {"n": n, "core": core}, cases(), case, closing)
 
@@ -123,62 +122,59 @@ def _insertion_check(identity, n, core, violations, closing=None):
 def check_standard_bijection(n, core):
     image = {}
 
-    def violations(pi, result):
+    def claims(pi, result):
         p, q = result.p, result.q
         shape = p.semistandard_shape()  # replayed, not the shape insertion stored
-        claims = (
-            p.values() == q.values() == tuple(range(1, n + 1)),
-            shape is not None and shape == q.semistandard_shape() and two_core(shape) == staircase(core),
-            (p, q) not in image,
-            insertion.growth_reverse_word(p, q) == pi,
+        found = (
+            ("values", p.values() == q.values() == tuple(range(1, n + 1))),
+            ("shape", shape is not None and shape == q.semistandard_shape() and two_core(shape) == staircase(core)),
+            ("injective", (p, q) not in image),
+            ("reverse", insertion.growth_reverse_word(p, q) == pi),
         )
         image[p, q] = pi
-        return _failures(claims, lambda: words.word_str(pi))
+        return found
 
     closing = partial(_image_sizes, core, n, lambda lam: involutions.standard_tableau_count(lam) ** 2, image)
-    return _insertion_check("standard-bijection", n, core, violations, closing)
+    return _insertion_check("standard-bijection", n, core, claims, closing)
 
 
 def check_oracle_equivalence(n, core):
-    def violations(pi, result):
+    def claims(pi, result):
         diagram = insertion.growth(pi, core)
-        claims = [(diagram.p_tableau(), diagram.q_tableau()) == (result.p, result.q)]
-        return _failures(claims, lambda: words.word_str(pi))
+        return [("growth", (diagram.p_tableau(), diagram.q_tableau()) == (result.p, result.q))]
 
-    return _insertion_check("bumping-vs-growth", n, core, violations)
+    return _insertion_check("bumping-vs-growth", n, core, claims)
 
 
 def check_color_to_spin(n, core):
-    def violations(pi, result):
-        claims = (
-            2 * words.total_color(pi) == result.p.vertical_count() + result.q.vertical_count(),
-            insertion.growth(pi, core).spin_ledger_holds(),
+    def claims(pi, result):
+        return (
+            ("color-spin", 2 * words.total_color(pi) == result.p.vertical_count() + result.q.vertical_count()),
+            ("spin-ledger", insertion.growth(pi, core).spin_ledger_holds()),
         )
-        return _failures(claims, lambda: words.word_str(pi))
 
-    return _insertion_check("color-to-spin", n, core, violations)
+    return _insertion_check("color-to-spin", n, core, claims)
 
 
 def check_ascent_lemmas(n, core):
     """i is an ascent of the word (of its inverse) exactly when domino i lies
     strictly left of domino i + 1 in Q (in P)."""
 
-    def violations(pi, result):
+    def claims(pi, result):
         for name, word, tab in (("Q", pi, result.q), ("P", words.group_inverse(pi), result.p)):
             doms = dict(tab.entries)
             for i in range(1, n):
-                if (word[i - 1].neg < word[i].neg) != (doms[i].max_col < doms[i + 1].col):
-                    yield (name, words.word_str(pi), i)
+                yield f"{name}-ascent-{i}", (word[i - 1].neg < word[i].neg) == (doms[i].max_col < doms[i + 1].col)
 
-    return _insertion_check("ascent-lemmas", n, core, violations)
+    return _insertion_check("ascent-lemmas", n, core, claims)
 
 
 def check_inverse_symmetry(n, core):
     pairs = {}
 
-    def violations(pi, result):
+    def claims(pi, result):
         pairs[pi] = (result.p, result.q)
-        return []
+        return ()
 
     def closing():
         # the inverse's pair is looked up, not inserted again
@@ -186,7 +182,7 @@ def check_inverse_symmetry(n, core):
             if pairs.get(words.group_inverse(pi)) != (q, p):
                 yield words.word_str(pi)
 
-    return _insertion_check("inverse-symmetry", n, core, violations, closing)
+    return _insertion_check("inverse-symmetry", n, core, claims, closing)
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +192,20 @@ def check_inverse_symmetry(n, core):
 def check_semistandard(length, core):
     image = {}
 
-    def violations(w):
+    def claims(w):
         p, q = insertion.biword_insert(w, core)
         std = insertion.growth(words.standardize(w).bottom, core)  # growth, independent of bumping
         shape = p.semistandard_shape()  # replayed, as in check_standard_bijection
-        claims = (
-            shape is not None and shape == q.semistandard_shape(),
-            p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
-            2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
-            (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau()),
-            insertion.biword_reverse(p, q, core) == w,
-            (p, q) not in image,
+        found = (
+            ("shape", shape is not None and shape == q.semistandard_shape()),
+            ("weight", p.weight() == w.bottom_weight() and q.weight() == w.top_weight()),
+            ("color-spin", 2 * words.total_color(w) == p.vertical_count() + q.vertical_count()),
+            ("standardization", (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau())),
+            ("reverse", insertion.biword_reverse(p, q, core) == w),
+            ("injective", (p, q) not in image),
         )
         image[p, q] = w
-        return _failures(claims, lambda: str(w))
+        return found
 
     def closing():
         # the inverse biword is a case too: its pair is looked up, not inserted again
@@ -226,7 +222,7 @@ def check_semistandard(length, core):
 
     biwords = words.enumerate_biwords(VALUES, VALUES, length)
     params = {"length": length, "core": core, "values": VALUES}
-    return _exhaustive("semistandard-bijection", params, biwords, violations, closing)
+    return _exhaustive("semistandard-bijection", params, biwords, claims, closing)
 
 
 # ---------------------------------------------------------------------------
@@ -239,22 +235,22 @@ def check_dual(length, core):
     the other way round."""
     images = {"alpha": {}, "beta": {}}
 
-    def violations(w):
+    def claims(w):
         alpha = w.kind == words.DUAL
         tag = "alpha" if alpha else "beta"
         p, q = (insertion.dual_insert_alpha if alpha else insertion.dual_insert_beta)(w, core)
         rows, columns = (p, q) if alpha else (q, p)
         row_shape, column_shape = rows.semistandard_shape(), columns.conjugated().semistandard_shape()  # replayed
         std = insertion.growth(words.dual_standardize(w).bottom, core)  # growth, independent of bumping
-        claims = {
-            tag: None not in (row_shape, column_shape) and row_shape == conjugate(column_shape),
-            f"{tag}-weight": p.weight() == w.bottom_weight() and q.weight() == w.top_weight(),
-            f"{tag}-spin": 2 * words.total_color(w) == p.vertical_count() + q.vertical_count(),
-            f"{tag}-std": (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == (std.p, std.q),
-            f"{tag}-injective": (p, q) not in images[tag],
-        }
+        found = (
+            (f"{tag}-shape", None not in (row_shape, column_shape) and row_shape == conjugate(column_shape)),
+            (f"{tag}-weight", p.weight() == w.bottom_weight() and q.weight() == w.top_weight()),
+            (f"{tag}-spin", 2 * words.total_color(w) == p.vertical_count() + q.vertical_count()),
+            (f"{tag}-std", (p.standardized(columns=not alpha), q.standardized(columns=alpha)) == (std.p, std.q)),
+            (f"{tag}-injective", (p, q) not in images[tag]),
+        )
         images[tag][p, q] = w
-        return [(name, str(w)) for name, holds in claims.items() if not holds]
+        return found
 
     def closing():
         # each alpha case's inverse is a beta case: its pair is looked up, not inserted again
@@ -270,7 +266,7 @@ def check_dual(length, core):
         for kind in (words.DUAL, words.COLORED)
     )
     params = {"length": length, "core": core, "values": VALUES}
-    return _exhaustive("dual-bijections", params, biwords, violations, closing)
+    return _exhaustive("dual-bijections", params, biwords, claims, closing)
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +274,10 @@ def check_dual(length, core):
 
 
 def check_involution_statistics(n, core):
-    def violations(pi):
-        stats = involutions.involution_statistics(pi, core)
-        return [(words.word_str(pi), name) for name, (lhs, rhs) in stats.items() if lhs != rhs]
+    def claims(pi):
+        return ((name, lhs == rhs) for name, (lhs, rhs) in involutions.involution_statistics(pi, core).items())
 
-    return _exhaustive("involution-statistics", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
+    return _exhaustive("involution-statistics", {"n": n, "core": core}, words.enumerate_involutions(n), claims)
 
 
 # ---------------------------------------------------------------------------
@@ -303,57 +298,52 @@ def _split_shapes(max_size):
 
 
 def check_split_sign_formula(max_size):
-    def violations(tab):
-        return _failures([tableaux.tableau_sign(tab) == (-1) ** tab.even_vertical()], lambda: str(tab))
+    def claims(tab):
+        return [("sign", tableaux.tableau_sign(tab) == (-1) ** tab.even_vertical())]
 
     tabs = (tab for lam, _ in _split_shapes(max_size) for tab in tableaux.enumerate_standard(lam))
-    return _exhaustive("split-sign-formula", {"max_size": max_size}, tabs, violations)
+    return _exhaustive("split-sign-formula", {"max_size": max_size}, tabs, claims)
 
 
 def check_imbalance_via_dominoes(max_size):
-    def violations(lam):
+    def claims(lam):
         split = staircase_order(two_core(lam)) in (0, 1)
-        value = signimbalance.imbalance(lam)
-        return _failures([value == (signimbalance.domino_sign_sum(lam) if split else 0)], lambda: lam)
+        return [("imbalance", signimbalance.imbalance(lam) == (signimbalance.domino_sign_sum(lam) if split else 0))]
 
-    return _exhaustive("imbalance-via-dominoes", {"max_size": max_size}, _shapes_up_to(max_size), violations)
+    return _exhaustive("imbalance-via-dominoes", {"max_size": max_size}, _shapes_up_to(max_size), claims)
 
 
 def check_pairing_involution(max_size):
-    split_images = {}
+    split = {}  # shape -> (core order, the Young tableaux its domino tableaux are associated with)
     fixed = Counter()
 
     def cases():
         for lam, r in _split_shapes(max_size):
-            tabs = tableaux.enumerate_standard(lam)
-            split_images[lam] = {tableaux.associated_young_tableau(tab) for tab in tabs}
-            for t in enumerate_syt(lam):
-                yield lam, r, t
+            split[lam] = r, {tableaux.associated_young_tableau(tab) for tab in tableaux.enumerate_standard(lam)}
+            yield from enumerate_syt(lam)
 
-    def violations(case):
-        lam, r, t = case
+    def claims(t):
+        lam = tuple(map(len, t))
+        r, images = split[lam]
         image = signimbalance.pairing_involution(t, r)
-        if signimbalance.pairing_involution(image, r) != t:
-            yield (lam, t)
+        involution = ("involution", signimbalance.pairing_involution(image, r) == t)
         if image == t:
             fixed[lam] += 1
-            if t not in split_images[lam]:
-                yield (lam, t, "fixed-not-domino")
-        elif syt_sign(image) != -syt_sign(t):
-            yield (lam, t, "not-sign-reversing")
+            return involution, ("fixed-point-is-domino", t in images)
+        return involution, ("sign-reversing", syt_sign(image) == -syt_sign(t))
 
     def closing():
-        return ((lam, "fixed-point-count") for lam, images in split_images.items() if fixed[lam] != len(images))
+        return ((lam, "fixed-point-count") for lam, (_, images) in split.items() if fixed[lam] != len(images))
 
-    return _exhaustive("pairing-involution", {"max_size": max_size}, cases(), violations, closing)
+    return _exhaustive("pairing-involution", {"max_size": max_size}, cases(), claims, closing)
 
 
 def check_insertion_sign(n, core):
-    def violations(pi):
+    def claims(pi):
         lhs, rhs = involutions.involution_statistics(pi, core)["insertion sign"]
-        return _failures([lhs == rhs], lambda: words.word_str(pi))
+        return [("sign", lhs == rhs)]
 
-    return _exhaustive("insertion-sign", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
+    return _exhaustive("insertion-sign", {"n": n, "core": core}, words.enumerate_involutions(n), claims)
 
 
 def check_imbalance_polynomial(m):
@@ -382,20 +372,19 @@ def check_bar_toggle(n, core):
     """Toggling the bar on the lowest two-cycle reverses the sign and keeps
     the shape statistics."""
 
-    def violations(pi):
+    def claims(pi):
         profile = involutions.involution_profile(pi)
         if profile.two_cycles + profile.barred_two_cycles == 0:
-            return []
+            return ()
         toggled = _toggle_lowest_two_cycle(pi)
         before, after = (involutions.involution_statistics(w, core) for w in (pi, toggled))
-        claims = (
-            _toggle_lowest_two_cycle(toggled) == pi,
-            all(before[name][0] == after[name][0] for name in ("odd rows", "odd columns", "d statistic")),
-            before["insertion sign"][0] == -after["insertion sign"][0],
+        return (
+            ("involution", _toggle_lowest_two_cycle(toggled) == pi),
+            ("shape", all(before[name][0] == after[name][0] for name in ("odd rows", "odd columns", "d statistic"))),
+            ("sign-reversing", before["insertion sign"][0] == -after["insertion sign"][0]),
         )
-        return _failures(claims, lambda: words.word_str(pi))
 
-    return _exhaustive("two-cycle-bar-toggle", {"n": n, "core": core}, words.enumerate_involutions(n), violations)
+    return _exhaustive("two-cycle-bar-toggle", {"n": n, "core": core}, words.enumerate_involutions(n), claims)
 
 
 def _toggle_lowest_two_cycle(pi):
@@ -417,15 +406,14 @@ def _toggle_lowest_two_cycle(pi):
 def check_vertical_parity_difference(max_dominoes, core):
     base = staircase(core)
 
-    def violations(case):
-        lam, tab = case
+    def claims(tab):
         lhs = 2 * (tab.odd_vertical() - tab.even_vertical())
-        return _failures([lhs == odd_rows(lam) - odd_rows(base)], lambda: str(tab))
+        return [("parity-difference", lhs == odd_rows(tab.shape()) - odd_rows(base))]
 
     shapes = (lam for n in range(max_dominoes + 1) for lam in enumerate_with_core(core, n))
-    tabs = ((lam, tab) for lam in shapes for tab in tableaux.enumerate_standard(lam))
+    tabs = (tab for lam in shapes for tab in tableaux.enumerate_standard(lam))
     params = {"max_dominoes": max_dominoes, "core": core}
-    return _exhaustive("vertical-parity-difference", params, tabs, violations)
+    return _exhaustive("vertical-parity-difference", params, tabs, claims)
 
 
 def check_max_spin_split(max_dominoes, core):
@@ -433,17 +421,16 @@ def check_max_spin_split(max_dominoes, core):
     counts, and every cospin (half of best - vertical count) is an integer;
     both claims are read off one enumeration of the shape."""
 
-    def violations(lam):
+    def claims(lam):
         tabs = tableaux.enumerate_standard(lam)
         best = max(t.vertical_count() for t in tabs)
-        claims = (
-            best == max(t.odd_vertical() for t in tabs) + max(t.even_vertical() for t in tabs),
-            all((best - t.vertical_count()) % 2 == 0 for t in tabs),
+        return (
+            ("split", best == max(t.odd_vertical() for t in tabs) + max(t.even_vertical() for t in tabs)),
+            ("integer-cospin", all((best - t.vertical_count()) % 2 == 0 for t in tabs)),
         )
-        return _failures(claims, lambda: lam)
 
     shapes = (lam for n in range(max_dominoes + 1) for lam in enumerate_with_core(core, n))
-    return _exhaustive("max-spin-split", {"max_dominoes": max_dominoes, "core": core}, shapes, violations)
+    return _exhaustive("max-spin-split", {"max_dominoes": max_dominoes, "core": core}, shapes, claims)
 
 
 def check_spin_square_sum(n, core):

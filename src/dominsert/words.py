@@ -125,9 +125,6 @@ class ColoredBiword:
     def __repr__(self):
         return f"ColoredBiword(letters={self.letters!r}, kind={self.kind!r})"
 
-    def __iter__(self):
-        return iter(self.letters)
-
     def __len__(self):
         return len(self.letters)
 

@@ -40,6 +40,9 @@ def test_insert_trace(capsys):
     code, out, _ = run_cli(capsys, "insert", "3' 4 2 1'", "--trace")
     assert code == 0
     assert out.count("after step") == 4
+    code, out, err = run_cli(capsys, "insert", "1/2 1/1", "--trace")  # a biword has no frames
+    assert code == 0 and "after step" not in out
+    assert err == "(trace is available for signed permutations only)\n"
 
 
 def test_insert_json_reverse_round_trip(capsys, monkeypatch, tmp_path):
@@ -158,6 +161,7 @@ def test_enumerate(capsys):
     assert len(json.loads(out)) == 2
     code, out, _ = run_cli(capsys, "enumerate", "involutions", "--n", "2")
     assert len(out.splitlines()) == 6
+    assert run_cli(capsys, "enumerate", "sdt", "") == (0, "1 standard tableaux of ()\n(empty shape)\n\n", "")
 
 
 def test_verify_json_lines(capsys):
@@ -425,6 +429,27 @@ def test_an_integer_past_the_digit_limit_names_its_flag(capsys, argv, name):
     assert "set_int_max_str_digits" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["insert", "1", "--core", "HUGE"], "--core"),
+        (["imbalance", "--all-of", "HUGE"], "--all-of"),
+        *((["series", "expand", flag, "HUGE"], flag) for flag in ("--core", "--vars", "--degree")),
+        *((["enumerate", "shapes", flag, "HUGE"], flag) for flag in ("--n", "--core")),
+        (["enumerate", "ssdt", "2", "--max-value", "HUGE"], "--max-value"),
+        *((["verify", "all", flag, "HUGE"], flag)
+          for flag in ["--" + name.replace("_", "-") for name in verify.SIZE_NAMES if name != "cores"] + ["--jobs"]),
+    ],
+)
+def test_an_integer_flag_past_the_digit_limit_names_the_flag_and_the_limit(capsys, argv, flag):
+    # argparse's own message would repeat all 5,000 digits
+    code, out, err = run_cli(capsys, *(arg.replace("HUGE", "9" * 5000) for arg in argv))
+    assert code == 2 and out == ""
+    assert len(err) < 200 and err.count("\n") == 1
+    assert err.startswith(f"error: argument {flag}: ")
+    assert f"at most {sys.get_int_max_str_digits()} digits" in err and "set_int_max_str_digits" not in err
+
+
 IMBALANCE_PARTS = ["0", "1", "2", "3", "-1", "x", "", "HUGE"]
 
 
@@ -471,6 +496,7 @@ def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "insert", "3 x 1")
     assert code == 2
     assert "error" in err
+    assert run_cli(capsys, "insert", "1/2 1/x") == (2, "", "error: pair 2: cannot parse letter 'x'\n")
 
 
 def test_a_closed_pipe_exits_141_without_an_error_line(capsys, monkeypatch):
@@ -560,7 +586,9 @@ def test_the_largest_core_still_runs(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"word": "2' 1", "core": 1000}
 
 
-# each payload below is valid once its one bad number is made an integer
+# int() reads at most 4,300 digits by default, the JSON reader's integers too
+HUGE_CORE = '{"P": {"core": [], "dominoes": []}, "Q": {"core": [], "dominoes": []}, "core": ' + "9" * 5000 + "}"
+# each payload below is valid once its one bad number is made an integer (or, as text, made shorter)
 ONE = {"value": 1, "row": 1, "col": 1, "orient": "h"}
 ON_CORE = {"core": [1], "dominoes": [{**ONE, "col": 2}]}
 
@@ -587,12 +615,13 @@ ON_CORE = {"core": [1], "dominoes": [{**ONE, "col": 2}]}
         {"P": {**ON_CORE, "core": [1.0]}, "Q": ON_CORE, "core": 1},
         {"P": ON_CORE, "Q": ON_CORE, "core": 1.7},
         {"P": ON_CORE, "Q": ON_CORE, "core": True},
+        HUGE_CORE,
     ],
 )
 def test_reverse_rejects_malformed_payload(capsys, monkeypatch, payload):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload if isinstance(payload, str) else json.dumps(payload)))
     code, _, err = run_cli(capsys, "reverse")
     assert code == 2
     assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -645,6 +674,14 @@ def test_reverse_names_a_missing_field(capsys, monkeypatch, payload, message):
     code, out, err = run_cli(capsys, "reverse")
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_reverse_names_an_integer_past_the_digit_limit(capsys, monkeypatch):
+    # int()'s own message names no field and points at the interpreter's setting
+    monkeypatch.setattr("sys.stdin", io.StringIO(HUGE_CORE))
+    limit = sys.get_int_max_str_digits()
+    message = f"error: the reverse input takes integers of at most {limit} digits, got one of 5000 characters\n"
+    assert run_cli(capsys, "reverse") == (2, "", message)
 
 
 def test_reverse_rejects_a_payload_nested_too_deeply(capsys, tmp_path):

@@ -24,6 +24,7 @@ def test_subs_partial():
     assert p.subs({"a": 3}) == 9 * b + 2 * b
     assert p.subs({"a": 0}) == 2 * b
     assert p.subs({"a": 1, "b": 1}) == MPoly.const(3, PARAMS)
+    assert (a * b - b).subs({"a": 1}) == 0  # a coefficient that cancels is dropped
 
 
 def test_lift_preserves_values():

@@ -1,5 +1,6 @@
 """The shared skeleton of the verify checks: failures surface, records stay fixed."""
 
+import ast
 import concurrent.futures
 import importlib
 import importlib.util
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import dominsert
-from dominsert import insertion, involutions, polynomials, series, tableaux, verify, words
+from dominsert import insertion, involutions, polynomials, series, signimbalance, tableaux, verify, words
 from dominsert.cli import main
 from support import SUITE_READS, TINY_SIZES
 
@@ -170,6 +171,59 @@ def test_an_insertion_fault_fails_its_record(monkeypatch):
         _assert_fails(verify.run_instance((check, {"n": 2, "core": 1})), 2**2 * 2)
     record = verify.check_ascent_lemmas(2, 1)
     assert record["lhs"].startswith("8 violations in 8 cases: [(\"2' 1'\", 'planted fault'), ")
+
+
+# one fault per check with per-case claims: (check, params, (owner, name, fault), violations, first violation);
+# every false claim of a case is one violation, and a word is named by its letters
+PLANTED_FAULTS = [
+    ("check_standard_bijection", {"n": 3, "core": 1},
+     (insertion, "growth_reverse_word", lambda p, q, real=insertion.growth_reverse_word: real(p, q)[::-1]),
+     48, ("3' 2' 1'", "reverse")),
+    ("check_oracle_equivalence", {"n": 3, "core": 1},
+     (insertion, "growth", lambda word, core, real=insertion.growth: real(word[::-1], core)),
+     48, ("3' 2' 1'", "growth")),
+    ("check_color_to_spin", {"n": 3, "core": 1},
+     (insertion.GrowthDiagram, "spin_ledger_holds", lambda diagram: False), 48, ("3' 2' 1'", "spin-ledger")),
+    # several claims of one case fail: 3' 1' 2' breaks both of its P ascents
+    ("check_ascent_lemmas", {"n": 3, "core": 1}, (words, "group_inverse", lambda pi: pi),
+     40, ("3' 2' 1", "P-ascent-1")),
+    ("check_semistandard", {"length": 2, "core": 0},
+     (words, "total_color", lambda w, real=words.total_color: real(w) + 1), 36, ("1/1 1/1", "color-spin")),
+    ("check_dual", {"length": 2, "core": 0},
+     (words, "total_color", lambda w, real=words.total_color: real(w) + 1), 56, ("1/1 1/1'", "alpha-spin")),
+    ("check_involution_statistics", {"n": 3, "core": 0},
+     (involutions, "tableau_sign", lambda tab, real=tableaux.tableau_sign: -real(tab)),
+     20, ("3' 2' 1'", "insertion sign")),
+    ("check_split_sign_formula", {"max_size": 4},
+     (tableaux, "tableau_sign", lambda tab, real=tableaux.tableau_sign: -real(tab)), 11, ("[core (1) | ]", "sign")),
+    ("check_imbalance_via_dominoes", {"max_size": 4},
+     (signimbalance, "domino_sign_sum", lambda lam, real=signimbalance.domino_sign_sum: real(lam) + 1),
+     10, ("(1,)", "imbalance")),
+    # every tableau is fixed: 4 are no domino tableau's, and 2 shapes have too many fixed points in the closing
+    ("check_pairing_involution", {"max_size": 4}, (signimbalance, "pairing_involution", lambda t, r: t),
+     6, ("((1, 3), (2,), (4,))", "fixed-point-is-domino")),
+    ("check_insertion_sign", {"n": 3, "core": 0},
+     (involutions, "tableau_sign", lambda tab, real=tableaux.tableau_sign: -real(tab)), 20, ("3' 2' 1'", "sign")),
+    ("check_bar_toggle", {"n": 3, "core": 0}, (involutions, "tableau_sign", lambda tab: 1),
+     12, ("3' 2' 1'", "sign-reversing")),
+    ("check_vertical_parity_difference", {"max_dominoes": 2, "core": 0},
+     (tableaux.DominoTableau, "odd_vertical", lambda tab, real=tableaux.DominoTableau.odd_vertical: real(tab) + 1),
+     9, ("[core () | ]", "parity-difference")),
+    ("check_max_spin_split", {"max_dominoes": 1, "core": 0},
+     (tableaux, "enumerate_standard", lambda lam, real=tableaux.enumerate_standard: real(lam) + real((1, 1))),
+     2, ("()", "integer-cospin")),
+]
+
+
+@pytest.mark.parametrize("check, params, fault, count, first", PLANTED_FAULTS, ids=[f[0] for f in PLANTED_FAULTS])
+def test_a_planted_fault_names_its_case_and_claim(monkeypatch, check, params, fault, count, first):
+    assert verify.run_instance((check, params))["pass"]
+    monkeypatch.setattr(*fault)
+    record = verify.run_instance((check, params))
+    assert record["pass"] is False
+    head, listed = record["lhs"].split(": ", 1)
+    assert int(head.split()[0]) == count
+    assert ast.literal_eval(listed)[0] == first
 
 
 def test_closing_comparison_reports_a_wrong_image_size(monkeypatch):
