@@ -25,12 +25,16 @@ from .words import ColoredBiword
 
 def _int(text, name):
     """int(text), its error naming the flag or argument the token came from,
-    where int()'s own message names neither."""
+    where int()'s own message names neither.  A signed run of digits fails
+    only past the digit limit, so only its error names the limit."""
     try:
         return int(text)
     except ValueError:
         got = repr(text) if len(text) <= 30 else f"one of {len(text)} characters"
-        raise ValueError(f"{name} takes integers of at most {sys.get_int_max_str_digits()} digits, got {got}") from None
+        token = text.strip()
+        digits = (token[1:] if token[:1] in ("+", "-") else token).isdecimal()
+        what = f"integers of at most {sys.get_int_max_str_digits()} digits" if digits else "integers"
+        raise ValueError(f"{name} takes {what}, got {got}") from None
 
 
 def _int_flag(text):

@@ -49,7 +49,6 @@ from .words import (
     dual_standardize,
     is_signed_permutation,
     standardize,
-    walk_signed_permutations,
 )
 
 
@@ -225,19 +224,31 @@ def insert_word(letters, core=0):
 
 def insert_all(n, core=0):
     """(word, ``insert_word(word, core)``) for each signed permutation of [n],
-    in the walk's order: each prefix is inserted once, into its parent's
-    index, copied for all but the last child, and a leaf's P and Q are
-    proven as in ``insert_word``.  A word below a step that raised comes
-    with None."""
+    lexicographically by neg-values.  Depth first on a stack, each node
+    tries its unused letters by increasing ``neg``, which is one to one on
+    letters: two words first differ below a common prefix, and the one with
+    the smaller neg-value there lies under the earlier child, so it comes
+    out first.  Each prefix is inserted once, into its parent's index,
+    copied for every child but the first, which is made last, and a leaf's
+    P and Q are proven as in ``insert_word``.  Below a step that raised
+    ValueError a word comes with None."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
     base = staircase(core)
-
-    def step(state, letter, last):
-        index, recording = state
-        child = index if last else index.copy()
-        return child, recording + ((len(recording) + 1, child.insert(letter)),)
-
-    for word, state in walk_signed_permutations(n, (_RowIndex(base, (), base), ()), step):
-        yield word, state and _result(base, *state)
+    letters = [Letter(v, True) for v in range(n, 0, -1)] + [Letter(v) for v in range(1, n + 1)]
+    stack = [((), letters, _RowIndex(base, (), base), ())]
+    while stack:
+        prefix, letters, index, recording = stack.pop()
+        if not letters:
+            yield prefix, index and _result(base, index, recording)
+        for i in reversed(range(len(letters))):  # pushed last, the first child is walked first
+            letter, child = letters[i], index and (index.copy() if i else index)
+            try:
+                added = child and child.insert(letter)
+            except ValueError:
+                child = added = None
+            rest = [other for other in letters if other.value != letter.value]
+            stack.append((prefix + (letter,), rest, child, recording + ((len(recording) + 1, added),)))
 
 
 # ---------------------------------------------------------------------------

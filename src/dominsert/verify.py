@@ -220,7 +220,7 @@ def check_semistandard(length, core):
             except ValueError:
                 pass
 
-    biwords = words.enumerate_biwords(VALUES, VALUES, length)
+    biwords = words.enumerate_biwords(VALUES, length)
     params = {"length": length, "core": core, "values": VALUES}
     return _exhaustive("semistandard-bijection", params, biwords, claims, closing)
 
@@ -262,7 +262,7 @@ def check_dual(length, core):
         yield from _image_sizes(core, length, lambda lam: count(lam, 0) * count(conjugate(lam), 0), *images.values())
 
     biwords = itertools.chain.from_iterable(
-        words.enumerate_biwords(VALUES, VALUES, length, kind, multiplicity_free=True)
+        words.enumerate_biwords(VALUES, length, kind, multiplicity_free=True)
         for kind in (words.DUAL, words.COLORED)
     )
     params = {"length": length, "core": core, "values": VALUES}

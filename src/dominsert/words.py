@@ -323,31 +323,6 @@ def involution_profile(letters):
     return InvolutionProfile(counts[True, False], counts[True, True], counts[False, False], counts[False, True])
 
 
-def walk_signed_permutations(n, state, step):
-    """Every signed permutation of [n], lexicographically by neg-values, with
-    the state its prefixes lead to.  Depth first, each node tries its unused
-    letters by increasing ``neg``, which is one to one on letters: two words
-    first differ below a common prefix, and the one with the smaller
-    neg-value there lies under the earlier child, so it comes out first.
-    ``step(state, letter, last)`` gives a child's state once per prefix, and
-    may change its argument only for the last child.  Below a step that
-    raised ValueError a word comes with None."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-
-    def walk(prefix, letters, state):
-        if not letters:
-            yield prefix, state
-        for i, letter in enumerate(letters):
-            try:
-                child = None if state is None else step(state, letter, i == len(letters) - 1)
-            except ValueError:
-                child = None
-            yield from walk(prefix + (letter,), [other for other in letters if other.value != letter.value], child)
-
-    return walk((), [Letter(v, True) for v in range(n, 0, -1)] + [Letter(v) for v in range(1, n + 1)], state)
-
-
 def enumerate_involutions(n):
     """All signed involutions in B_n, built from fixed points and two-cycles."""
     if n < 0:
@@ -378,14 +353,14 @@ def enumerate_involutions(n):
     return results
 
 
-def enumerate_biwords(max_top, max_bottom, length, kind=COLORED, multiplicity_free=False):
-    """Every biword of the given kind and length whose top letters are at most
-    max_top and whose bottom letters, barred or not, are at most max_bottom;
-    with ``multiplicity_free`` no biletter repeats."""
+def enumerate_biwords(values, length, kind=COLORED, multiplicity_free=False):
+    """Every biword of the given kind and length whose letters, the bottom
+    ones barred or not, are at most ``values``; with ``multiplicity_free``
+    no biletter repeats."""
     types = [
         Biletter(Letter(t), Letter(b, bar))
-        for t in range(1, max_top + 1)
-        for b in range(1, max_bottom + 1)
+        for t in range(1, values + 1)
+        for b in range(1, values + 1)
         for bar in (False, True)
     ]
     pick = itertools.combinations if multiplicity_free else itertools.combinations_with_replacement

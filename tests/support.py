@@ -41,7 +41,6 @@ from dominsert.words import (
     invert_dual,
     is_signed_permutation,
     neg_values,
-    walk_signed_permutations,
 )
 from dominsert.young import enumerate_syt, syt_sign
 
@@ -81,14 +80,7 @@ def spin_ledger_by_grid(diagram):
 
 
 def enumerate_signed_permutations(n):
-    """All 2^n n! signed permutations of [n], lexicographically by
-    neg-values: the words of ``walk_signed_permutations``, walked with a
-    state that no step changes."""
-    return [word for word, _ in walk_signed_permutations(n, (), lambda state, letter, last: state)]
-
-
-def signed_permutations_by_sort(n):
-    """All signed permutations of [n], sorted by their neg-values."""
+    """All 2^n n! signed permutations of [n], sorted by their neg-values."""
     words = [
         tuple(Letter(v, b) for v, b in zip(values, bars))
         for values in itertools.permutations(range(1, n + 1))

@@ -9,14 +9,16 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dominsert import verify
 from dominsert.cli import build_parser, main
-from dominsert.words import parse_biword
-from support import SUITE_READS
+from dominsert.insertion import insert_word
+from dominsert.words import parse_biword, parse_word
+from support import SUITE_READS, signed_permutations
 
 
 def run_cli(capsys, *argv):
@@ -274,10 +276,11 @@ ENUMERATE_READS = {
 ENUMERATE_VALUES = {"shape": ["2", "1,1", "2,1,1"], "--n": ["0", "2"], "--core": ["0", "1"], "--max-value": ["0", "2"]}
 
 
-def _call(argv):
+def _call(argv, stdin=""):
     # run_cli without capsys, which is shared by all the examples of one Hypothesis test
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    stdin = mock.patch.object(sys, "stdin", io.StringIO(stdin))
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), stdin:
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's own errors, such as a shape that reads as a flag
@@ -363,14 +366,19 @@ def test_series_expand_exits_0_or_2_with_one_error_line(data):
         ["enumerate", "sdt", "--format", "json", "2,2"],
         ["series", "expand", "--params", "a=1,a=2"],
         ["series", "expand", "--params", "a=1.5"],
+        ["enumerate", "shapes", "--n", "1.5"],
+        ["enumerate", "sdt", "3,a"],
+        ["imbalance", ","],
     ],
 )
 def test_bad_sizes_exit_2(capsys, argv):
     # a negative size, a series in no variables or fewer than one job is an error, not an empty pass;
-    # so are what argparse rejects itself, a size that is no integer and a shape after a flag
+    # so are what argparse rejects itself, a size that is no integer and a shape after a flag.
+    # No token here is past int()'s digit limit, so no error blames it
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "digits" not in err
 
 
 @pytest.mark.parametrize(
@@ -473,6 +481,103 @@ def test_imbalance_exits_0_or_2_with_one_error_line(data):
     else:
         assert code == 2 and out == "", argv[:4]
         assert err.startswith("error:") and len(err.splitlines()) == 1, err
+
+
+def _exits_0_or_2_with_one_error_line(argv, stdin=""):
+    # a traceback would escape _call; exit 2 prints one line that says more than a KeyError's bare key
+    code, out, err = _call(argv, stdin)
+    assert code in (0, 2), (argv, err)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert not re.fullmatch(r"error: '[^']*'\n", err), err
+
+
+# letters and pairs of words of at most 5 tokens: bars either way, a zero, a non-digit, a value past the
+# length, a barred top, an empty token, one past the digit limit
+WORD_TOKENS = ["1", "2", "3", "1'", "-2", "3'", "0", "x", "", "9", "1/2", "2/1'", "1'/1", "HUGE"]
+CORE_VALUES = ["0", "1", "2", "-1", "x", "1.5", "1001", "HUGE"]
+COMMAND_FLAGS = {"insert": ["--trace"], "growth": ["--cells"], "reverse": []}
+
+
+def _pair_payload(word, core):
+    result = insert_word(word, core)
+    return {"P": result.p.to_json(), "Q": result.q.to_json(), "core": core}
+
+
+SMALL_PAYLOAD = json.dumps(_pair_payload(parse_word("2' 1"), 0))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_insert_growth_and_reverse_exit_0_or_2_with_one_error_line(data):
+    # a word from small tokens joined by spaces, commas or a row break, or a reverse input; --core and
+    # --format, each maybe left out; and up to two of --trace and --cells, which one command reads each
+    command = data.draw(st.sampled_from(sorted(COMMAND_FLAGS)), label="command")
+    argv, stdin = [command], ""
+    if command == "reverse":
+        stdin = data.draw(st.sampled_from(["", "{}", "not json", "[]", SMALL_PAYLOAD]), label="stdin")
+        if data.draw(st.booleans(), label="--input"):
+            argv += ["--input", data.draw(st.sampled_from([os.devnull, ".", "no-such-dir/in.json"]), label="path")]
+    else:
+        tokens = data.draw(st.lists(st.sampled_from(WORD_TOKENS), max_size=5), label="tokens")
+        argv.append(data.draw(st.sampled_from([" ", ",", ";"]), label="separator").join(tokens))
+    if data.draw(st.booleans(), label="--core"):
+        argv += ["--core", data.draw(st.sampled_from(CORE_VALUES), label="core")]
+    if data.draw(st.booleans(), label="--format"):
+        argv += ["--format", data.draw(st.sampled_from(["ascii", "json", "xml"]), label="format")]
+    argv += data.draw(st.lists(st.sampled_from(sum(COMMAND_FLAGS.values(), [])), max_size=2), label="flags")
+    _exits_0_or_2_with_one_error_line([arg.replace("HUGE", "9" * 5000) for arg in argv], stdin)
+
+
+HUGE_MARK, DEEP_MARK = "@huge@", "@deep@"  # strings json.dumps writes as they are, replaced in its text
+PAYLOAD_KEYS = ["P", "Q", "core", "dominoes", "value", "row", "col", "orient"]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**6) | st.floats() | st.text(max_size=3) | st.just(HUGE_MARK),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(PAYLOAD_KEYS) | st.text(max_size=2), children, max_size=5),
+    max_leaves=20,
+)
+
+
+def _payload_text(payload, depth):
+    text = json.dumps(payload)
+    return text.replace(f'"{HUGE_MARK}"', "9" * 5000).replace(f'"{DEEP_MARK}"', "[" * depth + "1" + "]" * depth)
+
+
+def _nodes(value, path=()):
+    """The path to every value below the top one, as keys and indices."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_a_fuzzed_reverse_payload_exits_0_or_2_with_one_error_line(data):
+    # JSON of any shape, or a valid pair over core 0-2 with one field dropped, retyped, made a float,
+    # made an integer past the digit limit or nested deeply
+    if data.draw(st.booleans(), label="any JSON"):
+        payload = data.draw(json_values, label="payload")
+    else:
+        word, core = data.draw(signed_permutations(max_n=4), label="word"), data.draw(st.integers(0, 2), label="core")
+        payload = _pair_payload(word, core)
+        *parent, key = data.draw(st.sampled_from(list(_nodes(payload))), label="field")
+        container = payload
+        for step in parent:
+            container = container[step]
+        change = data.draw(st.sampled_from(["drop", "retype", "float", "huge", "deep"]), label="change")
+        if change == "drop":
+            del container[key]
+        elif change == "retype":
+            container[key] = data.draw(st.sampled_from([None, True, "1", [], {}, [1], {"1": 1}]), label="value")
+        elif change == "float":
+            value = container[key]
+            container[key] = value + 0.5 if type(value) is int else 1.5
+        else:
+            container[key] = HUGE_MARK if change == "huge" else DEEP_MARK
+    depth = data.draw(st.sampled_from([3, 100_000]), label="depth")
+    _exits_0_or_2_with_one_error_line(["reverse"], _payload_text(payload, depth))
 
 
 def test_verify_jobs_flag(capsys):

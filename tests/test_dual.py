@@ -70,10 +70,10 @@ def test_equal_the_two_recording_construction():
     checked = 0
     for core in (0, 1, 2):
         for length in range(5):
-            for w in enumerate_biwords(2, 2, length, DUAL, multiplicity_free=True):
+            for w in enumerate_biwords(2, length, DUAL, multiplicity_free=True):
                 assert dual_insert_alpha(w, core) == dual_alpha_by_recording(w, core), w
                 checked += 1
-            for w in enumerate_biwords(2, 2, length, COLORED, multiplicity_free=True):
+            for w in enumerate_biwords(2, length, COLORED, multiplicity_free=True):
                 assert dual_insert_beta(w, core) == dual_beta_by_recording(w, core), w
                 checked += 1
     assert checked == 3 * 2 * 163

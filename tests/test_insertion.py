@@ -955,6 +955,11 @@ def test_the_walk_inserts_as_insert_word_does():
             assert walked == [(word, result.p, result.q) for word, result in results]
 
 
+def test_the_walk_rejects_a_negative_n():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(insert_all(-1))
+
+
 def _peak(function, *args):
     tracemalloc.start()
     try:

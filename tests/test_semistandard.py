@@ -157,18 +157,18 @@ def test_exhaustive_small():
 
 
 def test_biword_pool_sizes():
-    assert len(enumerate_biwords(2, 2, 0)) == 1
-    assert len(enumerate_biwords(2, 2, 1)) == 8
-    assert len(enumerate_biwords(2, 2, 4)) == 330
+    assert len(enumerate_biwords(2, 0)) == 1
+    assert len(enumerate_biwords(2, 1)) == 8
+    assert len(enumerate_biwords(2, 4)) == 330
     # multiplicity-free: 4 of the 8 biletters, of either kind
-    assert len(enumerate_biwords(2, 2, 4, multiplicity_free=True)) == 70
-    assert len(enumerate_biwords(2, 2, 4, DUAL, multiplicity_free=True)) == 70
+    assert len(enumerate_biwords(2, 4, multiplicity_free=True)) == 70
+    assert len(enumerate_biwords(2, 4, DUAL, multiplicity_free=True)) == 70
 
 
 def test_equals_the_two_recording_construction():
     """One insertion of the standardized word, relabelled, gives the pair
     that recording the word and its inverse separately gives."""
-    pool = [w for length in range(5) for w in enumerate_biwords(2, 2, length)]
+    pool = [w for length in range(5) for w in enumerate_biwords(2, length)]
     assert len(pool) == 495
     for core in (0, 1, 2):
         for w in pool:

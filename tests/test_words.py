@@ -32,7 +32,6 @@ from support import (
     involution_profile_by_biword,
     invert,
     is_involution_by_biword,
-    signed_permutations_by_sort,
     standardize_top,
     with_kind,
 )
@@ -282,11 +281,6 @@ def test_enumerations():
     for pi in enumerate_involutions(3):
         assert is_involution(pi)
         assert group_inverse(pi) == pi
-
-
-def test_the_prefix_walk_enumerates_in_sorted_order():
-    for n in range(7):
-        assert enumerate_signed_permutations(n) == signed_permutations_by_sort(n)
 
 
 def test_involution_helpers_match_the_biword_route():
