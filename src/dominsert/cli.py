@@ -23,24 +23,10 @@ from .render import render_tableau
 from .words import ColoredBiword
 
 
-def _int(text, name):
-    """int(text), its error naming the flag or argument the token came from,
-    where int()'s own message names neither.  A signed run of digits fails
-    only past the digit limit, so only its error names the limit."""
-    try:
-        return int(text)
-    except ValueError:
-        got = repr(text) if len(text) <= 30 else f"one of {len(text)} characters"
-        token = text.strip()
-        digits = (token[1:] if token[:1] in ("+", "-") else token).isdecimal()
-        what = f"integers of at most {sys.get_int_max_str_digits()} digits" if digits else "integers"
-        raise ValueError(f"{name} takes {what}, got {got}") from None
-
-
 def _int_flag(text):
     """``type`` of every integer flag; argparse names the flag before the message."""
     try:
-        return _int(text, "the flag")
+        return words.parse_int(text, "the flag")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -48,7 +34,7 @@ def _int_flag(text):
 def _parse_shape(text, name):
     if text.strip() in ("", "()", "-"):  # int() reads each part past its spaces
         return ()
-    return as_partition(_int(p, name) for p in text.replace("(", "").replace(")", "").split(","))
+    return as_partition(words.parse_int(p, name) for p in text.replace("(", "").replace(")", "").split(","))
 
 
 MAX_CORE = 1000  # a core is built as its whole staircase, so its order is bounded
@@ -129,7 +115,7 @@ def _read_tableau(data, name):
 
 
 def cmd_reverse(args):
-    parse_int = partial(_int, name="the reverse input")  # the JSON reader hands int() digits only
+    parse_int = partial(words.parse_int, name="the reverse input")  # the JSON reader hands int() digits only
     try:
         if args.input:
             with open(args.input) as handle:
@@ -181,7 +167,7 @@ def cmd_series(args):
             raise ValueError(f"--params takes name=integer pieces, names among a, b, c, s; got {piece!r}")
         if name in params:
             raise ValueError(f"--params sets {name} twice; got {piece!r} after {name}={params[name]}")
-        params[name] = _int(value, "--params")
+        params[name] = words.parse_int(value, "--params")
     flags = {"--g-function": args.g_function, "--schur": args.schur, "--core": args.core}
     given = [flag for flag, value in flags.items() if value is not None]
     if len(given) > 1:  # a domino function's core is its shape's
@@ -260,7 +246,7 @@ def cmd_verify(args):
         cores = sizes["cores"].split(",")
         if not all(c.strip().removeprefix("-").isdecimal() for c in cores):  # the digits int() reads
             raise ValueError(f"--cores takes comma-separated integers, got {sizes['cores']!r}")
-        sizes["cores"] = tuple(_core_order(_int(c, "--cores")) for c in cores)
+        sizes["cores"] = tuple(_core_order(words.parse_int(c, "--cores")) for c in cores)
     if args.suite in ("insertion", "all") and (n := sizes.get("n", 0)) >= 7:
         print(f"note: the insertion suite checks 2^n*n! = {2 ** n * math.factorial(n):,} signed permutations"
               f" per core at n = {n}", file=sys.stderr)

@@ -667,8 +667,6 @@ def dual_insert_alpha(word, core=0):
     ``biword_insert`` but with Q column-semistandard."""
     if word.kind != DUAL:
         raise ValueError("dual_insert_alpha expects a dual colored biword")
-    if not word.is_multiplicity_free():
-        raise ValueError("dual_insert_alpha needs a multiplicity-free biword")
     return _insert_standardized(word, dual_standardize(word), core, q_columns=True)
 
 
@@ -678,8 +676,6 @@ def dual_insert_beta(word, core=0):
     ``biword_insert`` but with P column-semistandard."""
     if word.kind != COLORED:
         raise ValueError("dual_insert_beta expects a colored biword")
-    if not word.is_multiplicity_free():
-        raise ValueError("dual_insert_beta needs a multiplicity-free biword")
     return _insert_standardized(word, dual_standardize(word), core, p_columns=True)
 
 

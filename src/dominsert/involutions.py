@@ -24,7 +24,7 @@ from .insertion import insert_word
 from .partitions import (
     conjugate, d_stat, enumerate_partitions, enumerate_with_core, odd_rows, size, staircase, two_quotient,
 )
-from .polynomials import MPoly, PARAMS, SPIN, one_plus_q
+from .polynomials import MPoly, PARAMS, one_plus_q
 from .series import shape_weight
 from .tableaux import spin_polys, tableau_sign
 from .words import enumerate_involutions, involution_profile
@@ -65,7 +65,7 @@ def involution_poly(n, core=0):
     shapes = enumerate_with_core(core, n)
     total = MPoly.zero(PARAMS)
     for lam, poly in zip(shapes, spin_polys(shapes)):
-        total = total + shape_weight(lam, core) * poly.lift(PARAMS)
+        total = total + shape_weight(lam, core) * poly
     return total
 
 
@@ -87,7 +87,7 @@ def involution_poly_recursive(n):
     h1 = MPoly.var("b", PARAMS) + MPoly.var("a", PARAMS) * MPoly.var("s", PARAMS)
     previous, current = h0, h1
     for m in range(1, n):
-        nxt = h1 * current + m * MPoly.var("c", PARAMS) * one_plus_q(PARAMS) * previous
+        nxt = h1 * current + m * MPoly.var("c", PARAMS) * one_plus_q() * previous
         previous, current = current, nxt
     return current
 
@@ -99,7 +99,7 @@ def involution_poly_egf(n):
     with j two-cycles is n! / ((n - 2j)! j! 2^j).
     """
     single = MPoly.var("b", PARAMS) + MPoly.var("a", PARAMS) * MPoly.var("s", PARAMS)
-    double = MPoly.var("c", PARAMS) * one_plus_q(PARAMS)
+    double = MPoly.var("c", PARAMS) * one_plus_q()
     total = MPoly.zero(PARAMS)
     for j in range(n // 2 + 1):
         count = math.factorial(n) // (math.factorial(n - 2 * j) * math.factorial(j) * 2**j)
@@ -109,7 +109,7 @@ def involution_poly_egf(n):
 
 def spin_square_sum(n, core=0):
     """Sum of the squared spin polynomials over shapes with n dominoes."""
-    total = MPoly.zero(SPIN)
+    total = MPoly.zero(PARAMS)
     for poly in spin_polys(enumerate_with_core(core, n)):
         total = total + poly * poly
     return total

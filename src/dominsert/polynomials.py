@@ -15,7 +15,6 @@ from __future__ import annotations
 from operator import add
 
 PARAMS = ("a", "b", "c", "s")
-SPIN = ("s",)
 IMBALANCE = ("x", "y", "q", "t")
 
 
@@ -25,8 +24,7 @@ class MPoly:
 
     Terms are stored sparsely as a map from exponent vectors to nonzero
     coefficients.  Operands of binary operations must share the same
-    variable-name tuple and bound; use :meth:`lift` to move into a larger
-    ring.
+    variable-name tuple and bound.
     """
 
     __slots__ = ("names", "terms", "bound")
@@ -165,18 +163,6 @@ class MPoly:
                     del terms[key]
         return self._new(terms)
 
-    def lift(self, names):
-        """Re-express the polynomial in a superset of variables."""
-        names = tuple(names)
-        positions = [names.index(n) for n in self.names]
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = [0] * len(names)
-            for pos, e in zip(positions, exps):
-                new[pos] = e
-            terms[tuple(new)] = coeff
-        return MPoly(names, terms)
-
     def _monomial_str(self, exps):
         return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.names, exps) if e)
 
@@ -206,6 +192,6 @@ class MPoly:
         return f"MPoly({self.names!r}, {self.terms!r}{bound})"
 
 
-def one_plus_q(names=SPIN):
+def one_plus_q():
     """The factor 1 + q written in s."""
-    return MPoly.const(1, names) + MPoly.var("s", names, power=2)
+    return MPoly.const(1) + MPoly.var("s", power=2)

@@ -31,7 +31,7 @@ from .partitions import (
     staircase_order,
     two_core,
 )
-from .polynomials import MPoly, SPIN
+from .polynomials import MPoly, PARAMS
 from .words import read_only, value_weight
 from .young import syt_sign
 
@@ -112,17 +112,17 @@ class DominoTableau:
         return len(self.entries)
 
     def vertical_count(self):
-        return sum(1 for _, dom in self.entries if dom.orient == "v")
+        return sum(1 for _, dom in self.entries if dom.orient == VERTICAL)
 
     def spin(self):
         from fractions import Fraction  # its one use; the import loads decimal and re
         return Fraction(self.vertical_count(), 2)
 
     def odd_vertical(self):
-        return sum(1 for _, dom in self.entries if dom.orient == "v" and dom.col % 2 == 1)
+        return sum(1 for _, dom in self.entries if dom.orient == VERTICAL and dom.col % 2 == 1)
 
     def even_vertical(self):
-        return sum(1 for _, dom in self.entries if dom.orient == "v" and dom.col % 2 == 0)
+        return sum(1 for _, dom in self.entries if dom.orient == VERTICAL and dom.col % 2 == 0)
 
     def is_standard(self):
         return self.values() == tuple(range(1, len(self.entries) + 1)) and self.is_semistandard()
@@ -316,12 +316,13 @@ def spin_polys(shapes):
         lam = as_partition(lam)
         memo.setdefault(two_core(lam), (1,))
         counts = fold_down(lam, domino_predecessors, _by_vertical, memo)
-        polys.append(MPoly(SPIN, {(k,): count for k, count in enumerate(counts)}))
+        polys.append(MPoly(PARAMS, {(0, 0, 0, k): count for k, count in enumerate(counts)}))  # a, b, c, s
     return polys
 
 
 def spin_poly(lam):
-    """Sum of q^spin over the standard tableaux of the shape, in s = q^(1/2)."""
+    """Sum of q^spin over the standard tableaux of the shape, in s = q^(1/2),
+    as a ``PARAMS`` polynomial."""
     return spin_polys([lam])[0]
 
 

@@ -18,6 +18,7 @@ Three biword kinds share one representation:
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter, namedtuple
 
 COLORED = "colored"
@@ -64,6 +65,20 @@ class Biletter(namedtuple("Biletter", "top bottom")):
         return f"{self.top}/{self.bottom}"
 
 
+def parse_int(text, name):
+    """int(text), its error naming the flag, argument or input the token came
+    from, where int()'s own message names none.  A signed run of digits fails
+    only past the digit limit, so only its error names the limit."""
+    try:
+        return int(text)
+    except ValueError:
+        got = repr(text) if len(text) <= 30 else f"one of {len(text)} characters"
+        token = text.strip()
+        digits = (token[1:] if token[:1] in ("+", "-") else token).isdecimal()
+        what = f"integers of at most {sys.get_int_max_str_digits()} digits" if digits else "integers"
+        raise ValueError(f"{name} takes {what}, got {got}") from None
+
+
 def parse_letter(token):
     token = token.strip()
     barred = False
@@ -73,9 +88,9 @@ def parse_letter(token):
     elif token.startswith("-"):
         barred = True
         token = token[1:]
-    if not token.isdigit():
+    if not token.isdecimal():
         raise ValueError(f"cannot parse letter {token!r}")
-    return Letter(int(token), barred)
+    return Letter(parse_int(token, "a letter"), barred)
 
 
 def parse_word(text):

@@ -25,7 +25,7 @@ from dominsert.partitions import (
     staircase,
     two_core,
 )
-from dominsert.polynomials import PARAMS, SPIN, MPoly
+from dominsert.polynomials import PARAMS, MPoly
 from dominsert.series import TruncatedSeries
 from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard
 from dominsert.words import (
@@ -100,7 +100,7 @@ def imbalance_by_listing(lam):
 
 def spin_poly_by_listing(lam):
     """Sum of s^(vertical count) over the standard domino tableaux of the shape, each listed."""
-    return MPoly(SPIN, Counter((tab.vertical_count(),) for tab in enumerate_standard(lam)))
+    return MPoly(PARAMS, Counter((0, 0, 0, tab.vertical_count()) for tab in enumerate_standard(lam)))  # a, b, c, s
 
 
 def enumerate_column_semistandard(lam, max_value):

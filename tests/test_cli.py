@@ -369,11 +369,13 @@ def test_series_expand_exits_0_or_2_with_one_error_line(data):
         ["enumerate", "shapes", "--n", "1.5"],
         ["enumerate", "sdt", "3,a"],
         ["imbalance", ","],
+        ["insert", "²"],
     ],
 )
 def test_bad_sizes_exit_2(capsys, argv):
     # a negative size, a series in no variables or fewer than one job is an error, not an empty pass;
-    # so are what argparse rejects itself, a size that is no integer and a shape after a flag.
+    # so are what argparse rejects itself, a size that is no integer, a shape after a flag and a
+    # letter whose digit is no decimal one.
     # No token here is past int()'s digit limit, so no error blames it
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -425,6 +427,8 @@ def test_a_thousand_values_exit_0(capsys, argv, lines):
         (["series", "expand", "--schur", "1,HUGE"], "--schur"),
         (["series", "expand", "--params", "a=-HUGE"], "--params"),
         (["verify", "insertion", "--cores", "0,HUGE"], "--cores"),
+        (["insert", "HUGE"], "token 1: a letter"),
+        (["growth", "1 HUGE'"], "token 2: a letter"),
     ],
 )
 def test_an_integer_past_the_digit_limit_names_its_flag(capsys, argv, name):

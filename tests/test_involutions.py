@@ -88,7 +88,7 @@ def test_involution_poly_base_cases():
     s = MPoly.var("s", PARAMS)
     assert involution_poly_recursive(0) == MPoly.const(1, PARAMS)
     assert involution_poly_recursive(1) == b + a * s
-    assert involution_poly_recursive(2) == (b + a * s) ** 2 + c * one_plus_q(PARAMS)
+    assert involution_poly_recursive(2) == (b + a * s) ** 2 + c * one_plus_q()
 
 
 def test_involution_poly_routes_agree():
@@ -103,7 +103,7 @@ def test_involution_poly_routes_agree():
 
 
 def test_spin_square_sum():
-    s = MPoly.var("s", ("s",))
+    s = MPoly.var("s", PARAMS)
     assert spin_square_sum(1, 0) == 1 + s * s
     assert spin_square_sum(0, 2) == spin_square_target(0)
     for n in range(5):

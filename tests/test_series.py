@@ -5,7 +5,7 @@ import pytest
 
 from dominsert import series
 from dominsert.partitions import enumerate_with_core, staircase, two_quotient
-from dominsert.polynomials import MPoly, PARAMS, SPIN
+from dominsert.polynomials import MPoly, PARAMS
 from dominsert.series import (
     TruncatedSeries,
     cauchy_product,
@@ -198,7 +198,7 @@ def test_series_config_mismatch():
             with pytest.raises(ValueError):
                 op(TruncatedSeries.one(1, 0, 2), other)
     with pytest.raises(ValueError):
-        TruncatedSeries.one(1, 0, 2) + MPoly.var("s", SPIN)
+        TruncatedSeries.one(1, 0, 2) + MPoly.var("s", ("s",))
 
 
 def _with_coefficient(series, coeff, op):

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from dominsert.partitions import (
     DominoShape, conjugate, domino_successors, enumerate_partitions, enumerate_with_core, staircase,
 )
-from dominsert.polynomials import MPoly, SPIN
+from dominsert.polynomials import MPoly, PARAMS
 from dominsert.tableaux import (
     DominoTableau,
     associated_young_tableau,
@@ -337,10 +337,10 @@ def test_column_semistandard():
 
 
 def test_spin_poly_examples():
-    s = MPoly.var("s", SPIN)
+    s = MPoly.var("s", PARAMS)
     assert spin_poly((3, 1, 1)) == 2 * s
     assert spin_poly((2, 2)) == 1 + s * s
-    assert spin_poly(staircase(2)) == MPoly.const(1, SPIN)
+    assert spin_poly(staircase(2)) == MPoly.const(1, PARAMS)
 
 
 def test_spin_poly_by_dominoes_matches_the_listing():
@@ -361,8 +361,8 @@ def test_spin_poly_coefficients_sum_to_the_hook_count(r):
 
 
 def test_spin_poly_walks_deep_shapes_without_recursion():
-    s = MPoly.var("s", SPIN)
-    assert spin_poly((2000,)) == MPoly.const(1, SPIN)
+    s = MPoly.var("s", PARAMS)
+    assert spin_poly((2000,)) == MPoly.const(1, PARAMS)
     assert spin_poly((1,) * 2000) == s**1000
 
 

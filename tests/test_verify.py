@@ -2,6 +2,7 @@
 
 import ast
 import concurrent.futures
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -39,6 +40,15 @@ def test_records_match_the_reference_digests():
         for _, instance in workloads.verify_instances(verify)
     }
     assert got == expected
+
+
+def test_counting_records_past_the_defaults_match_their_digest(capsys):
+    # the spin and involution polynomial strings up to n = 8 dominoes, ms dropped
+    assert main(["verify", "counting", "--n", "7", "--poly-n", "8", "--format", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    text = "\n".join(json.dumps({k: v for k, v in r.items() if k != "ms"}, sort_keys=True) for r in records)
+    assert len(records) == 49
+    assert hashlib.sha256(text.encode()).hexdigest() == "e17f4cd6848f7f340b3c730fab29d7e0ff701a6c13c4e4f6947277db13e81749"
 
 
 def _run_roundtrip_workload(seed):
