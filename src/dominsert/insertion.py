@@ -191,6 +191,9 @@ def insert_frames(letters, core=0):
     """The insertion tableau after each letter of a signed permutation: one
     index takes every step, and each frame is a snapshot of it, proven as in
     ``insert_word``."""
+    letters = tuple(letters)
+    if not is_signed_permutation(letters):
+        raise ValueError("insert_frames expects a signed permutation")
     base = staircase(core)
     index, frames = _RowIndex(base, (), base), []
     for letter in letters:
@@ -511,11 +514,12 @@ def growth_reverse_word(p, q):
     mu = rho: the last lift again, on an equal column, or right of the kept
     ones Q's domino off Q's shape (below).  Left of them every column is
     the core: a row out of kept columns lifts its right label off it, which
-    raises.  Past the precondition, one ``prefix_rows`` replay of P (the
-    columns) and of Q, only ``lift_domino`` and the closing
-    ``is_signed_permutation`` check reject; checks 1-3 below are implied,
-    and 4 shows that the closing check asks that the dense matrix have one
-    nonzero entry in each row and in each column.
+    raises.  Past the precondition, which ``is_standard`` checks on P's and
+    Q's cached replays, P's replayed ``chain`` gives the columns, and only
+    ``lift_domino`` and the closing ``is_signed_permutation`` check reject;
+    checks 1-3 below are implied, and 4 shows that the closing check asks
+    that the dense matrix have one nonzero entry in each row and in each
+    column.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
@@ -562,14 +566,9 @@ def growth_reverse_word(p, q):
     equal shapes have equal cores.
     """
     mismatch = "growth_reverse expects standard tableaux of one shape over one core"
-    if p.shape() != q.shape():
+    if p.shape() != q.shape() or not (p.is_standard() and q.is_standard()):
         raise ValueError(mismatch)
-    n = len(p)
-    try:
-        columns = p.prefix_rows()
-        q.prefix_rows()
-    except ValueError:
-        raise ValueError(mismatch) from None
+    n, columns = len(p), [list(shape) for shape in p.chain()[:-1]]
     labels = [dom for _, dom in p.entries]
     present, word, shrink, lift, partner = list(range(n)), [None] * n, _shrink, lift_domino, _partner
     for i in range(n - 1, -1, -1):

@@ -132,45 +132,39 @@ class DominoTableau:
 
     def semistandard_shape(self):
         """The shape that the ``_replay`` reaches, None unless semistandard."""
-        return self._replay and self._replay[1]
+        return self._replay and self._replay[1][-1]
 
     @cached_property
     def _replay(self):
         """Place each value class left to right with ``place_domino`` on the
-        core: the entries numbered 1..n in that order and the final rows, or
-        None unless prefix shapes are partitions and each value class is a
-        horizontal strip of dominoes (pairwise disjoint, increasing column
-        ranges); it never reads the stored shape, and runs once per tableau."""
-        rows, entries, last = list(self.core), [], (0, 0)
-        for value, dom in sorted(self.entries, key=lambda entry: (entry[0], entry[1].col)):
-            if (value, dom.col) <= last:  # a domino of the class meets or precedes the last one
+        core: the entries numbered 1..n in that order and the chain of row
+        lengths from the core up, or None unless prefix shapes are partitions
+        and each value class is a horizontal strip of dominoes (pairwise
+        disjoint, increasing column ranges); it never reads the stored shape,
+        and runs once per tableau."""
+        rows, entries, chain, last_value, last_col = list(self.core), [], [self.core], 0, 0
+        for value, dom in sorted(self.entries, key=lambda entry: (entry[0], entry[1][1])):
+            row, col, orient = dom
+            if value == last_value and col <= last_col:  # a domino of the class meets or precedes the last one
                 return None
-            last = (value, dom.max_col)
+            last_value, last_col = value, col + (orient == HORIZONTAL)
             try:
-                place_domino(rows, *dom)
+                place_domino(rows, row, col, orient)
             except ValueError:
                 return None
             entries.append((len(entries) + 1, dom))
-        return tuple(entries), tuple(rows)
+            chain.append(tuple(rows))
+        return tuple(entries), tuple(chain)
 
     def is_column_semistandard(self):
         return self.conjugated().is_semistandard()
 
-    def prefix_rows(self):
-        """Row lengths before each domino of a standard tableau, as lists,
-        its dominoes placed on its core in value order; ValueError exactly
-        when ``is_standard`` fails."""
-        rows, prefixes = list(self.core), []
-        for i, (value, dom) in enumerate(self.entries, start=1):
-            if value != i:
-                raise ValueError("chain is defined for standard tableaux")
-            prefixes.append(rows[:])
-            place_domino(rows, *dom)
-        return prefixes
-
     def chain(self):
-        """Shape chain of a standard tableau, from the core up."""
-        return tuple(map(tuple, self.prefix_rows())) + (self._shape,)
+        """Shape chain of a standard tableau, from the core up, as the
+        ``_replay`` places it; ValueError exactly when ``is_standard`` fails."""
+        if not self.is_standard():
+            raise ValueError("chain is defined for standard tableaux")
+        return self._replay[1]
 
     def standardized(self, columns=False):
         """Relabel value classes 1..n, left to right within each class, as
@@ -179,13 +173,18 @@ class DominoTableau:
         ``columns=True`` numbers them top to bottom instead, through the
         conjugate; that is the matching convention for column-semistandard
         tableaux, and it rejects any other.  The cells, so the shape, stay;
-        the new values come out in order.
+        the new values come out in order.  The copy keeps this replay: its
+        values 1..n are distinct, so its own would place the same dominoes in
+        the same order from the same core.
         """
         if columns:
             return self.conjugated().standardized().conjugated()
         if self._replay is None:
             raise ValueError("tableau is not semistandard")
-        return DominoTableau._placed(self.core, *self._replay)
+        entries, chain = self._replay
+        out = DominoTableau._placed(self.core, entries, chain[-1])
+        out.__dict__["_replay"] = self._replay
+        return out
 
     def conjugated(self):
         """Transposed cells tile the conjugate over the same staircase core."""

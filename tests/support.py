@@ -266,6 +266,19 @@ def growth_by_every_square(word, core=0):
     return tuple(changes), p, DominoTableau(base, tuple(recording))
 
 
+def value_order_chain(tab):
+    """Shape chain of a standard tableau, its dominoes placed on its core in
+    value order by this walk, not the tableau's replay; ValueError exactly
+    when it is not standard."""
+    rows, chain = list(tab.core), [tab.core]
+    for i, (value, dom) in enumerate(tab.entries, start=1):
+        if value != i:
+            raise ValueError("not standard")
+        place_domino(rows, *dom)
+        chain.append(tuple(rows))
+    return tuple(chain)
+
+
 def growth_reverse_by_every_square(p, q):
     """``insertion.growth_reverse_word``, each row running ``shrink_by_shifts``
     on every kept column right to left, up to its seed."""
@@ -274,8 +287,8 @@ def growth_reverse_by_every_square(p, q):
         raise ValueError(mismatch)
     n = len(p)
     try:
-        columns = p.prefix_rows()
-        q.prefix_rows()
+        columns = [list(shape) for shape in value_order_chain(p)[:-1]]
+        value_order_chain(q)
     except ValueError:
         raise ValueError(mismatch) from None
     labels = [dom for _, dom in p.entries]

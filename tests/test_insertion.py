@@ -684,7 +684,14 @@ def test_the_row_and_column_views_agree_with_p_after_every_step(word, core):
 def test_non_letters_are_not_a_signed_permutation():
     # a matrix or bare integers raise ValueError, not AttributeError
     assert not is_signed_permutation((1, 2)) and not is_signed_permutation((Letter(1), 2))
-    for call in (lambda: growth(((1, 0), (0, 1)), 1), lambda: insert_word((1, 2)), lambda: word_matrix((2, 1))):
+    # a word of letters that skips a value raises in insert_frames as in insert_word
+    for call in (
+        lambda: growth(((1, 0), (0, 1)), 1),
+        lambda: insert_word((1, 2)),
+        lambda: word_matrix((2, 1)),
+        lambda: insert_frames((1, 2)),
+        lambda: insert_frames(parse_word("1 3")),
+    ):
         with pytest.raises(ValueError, match="signed permutation"):
             call()
 
@@ -712,7 +719,7 @@ def test_growth_matches_every_square_reference_at_benchmark_size(word, core, dam
         side = data.draw(st.integers(min_value=0, max_value=1))
         tab = pair[side]
         value, last = tab.entries[-1]
-        elsewhere = [dom for _, dom in domino_successors(tuple(tab.prefix_rows()[-1])) if dom != last]
+        elsewhere = [dom for _, dom in domino_successors(tab.chain()[-2]) if dom != last]
         if elsewhere:
             dom = data.draw(st.sampled_from(elsewhere))
             pair[side] = DominoTableau._placed(tab.core, tab.entries[:-1] + ((value, dom),), tab.shape())

@@ -8,11 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dominsert import tableaux
-from dominsert.insertion import biword_insert, dual_insert_alpha, dual_insert_beta, growth, insert_frames, insert_word
-from dominsert.partitions import enumerate_with_core
+from dominsert.insertion import (
+    biword_insert, dual_insert_alpha, dual_insert_beta, growth, growth_reverse_word, insert_frames, insert_word,
+)
+from dominsert.partitions import DominoShape, enumerate_with_core
 from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard
 from dominsert.words import Letter, invert_dual
-from support import colored_biwords, cores, dual_biwords, enumerate_column_semistandard, signed_permutations
+from support import (
+    colored_biwords, cores, dual_biwords, enumerate_column_semistandard, signed_permutations, value_order_chain,
+)
 
 
 def assert_validated(tab):
@@ -91,3 +95,49 @@ def test_insertion_and_growth_tile_no_shape(monkeypatch, core):
     for tab in (result.p, result.q, diagram.p, diagram.q):
         assert_validated(tab)
     assert len(calls) == 4  # the patch is live: the public constructor still tiles
+
+
+@settings(max_examples=40)
+@given(signed_permutations(max_n=60), colored_biwords, st.integers(min_value=0, max_value=3))
+def test_the_replay_keeps_the_value_order_chain(word, w, core):
+    """A standard tableau's ``chain`` is its value-order walk, any other's
+    raises, and a standardized copy carries its parent's replay, which a
+    fresh one of its entries and shape equals."""
+    for tab in insert_word(word, core) + biword_insert(w, core):
+        std = tab.standardized()
+        fresh = DominoTableau._placed(std.core, std.entries, std.shape())
+        assert std._replay is tab._replay and std._replay == fresh._replay
+        assert std.chain() == value_order_chain(std)
+        if tab.is_standard():
+            assert tab.chain() == value_order_chain(tab)
+        else:
+            with pytest.raises(ValueError, match="chain is defined for standard tableaux"):
+                tab.chain()
+
+
+H, V = "h", "v"
+STANDARD_22 = ((1, DominoShape(1, 1, H)), (2, DominoShape(2, 1, H)))
+
+# tilings of (2, 2) over the empty core, and whether each is standard
+TILINGS = {
+    "standard": (STANDARD_22, True),
+    "values 1 and 3": (((1, DominoShape(1, 1, H)), (3, DominoShape(2, 1, H))), False),
+    "a repeated value": (((1, DominoShape(1, 1, V)), (1, DominoShape(1, 2, V))), False),
+    "not a chain in value order": (((1, DominoShape(2, 1, H)), (2, DominoShape(1, 1, H))), False),
+}
+
+
+@pytest.mark.parametrize("entries, standard", TILINGS.values(), ids=TILINGS)
+def test_chain_and_the_reverse_reject_exactly_the_nonstandard_tilings(entries, standard):
+    tab, good = DominoTableau((), entries), DominoTableau((), STANDARD_22)
+    assert tab.shape() == (2, 2) and tab.is_standard() is standard
+    if standard:
+        assert tab.chain() == ((), (2,), (2, 2))
+        diagram = growth(growth_reverse_word(tab, tab))
+        assert (diagram.p, diagram.q) == (tab, tab)
+        return
+    with pytest.raises(ValueError, match="chain is defined for standard tableaux"):
+        tab.chain()
+    for pair in ((tab, good), (good, tab), (tab, tab)):
+        with pytest.raises(ValueError, match="growth_reverse expects standard tableaux of one shape over one core"):
+            growth_reverse_word(*pair)

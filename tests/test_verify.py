@@ -51,6 +51,22 @@ def test_counting_records_past_the_defaults_match_their_digest(capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == "e17f4cd6848f7f340b3c730fab29d7e0ff701a6c13c4e4f6947277db13e81749"
 
 
+@pytest.mark.parametrize(
+    "suite, digest",
+    [
+        ("semistandard", "c3c4b6bbb804fdf1f0cfbe631a84df33fc010412957af7d45d7a1bb1a911acfc"),
+        ("dual", "b9ea16fd117dc736f40a26a3ce65b35963bb840a1f7063e732f388e011d97927"),
+    ],
+)
+def test_biword_records_past_the_defaults_match_their_digest(capsys, suite, digest):
+    # biwords of length 5, ms dropped: both suites compare standardized copies, and semistandard runs biword_reverse
+    assert main(["verify", suite, "--length", "5", "--format", "json"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    text = "\n".join(json.dumps({k: v for k, v in r.items() if k != "ms"}, sort_keys=True) for r in records)
+    assert len(records) == 12
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _run_roundtrip_workload(seed):
     # the benchmark's roundtrip-n200 ops (3 words of size 200) against perfbench/expected.json
     workload = _load_workloads().WORKLOADS["roundtrip-n200"]
