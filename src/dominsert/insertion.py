@@ -448,30 +448,30 @@ class GrowthDiagram(namedtuple("GrowthDiagram", "word core_order p q changes")):
 
 def growth(word, core=0):
     """Fill the growth diagram of a signed permutation row by row, keeping
-    for each value j + 1 inserted so far the row lengths of grid[i][j + 1],
-    which take its vertical label in place.  Row i reads its nonzero
-    column j = value - 1 and its sign (-1 when barred) off letter i, copies
-    column j from the kept column to its left, or the core, and visits it
+    by position each value j + 1 inserted so far: j in ``present``, the row
+    lengths of grid[i][j + 1] in ``columns``, which take its vertical label
+    in place, and its top label in ``tops``.  Row i reads column
+    j = value - 1 and its sign off letter i, bisects ``present`` for j's
+    position, copies the kept column to its left, or the core, and visits it
     and each kept column to its right: n + inv(|w|) squares in all.  Each
     skipped square has top label None: left of the seed its left label is
     None, and right of it ``_grow`` would pass the left label on and
     ``place_domino`` repeat its last check on an equal list.  Right of the
     seed both labels are set (value j + 1 seeded the top one); ``_grow``
     bumps equal ones and fills a 2x2 block for two that start at one cell,
-    each a new row label, and else passes the left one, (r, c, o), on.  So
-    a row calls ``_grow``, and keeps the square, only where the top label
-    starts at (r, c), and elsewhere places (r, c, o) itself.  Q's domino i
-    is row i's last vertical label, P's domino j the last label of
-    horizontal edge j; both are listed in value order, and both tableaux
-    have the shape of grid[n][n]: the last kept column, or the core when
-    n = 0.  Their dominoes are built unchecked (``DominoShape._make``): each
-    label passed ``place_domino`` (row, col >= 1), oriented by ``_grow``."""
+    each a new row label, and else passes the left one, (r, c, o), on.  So a
+    row calls ``_grow``, and keeps the square, named by ``present``, only
+    where the top label starts at (r, c), and elsewhere places (r, c, o)
+    itself.  Q's domino i is row i's last vertical label, and P's domino
+    j + 1 is ``tops[j]`` once every value is kept.  Both tableaux have the
+    shape of grid[n][n], the last column (the core if n = 0).  Their
+    dominoes are built unchecked (``DominoShape._make``): each label passed
+    ``place_domino`` (row, col >= 1), oriented by ``_grow``."""
     word = tuple(word)
     if not is_signed_permutation(word):
         raise ValueError("not a signed permutation")
     n, base = len(word), staircase(core)
-    present, columns = [], []  # values - 1 inserted so far, and grid[i][j + 1] for each j
-    horizontal = [None] * n
+    present, columns, tops = [], [], []  # per kept column: value - 1, grid[i][value] and its top label
     recording, changes = [], []
     grow, place, make = _grow, place_domino, DominoShape._make  # bound per call, so that a patched name is seen
     for i, letter in enumerate(word, start=1):
@@ -479,20 +479,21 @@ def growth(word, core=0):
         k = bisect_left(present, j)
         present.insert(k, j)
         columns.insert(k, list(columns[k - 1] if k else base))
-        horizontal[j], left = grow(columns[k], None, horizontal[j], -1 if letter.barred else 1)
+        top, left = grow(columns[k], None, None, -1 if letter.barred else 1)
+        tops.insert(k, top)
         place(columns[k], *left)
         row, (r, c, o) = [(j, left)], left
-        for j, column in zip(present[k + 1:], columns[k + 1:]):
-            top = horizontal[j]
+        for t in range(k + 1, len(tops)):
+            top = tops[t]
             if top[0] == r and top[1] == c:
-                horizontal[j], left = grow(column, left, top, 0)
-                row.append((j, left))
+                tops[t], left = grow(columns[t], left, top, 0)
+                row.append((present[t], left))
                 r, c, o = left
-            place(column, r, c, o)
+            place(columns[t], r, c, o)
         recording.append((i, make(left)))
         changes.append(tuple(row))
     shape = tuple(columns[-1]) if n else base
-    p = DominoTableau._placed(base, tuple((j, make(dom)) for j, dom in enumerate(horizontal, start=1)), shape)
+    p = DominoTableau._placed(base, tuple((j, make(dom)) for j, dom in enumerate(tops, start=1)), shape)
     return GrowthDiagram(word, core, p, DominoTableau._placed(base, tuple(recording), shape), tuple(changes))
 
 
@@ -500,26 +501,26 @@ def growth_reverse_word(p, q):
     """The signed permutation whose growth diagram has the standard pair
     (P, Q), of one shape over one core.
 
-    Rows are peeled off from the top, keeping only the columns whose top
-    label is set, as lists of row lengths: column j starts at P's shape
-    after j dominoes, horizontal label j at P's domino j + 1, and row i's
-    right label at Q's domino i + 1.  Right to left, ``_shrink`` turns a
-    kept square's top and right labels c and d into its entry and its left
-    and bottom labels a and b, and lifts a off column j; the seed sets
-    letter i to value j + 1, barred when its entry is -1, drops column j
-    and ends the row.  As d turns None only at a seed, ``_shrink`` seeds or
-    bumps if c = d, shifts both back if c is ``_partner(d)``, and else lifts
-    d and keeps both labels, which a square whose c is neither does itself.
-    A skipped square has c None and would lift d off
-    mu = rho: the last lift again, on an equal column, or right of the kept
-    ones Q's domino off Q's shape (below).  Left of them every column is
-    the core: a row out of kept columns lifts its right label off it, which
-    raises.  Past the precondition, which ``is_standard`` checks on P's and
-    Q's cached replays, P's replayed ``chain`` gives the columns, and only
-    ``lift_domino`` and the closing ``is_signed_permutation`` check reject;
-    checks 1-3 below are implied, and 4 shows that the closing check asks
-    that the dense matrix have one nonzero entry in each row and in each
-    column.
+    Rows are peeled off from the top, keeping by position each column j
+    whose top label is set: j in ``present``, its row lengths in ``columns``
+    and its top label in ``tops``, starting at j = 0..n - 1, P's shape after
+    j dominoes and P's domino j + 1.  Row i's right label starts at Q's
+    domino i + 1.  Right to left, ``_shrink`` turns a kept square's top and
+    right labels c and d into its entry and its left and bottom labels a and
+    b, and lifts a off the column; the seed, which alone reads ``present``,
+    sets letter i to value j + 1, barred when its entry is -1, drops column
+    j from all three lists and ends the row.  As d turns None only at a
+    seed, ``_shrink`` seeds or bumps if c = d, shifts both back if c is
+    ``_partner(d)``, and else lifts d and keeps both labels, which a square
+    whose c is neither does itself.  A skipped square has c None and would
+    lift d off mu = rho: the last lift again, on an equal column, or right
+    of the kept ones Q's domino off Q's shape (below).  Left of them every
+    column is the core: a row out of kept columns lifts its right label off
+    it, which raises.  Past the precondition, which ``is_standard`` checks
+    on P's and Q's cached replays, only ``lift_domino`` and the closing
+    ``is_signed_permutation`` check reject; checks 1-3 below are implied,
+    and 4 shows that the closing check asks that the dense matrix have one
+    nonzero entry in each row and in each column.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
@@ -568,21 +569,20 @@ def growth_reverse_word(p, q):
     mismatch = "growth_reverse expects standard tableaux of one shape over one core"
     if p.shape() != q.shape() or not (p.is_standard() and q.is_standard()):
         raise ValueError(mismatch)
-    n, columns = len(p), [list(shape) for shape in p.chain()[:-1]]
-    labels = [dom for _, dom in p.entries]
+    n, columns, tops = len(p), [list(shape) for shape in p.chain()[:-1]], [dom for _, dom in p.entries]
     present, word, shrink, lift, partner = list(range(n)), [None] * n, _shrink, lift_domino, _partner
     for i in range(n - 1, -1, -1):
         right = q.entries[i][1]
         (r, c, o), changing = right, (right, partner(right))
-        for k in range(len(present) - 1, -1, -1):
-            j = present[k]
-            if labels[j] not in changing:
+        for k in range(len(tops) - 1, -1, -1):
+            top = tops[k]
+            if top not in changing:
                 lift(columns[k], r, c, o)
                 continue
-            entry, right, labels[j] = shrink(columns[k], labels[j], right)
+            entry, right, tops[k] = shrink(columns[k], top, right)
             if right is None:
-                word[i] = Letter(j + 1, entry < 0)
-                del present[k], columns[k]
+                word[i] = Letter(present[k] + 1, entry < 0)
+                del present[k], columns[k], tops[k]
                 break
             (r, c, o), changing = right, (right, partner(right))
         else:
