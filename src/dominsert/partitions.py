@@ -12,7 +12,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import zip_longest
-from operator import itemgetter, neg
+from operator import neg
 
 HORIZONTAL = "h"
 VERTICAL = "v"
@@ -192,10 +192,9 @@ def remove_domino(lam, dom):
 
 
 def domino_successors(lam):
-    """All (mu, placement) with mu obtained from lam by adding one domino."""
+    """All (mu, placement) with mu obtained from lam by adding one domino, by placement."""
     out = []
-    rows = len(lam)
-    for r in range(1, rows + 2):
+    for r in range(1, len(lam) + 2):
         length = part(lam, r)
         # horizontal at the end of row r
         if r == 1 or part(lam, r - 1) >= length + 2:
@@ -205,12 +204,11 @@ def domino_successors(lam):
         if part(lam, r + 1) == length and (r == 1 or part(lam, r - 1) >= length + 1):
             dom = DominoShape(r, length + 1, VERTICAL)
             out.append((add_domino(lam, dom), dom))
-    out.sort(key=itemgetter(1))
     return out
 
 
 def domino_predecessors(lam):
-    """All (mu, placement) with lam obtained from mu by adding one domino."""
+    """All (mu, placement) with lam obtained from mu by adding one domino, by placement."""
     out = []
     for r in range(1, len(lam) + 1):
         length = lam[r - 1]
@@ -220,7 +218,6 @@ def domino_predecessors(lam):
         if part(lam, r + 1) == length and part(lam, r + 2) <= length - 1:
             dom = DominoShape(r, length, VERTICAL)
             out.append((remove_domino(lam, dom), dom))
-    out.sort(key=itemgetter(1))
     return out
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import as_partition, conjugate, d_stat, enumerate_partitions, fold_down, v_stat
+from .partitions import (VERTICAL, as_partition, conjugate, d_stat, domino_predecessors, enumerate_partitions,
+                         fold_down, v_stat)
 from .polynomials import IMBALANCE, MPoly
-from .tableaux import enumerate_standard, tableau_sign
 
 
 def _corners(lam):
@@ -36,7 +36,7 @@ def _signed_sum(pairs):
     return sum(sign * value for sign, value in pairs)
 
 
-def _imbalances(shapes):
+def imbalances(shapes):
     """The imbalance of each shape, by one walk with one memo for this call."""
     memo = {(): 1}
     return [fold_down(lam, _corners, _signed_sum, memo) for lam in shapes]
@@ -44,13 +44,27 @@ def _imbalances(shapes):
 
 def imbalance(lam):
     """Signed count of the standard Young tableaux of the shape."""
-    return _imbalances([as_partition(lam)])[0]
+    return imbalances([as_partition(lam)])[0]
+
+
+def _domino_signed_sum(pairs):
+    if not pairs:  # a core of three boxes or more
+        raise ValueError("a domino sign sum needs a core of at most one box")
+    return sum(-value if dom.orient == VERTICAL and dom.col % 2 == 0 else value for dom, value in pairs)
+
+
+def domino_sign_sums(shapes):
+    """Signed counts of standard domino tableaux, by one walk with one memo.  Removing the largest domino d
+    takes the two largest values of the split, and only their inversions with later letters, off its reading
+    word: as many for each if d is horizontal, c - 1 mod 2 in all if d is vertical in column c.  So a count
+    is the sum over removable d of eps(d) times the count without d; eps(d) = -1 for d vertical in an even column."""
+    memo = {(): 1, (1,): 1}
+    return [fold_down(lam, domino_predecessors, _domino_signed_sum, memo) for lam in shapes]
 
 
 def domino_sign_sum(lam):
-    """Signed count over standard domino tableaux; needs a core of at most
-    one box."""
-    return sum(tableau_sign(t) for t in enumerate_standard(lam))
+    """Signed count over standard domino tableaux; needs a core of at most one box."""
+    return domino_sign_sums([as_partition(lam)])[0]
 
 
 def pairing_involution(tableau, core_order):
@@ -72,7 +86,7 @@ def _imbalance_sum(shapes):
     """Sum over the given shapes of x^v y^v' q^d t^d' times the imbalance."""
     shapes = list(shapes)
     counts = Counter()
-    for lam, value in zip(shapes, _imbalances(shapes)):
+    for lam, value in zip(shapes, imbalances(shapes)):
         if value:
             counts[v_stat(lam), v_stat(conjugate(lam)), d_stat(lam), d_stat(conjugate(lam))] += value
     return MPoly(IMBALANCE, counts)
@@ -95,4 +109,4 @@ def imbalance_target(m):
 
 def signed_tableau_total(n):
     """Signed count of all standard Young tableaux with n cells."""
-    return sum(_imbalances(enumerate_partitions(n)))
+    return sum(imbalances(enumerate_partitions(n)))

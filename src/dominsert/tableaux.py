@@ -216,21 +216,17 @@ class DominoTableau:
         return f"[core {partition_str(self.core)} | {body}]"
 
 
+def _append_largest(pairs):
+    return [entries + ((len(entries) + 1, dom),) for dom, below in pairs for entries in below]
+
+
 def enumerate_standard(lam):
-    """All standard domino tableaux of the given shape, built from lam down
-    on a stack of (shape, entries above it), so no shape recurses per domino."""
+    """All standard domino tableaux of the shape, sorted by entries: the ``fold_down``
+    walk of ``spin_polys`` labelled by lists, the removed domino numbered last."""
     lam = as_partition(lam)
     core = two_core(lam)
-    n = (size(lam) - size(core)) // 2
-    results, stack = [], [(lam, ())]
-    while stack:
-        shape, entries = stack.pop()
-        if len(entries) == n:
-            results.append(DominoTableau._placed(core, entries, lam))
-        else:
-            stack.extend((mu, ((n - len(entries), dom),) + entries) for mu, dom in domino_predecessors(shape))
-    results.sort(key=lambda t: t.entries)
-    return results
+    listed = fold_down(lam, domino_predecessors, _append_largest, {core: [()]})
+    return [DominoTableau._placed(core, entries, lam) for entries in sorted(listed)]
 
 
 def _strip_walk(core, steps, max_dominoes, limit, start, extend):
@@ -307,8 +303,8 @@ def spin_polys(shapes):
 
     The largest domino of a standard tableau is a removable domino D of its
     shape, so spin_poly(lam) is the sum over D of s^[D vertical] times
-    spin_poly(lam - D), and 1 at the 2-core.  One walk down the lattice
-    serves all the shapes, with one memo that lives for this call only.
+    spin_poly(lam - D), and 1 at the 2-core: the ``fold_down`` walk of
+    ``enumerate_standard`` labelled by counts, with one memo for all the shapes.
     """
     memo, polys = {}, []
     for lam in shapes:

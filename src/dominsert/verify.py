@@ -306,11 +306,15 @@ def check_split_sign_formula(max_size):
 
 
 def check_imbalance_via_dominoes(max_size):
-    def claims(lam):
-        split = staircase_order(two_core(lam)) in (0, 1)
-        return [("imbalance", signimbalance.imbalance(lam) == (signimbalance.domino_sign_sum(lam) if split else 0))]
+    agree = {}  # shape -> imbalance == domino sign sum (0 past a one-box core), each side by one walk in the clock
 
-    return _exhaustive("imbalance-via-dominoes", {"max_size": max_size}, _shapes_up_to(max_size), claims)
+    def cases():
+        shapes, split = list(_shapes_up_to(max_size)), [lam for lam, _ in _split_shapes(max_size)]
+        signs = dict(zip(split, signimbalance.domino_sign_sums(split)))
+        agree.update((lam, value == signs.get(lam, 0)) for lam, value in zip(shapes, signimbalance.imbalances(shapes)))
+        yield from shapes
+
+    return _exhaustive("imbalance-via-dominoes", {"max_size": max_size}, cases(), lambda lam: [("imbalance", agree[lam])])
 
 
 def check_pairing_involution(max_size):
@@ -574,10 +578,9 @@ def _instances(suite, sizes):
             for core in sizes["cores"]:
                 yield ("check_involution_statistics", {"n": n, "core": core})
     elif suite == "sign":
-        listed = min(sizes["max_size"], 16)  # these three list tableaux, so they stop at a size within reach
-        yield ("check_split_sign_formula", {"max_size": listed})
-        yield ("check_imbalance_via_dominoes", {"max_size": listed})
-        yield ("check_pairing_involution", {"max_size": min(sizes["max_size"], 7)})
+        yield ("check_imbalance_via_dominoes", {"max_size": sizes["max_size"]})
+        yield ("check_split_sign_formula", {"max_size": min(sizes["max_size"], 16)})  # these two list tableaux,
+        yield ("check_pairing_involution", {"max_size": min(sizes["max_size"], 7)})  # so they stop within reach
         for core in (0, 1):
             yield ("check_insertion_sign", {"n": sizes["n"], "core": core})
             yield ("check_bar_toggle", {"n": sizes["n"], "core": core})

@@ -81,16 +81,10 @@ def parse_int(text, name):
 
 def parse_letter(token):
     token = token.strip()
-    barred = False
-    if token.endswith("'"):
-        barred = True
-        token = token[:-1]
-    elif token.startswith("-"):
-        barred = True
-        token = token[1:]
-    if not token.isdecimal():
+    digits = token[:-1] if token.endswith("'") else token[1:] if token.startswith("-") else token
+    if not digits.isdecimal():
         raise ValueError(f"cannot parse letter {token!r}")
-    return Letter(parse_int(token, "a letter"), barred)
+    return Letter(parse_int(digits, "a letter"), digits != token)
 
 
 def parse_word(text):

@@ -27,7 +27,7 @@ from dominsert.partitions import (
 )
 from dominsert.polynomials import PARAMS, MPoly
 from dominsert.series import TruncatedSeries
-from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard
+from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard, tableau_sign
 from dominsert.words import (
     COLORED,
     DOUBLY,
@@ -96,6 +96,11 @@ def enumerate_signed_permutations(n):
 def imbalance_by_listing(lam):
     """Signed count of the standard Young tableaux of the shape, each listed."""
     return sum(syt_sign(t) for t in enumerate_syt(lam))
+
+
+def domino_sign_sum_by_listing(lam):
+    """Signed count of the standard domino tableaux of the shape, each listed."""
+    return sum(tableau_sign(t) for t in enumerate_standard(lam))
 
 
 def spin_poly_by_listing(lam):

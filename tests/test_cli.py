@@ -370,12 +370,17 @@ def test_series_expand_exits_0_or_2_with_one_error_line(data):
         ["enumerate", "sdt", "3,a"],
         ["imbalance", ","],
         ["insert", "²"],
+        ["insert", "2'''"],
+        ["insert", "x'"],
+        ["insert", "-2,1"],
+        ["growth", "-2,1"],
     ],
 )
 def test_bad_sizes_exit_2(capsys, argv):
     # a negative size, a series in no variables or fewer than one job is an error, not an empty pass;
-    # so are what argparse rejects itself, a size that is no integer, a shape after a flag and a
-    # letter whose digit is no decimal one.
+    # so are what argparse rejects itself, a size that is no integer, a shape after a flag, a
+    # letter whose digit is no decimal one, a letter with more than one bar, and a word that
+    # starts with a minus, which argparse reads as a flag unless it follows --.
     # No token here is past int()'s digit limit, so no error blames it
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -606,6 +611,11 @@ def test_parse_error_exit_code(capsys):
     assert code == 2
     assert "error" in err
     assert run_cli(capsys, "insert", "1/2 1/x") == (2, "", "error: pair 2: cannot parse letter 'x'\n")
+    # a bad letter is quoted as it was given, bars and all
+    assert run_cli(capsys, "insert", "2'''") == (2, "", "error: token 1: cannot parse letter \"2'''\"\n")
+    assert run_cli(capsys, "insert", "1 x'") == (2, "", "error: token 2: cannot parse letter \"x'\"\n")
+    assert run_cli(capsys, "insert", "--", "-x") == (2, "", "error: token 1: cannot parse letter '-x'\n")
+    assert run_cli(capsys, "insert", "--", "-2,1")[0] == 0
 
 
 def test_a_closed_pipe_exits_141_without_an_error_line(capsys, monkeypatch):

@@ -179,6 +179,14 @@ def test_successor_predecessor_duality():
             assert (lam, dom) in domino_predecessors(mu)
 
 
+def test_domino_neighbours_come_in_placement_order():
+    # both loops emit their pairs by (row, col, orient), so neither sorts them
+    for lam in all_shapes(14):
+        for pairs in (domino_successors(lam), domino_predecessors(lam)):
+            placements = [dom for _, dom in pairs]
+            assert placements == sorted(placements), lam
+
+
 def test_enumerate_with_core_examples():
     assert enumerate_with_core(0, 1) == ((1, 1), (2,))
     assert enumerate_with_core(1, 0) == ((1,),)

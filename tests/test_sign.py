@@ -3,7 +3,9 @@ import pytest
 from dominsert.partitions import enumerate_partitions, staircase_order, two_core
 from dominsert.signimbalance import (
     domino_sign_sum,
+    domino_sign_sums,
     imbalance,
+    imbalances,
     imbalance_polynomial,
     imbalance_polynomial_hooks,
     imbalance_target,
@@ -11,9 +13,9 @@ from dominsert.signimbalance import (
     signed_tableau_total,
 )
 from dominsert.polynomials import IMBALANCE, MPoly
-from dominsert.verify import check_bar_toggle, check_pairing_involution
+from dominsert.verify import check_bar_toggle, check_imbalance_via_dominoes, check_pairing_involution
 from dominsert.young import enumerate_syt, hook_count, syt_sign
-from support import imbalance_by_listing
+from support import domino_sign_sum_by_listing, imbalance_by_listing
 
 
 def test_imbalance_small():
@@ -49,6 +51,35 @@ def test_imbalance_matches_domino_sum():
                 assert imbalance(lam) == domino_sign_sum(lam), lam
             else:
                 assert imbalance(lam) == 0, lam
+
+
+def test_domino_sign_recursion_matches_the_listing():
+    # one memo for all the shapes, and one per shape, give the listing's signed count
+    shapes = [lam for m in range(13) for lam in enumerate_partitions(m) if staircase_order(two_core(lam)) in (0, 1)]
+    listed = [domino_sign_sum_by_listing(lam) for lam in shapes]
+    assert domino_sign_sums(shapes) == listed
+    assert [domino_sign_sum(lam) for lam in shapes] == listed
+
+
+def test_domino_sign_recursion_matches_the_imbalance_to_size_30():
+    # the corner recursion shares no step with the domino one; past a one-box core the imbalance is 0
+    shapes = [lam for m in range(31) for lam in enumerate_partitions(m)]
+    split = [lam for lam in shapes if staircase_order(two_core(lam)) in (0, 1)]
+    signs = dict(zip(split, domino_sign_sums(split)))
+    assert [signs.get(lam, 0) for lam in shapes] == imbalances(shapes)
+
+
+def test_the_domino_sign_sum_needs_a_core_of_at_most_one_box():
+    for lam in ((2, 1), (500, 499), (6, 5, 4, 3, 2, 1)):
+        with pytest.raises(ValueError, match="core of at most one box"):
+            domino_sign_sum(lam)
+    # over a core of at most one box, a shape of 500 dominoes walks with no recursion limit
+    assert domino_sign_sum((1000,)) == domino_sign_sum((1,) * 1001) == 1
+
+
+def test_imbalance_via_dominoes_runs_past_the_listing_reach():
+    record = check_imbalance_via_dominoes(24)
+    assert record["pass"] and record["lhs"] == "0 violations in 7337 cases", record
 
 
 def test_imbalance_polynomial():

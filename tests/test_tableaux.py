@@ -285,9 +285,25 @@ def test_enumerate_standard_counts():
     tabs22 = enumerate_standard((2, 2))
     assert sorted(2 * t.spin() for t in tabs22) == [0, 2]
     for r in (0, 1, 2):
-        for n in range(5):
+        for n in range(8):
             for lam in enumerate_with_core(r, n):
                 assert len(enumerate_standard(lam)) == standard_tableau_count(lam)
+
+
+def test_enumerate_standard_lists_each_tableau_once_sorted_by_entries():
+    # the walk meets the tableaux in no fixed order; the list comes back sorted, so CLI output is stable
+    for r in (0, 1, 2):
+        for n in range(6):
+            for lam in enumerate_with_core(r, n):
+                tabs = enumerate_standard(lam)
+                assert all(a.entries < b.entries for a, b in zip(tabs, tabs[1:])), lam
+
+
+def test_enumerate_standard_walks_deep_shapes():
+    # the walk keeps its own stack, so a shape of 1,000 dominoes reaches no recursion limit
+    for lam in ((2000,), (1,) * 2000):
+        (tab,) = enumerate_standard(lam)
+        assert tab.shape() == lam and tab.values() == tuple(range(1, 1001))
 
 
 def test_enumerate_semistandard_takes_a_large_bound():

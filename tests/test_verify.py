@@ -223,7 +223,7 @@ PLANTED_FAULTS = [
     ("check_split_sign_formula", {"max_size": 4},
      (tableaux, "tableau_sign", lambda tab, real=tableaux.tableau_sign: -real(tab)), 11, ("[core (1) | ]", "sign")),
     ("check_imbalance_via_dominoes", {"max_size": 4},
-     (signimbalance, "domino_sign_sum", lambda lam, real=signimbalance.domino_sign_sum: real(lam) + 1),
+     (signimbalance, "domino_sign_sums", lambda lams, real=signimbalance.domino_sign_sums: [v + 1 for v in real(lams)]),
      10, ("(1,)", "imbalance")),
     # every tableau is fixed: 4 are no domino tableau's, and 2 shapes have too many fixed points in the closing
     ("check_pairing_involution", {"max_size": 4}, (signimbalance, "pairing_involution", lambda t, r: t),
@@ -399,10 +399,10 @@ def test_each_suite_accepts_exactly_the_sizes_it_reads(suite):
 
 def test_the_sign_records_that_list_tableaux_stop_at_their_caps():
     # read off the instances, none of them run: the records that list tableaux stop at their caps,
-    # and the recursions over shapes run to the size asked for
+    # and the recursions over shapes, imbalance-via-dominoes among them, run to the size asked for
     instances = verify.suite_instances("sign", {"max_size": 24})
     listed = {name: params["max_size"] for name, params in instances if "max_size" in params}
-    assert listed == {"check_split_sign_formula": 16, "check_imbalance_via_dominoes": 16, "check_pairing_involution": 7}
+    assert listed == {"check_split_sign_formula": 16, "check_imbalance_via_dominoes": 24, "check_pairing_involution": 7}
     for name, key in (("check_imbalance_polynomial", "m"), ("check_imbalance_hooks", "m"), ("check_signed_total", "n")):
         assert [params[key] for check, params in instances if check == name] == list(range(1, 25))
     # at the default size 8 only the pairing involution's cap binds
