@@ -17,7 +17,7 @@ import sys
 from functools import partial
 
 from . import insertion, series, signimbalance, tableaux, verify, words
-from .partitions import as_partition, enumerate_partitions, enumerate_with_core, json_value, partition_str
+from .partitions import as_partition, enumerate_partitions, enumerate_with_core, partition_str
 from .polynomials import PARAMS
 from .render import render_tableau
 from .words import ColoredBiword
@@ -130,8 +130,10 @@ def cmd_reverse(args):
         if key not in payload:
             raise ValueError(f"the reverse input object has no {key!r} field")
     p, q = (_read_tableau(payload[key], key) for key in ("P", "Q"))
-    core = _core_order(json_value(payload.get("core", args.core), "core"))
-    word = insertion.biword_reverse(p, q, core)
+    core, given = len(p.core), payload.get("core")  # a tableau's core is a staircase, so its length is its order
+    if "core" in payload and (type(given) is not int or given != core):
+        raise ValueError(f"core must be P's core order {core} or left out, got {given!r}")
+    word = insertion.biword_reverse(p, q)
     standard = all(bl.top.value == i for i, bl in enumerate(word.letters, start=1))
     text = words.word_str(word.bottom) if standard and words.is_signed_permutation(word.bottom) else str(word)
     print(json.dumps({"word": text, "core": core}) if args.format == "json" else text)
@@ -284,7 +286,7 @@ def build_parser():
     p_growth.add_argument("--cells", action="store_true", help="draw shapes as miniature diagrams")
     p_growth.set_defaults(func=cmd_growth)
 
-    p_reverse = sub.add_parser("reverse", parents=[core, fmt], help="recover the word from a JSON (P, Q) pair")
+    p_reverse = sub.add_parser("reverse", parents=[fmt], help="recover the word from a JSON (P, Q) pair")
     p_reverse.add_argument("--input", help="JSON file; standard input when omitted")
     p_reverse.set_defaults(func=cmd_reverse)
 

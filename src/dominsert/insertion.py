@@ -631,22 +631,21 @@ def biword_insert(word, core=0):
     return _insert_standardized(word, standardize(word), core)
 
 
-def biword_reverse(p_tab, q_tab, core=0):
+def biword_reverse(p_tab, q_tab):
     """Inverse of the semistandard correspondence: the signed permutation of
     the standardized pair, its standard labels merged back into the weights.
 
-    The input is checked up front: P lies over ``core``, ``standardized``
-    rejects a P or Q that is not semistandard, and ``growth_reverse_word``
-    two shapes, so Q lies over ``core`` too.  Nothing else can be rejected:
-    the correspondence is a bijection onto semistandard pairs of one shape
-    over ``core`` (Shimozono-White), so some colored biword v inserts to
-    (P, Q).  Standardization commutes with insertion, so by the standard
-    bijection v's standardized bottom row is the permutation rebuilt here.
-    It keeps v's bars and ranks v's bottom letters by value first, and v's
-    top row is Q's values in order: v is the biword built here.
+    The pair names its own core, P's: ``standardized`` rejects a P or Q that
+    is not semistandard, and ``growth_reverse_word`` two different shapes,
+    which covers the cores too, as equal shapes have equal cores.  Nothing
+    else can be rejected: the correspondence is a bijection onto semistandard
+    pairs of one shape over one core (Shimozono-White), so some colored
+    biword v inserts to (P, Q).  Standardization commutes with insertion, so
+    by the standard bijection v's standardized bottom row is the permutation
+    rebuilt here.  It keeps v's bars and ranks v's bottom letters by value
+    first, and v's top row is Q's values in order: v is the biword built
+    here.
     """
-    if len(p_tab.core) != core:  # a tableau's core is a staircase, so its length is its order
-        raise ValueError(f"P lies over the core of order {len(p_tab.core)}, not {core}")
     p_values, q_values = sorted(p_tab.values()), sorted(q_tab.values())
     perm = growth_reverse_word(p_tab.standardized(), q_tab.standardized())
     letters = [

@@ -65,7 +65,7 @@ def involution_poly(n, core=0):
     shapes = enumerate_with_core(core, n)
     total = MPoly.zero(PARAMS)
     for lam, poly in zip(shapes, spin_polys(shapes)):
-        total = total + shape_weight(lam, core) * poly
+        total = total + shape_weight(lam) * poly
     return total
 
 

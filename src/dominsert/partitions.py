@@ -208,15 +208,17 @@ def domino_successors(lam):
 
 
 def domino_predecessors(lam):
-    """All (mu, placement) with lam obtained from mu by adding one domino, by placement."""
-    out = []
-    for r in range(1, len(lam) + 1):
-        length = lam[r - 1]
-        if length >= 2 and part(lam, r + 1) <= length - 2:
-            dom = DominoShape(r, length - 1, HORIZONTAL)
+    """All (mu, placement) with lam obtained from mu by adding one domino, by placement; only the
+    last two rows of a run of equal parts can lose one, so the walk visits one run at a time."""
+    out, end = [], 0
+    while end < len(lam) and lam[end]:
+        length = lam[end]
+        start, end = end, col_height(lam, length)  # the run is rows start + 1 .. end
+        if end - start >= 2:
+            dom = DominoShape(end - 1, length, VERTICAL)
             out.append((remove_domino(lam, dom), dom))
-        if part(lam, r + 1) == length and part(lam, r + 2) <= length - 1:
-            dom = DominoShape(r, length, VERTICAL)
+        if length >= 2 and part(lam, end + 1) <= length - 2:
+            dom = DominoShape(end, length - 1, HORIZONTAL)
             out.append((remove_domino(lam, dom), dom))
     return out
 

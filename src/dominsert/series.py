@@ -182,14 +182,12 @@ def dual_cauchy_product(nx, bound):
     return _xy_grid_product(nx, bound, 1)
 
 
-def shape_weight(lam, core):
-    """a^((o(lam) - o(core))/2) b^((o(lam') - o(core))/2) c^(d(lam) - d(core));
-    ValueError when an odd-row difference is odd."""
-    base = staircase(core)
+def shape_weight(lam):
+    """a^((o(lam) - o(core))/2) b^((o(lam') - o(core))/2) c^(d(lam) - d(core)), core = two_core(lam);
+    each difference is even, as a domino changes the odd rows, and the odd columns, by 0 or 2."""
+    base = two_core(lam)
     o_diff = odd_rows(lam) - odd_rows(base)
     oc_diff = odd_rows(conjugate(lam)) - odd_rows(base)
-    if o_diff % 2 or oc_diff % 2:
-        raise ValueError(f"odd-row difference is not even for {lam}")
     return MPoly(PARAMS, {(o_diff // 2, oc_diff // 2, d_stat(lam) - d_stat(base), 0): 1})  # a, b, c, s
 
 
@@ -197,7 +195,7 @@ def weighted_domino_sum(core, nx, bound):
     """Three-parameter sum of a^.. b^.. c^.. G(X; q) over one 2-core class."""
     total = TruncatedSeries.zero(nx, 0, bound)
     for lam, row in strip_transfer(staircase(core), nx, bound).items():
-        total = total + _from_row(row, nx, bound) * shape_weight(lam, core)
+        total = total + _from_row(row, nx, bound) * shape_weight(lam)
     return total
 
 

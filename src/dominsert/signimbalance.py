@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .partitions import (VERTICAL, as_partition, conjugate, d_stat, domino_predecessors, enumerate_partitions,
-                         fold_down, v_stat)
+                         fold_down, two_core, v_stat)
 from .polynomials import IMBALANCE, MPoly
 
 
@@ -67,11 +67,12 @@ def domino_sign_sum(lam):
     return domino_sign_sums([as_partition(lam)])[0]
 
 
-def pairing_involution(tableau, core_order):
-    """Swap the first pair (2i-1, 2i), or (2i, 2i+1) over a one-box core,
-    whose cells share no row and no column, the test for the swap to leave
-    a standard tableau; fixed points are exactly the split domino tableaux."""
-    if core_order not in (0, 1):
+def pairing_involution(tableau):
+    """Swap the first pair (2i-1, 2i), or (2i, 2i+1) over a one-box 2-core of
+    the shape, whose cells share no row and no column, the test for the swap to
+    leave a standard tableau; fixed points are exactly the split domino tableaux."""
+    core_order = sum(two_core(tuple(map(len, tableau))))
+    if core_order > 1:
         raise ValueError("pairing involution needs core 0 or 1")
     cell = {value: (r, c) for r, row in enumerate(tableau) for c, value in enumerate(row)}
     for low in range(1 + core_order, len(cell), 2):

@@ -22,7 +22,6 @@ from .partitions import (
     enumerate_with_core,
     odd_rows,
     staircase,
-    staircase_order,
     two_core,
 )
 from .polynomials import MPoly, PARAMS
@@ -63,12 +62,16 @@ def _exhaustive(identity, params, cases, claims, closing=None):
 
     ``claims(case)`` gives the (claim name, holds) pairs of one case.  Each
     false claim is one violation, (case, claim name), and a ValueError inside
-    the case is one, (case, message); a case is named by its letters if it is
-    a word and by str otherwise.  ``closing()`` gives what is wrong with the
-    cases taken together.  The record counts the cases and shows the first
-    three violations.  ``cases`` is consumed inside the clock, so a generator
-    times its own enumeration.
+    the case is one, (case, message).  ``closing()`` gives what is wrong with
+    the cases taken together, as (case, claim name) pairs too.  A case is
+    named by its letters if it is a word and by str otherwise.  The record
+    counts the cases and shows the first three violations.  ``cases`` is
+    consumed inside the clock, so a generator times its own enumeration.
     """
+
+    def label(case):
+        word = isinstance(case, tuple) and case and all(isinstance(letter, words.Letter) for letter in case)
+        return words.word_str(case) if word else str(case)
 
     def sides():
         bad = []
@@ -80,11 +83,9 @@ def _exhaustive(identity, params, cases, claims, closing=None):
             except ValueError as exc:
                 false = [str(exc)]
             if false:
-                word = isinstance(case, tuple) and case and all(isinstance(letter, words.Letter) for letter in case)
-                label = words.word_str(case) if word else str(case)
-                bad.extend((label, name) for name in false)
+                bad.extend((label(case), name) for name in false)
         if closing is not None:
-            bad.extend(closing())
+            bad.extend((label(case), name) for case, name in closing())
         lhs = f"{len(bad)} violations in {total} cases" + (f": {bad[:3]}" if bad else "")
         return lhs, f"0 violations in {total} cases"
 
@@ -96,7 +97,7 @@ def _image_sizes(core, size, pairs, *images):
     shapes of the given core and size have tableau pairs, ``pairs(lam)`` each."""
     expected = sum(pairs(lam) for lam in enumerate_with_core(core, size))
     if any(len(image) != expected for image in images):
-        yield f"image sizes {[len(image) for image in images]} != {expected}"
+        yield f"{[len(image) for image in images]} != {expected}", "image sizes"
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +181,7 @@ def check_inverse_symmetry(n, core):
         # the inverse's pair is looked up, not inserted again
         for pi, (p, q) in pairs.items():
             if pairs.get(words.group_inverse(pi)) != (q, p):
-                yield words.word_str(pi)
+                yield pi, "inverse-symmetry"
 
     return _insertion_check("inverse-symmetry", n, core, claims, closing)
 
@@ -201,7 +202,7 @@ def check_semistandard(length, core):
             ("weight", p.weight() == w.bottom_weight() and q.weight() == w.top_weight()),
             ("color-spin", 2 * words.total_color(w) == p.vertical_count() + q.vertical_count()),
             ("standardization", (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau())),
-            ("reverse", insertion.biword_reverse(p, q, core) == w),
+            ("reverse", insertion.biword_reverse(p, q) == w),
             ("injective", (p, q) not in image),
         )
         image[p, q] = w
@@ -211,14 +212,9 @@ def check_semistandard(length, core):
         # the inverse biword is a case too: its pair is looked up, not inserted again
         for (p, q), w in image.items():
             if image.get((q, p)) != words.invert_colored(w):
-                yield str(w)
+                yield w, "inverse"
         table = tableaux.strip_transfer(staircase(core), VALUES, length)  # each shape's tableaux, counted
         yield from _image_sizes(core, length, lambda lam: sum(table.get(lam, {}).values()) ** 2, image)
-        for p, q in itertools.islice(image, 1):  # the reverse rejects a pair over another core
-            try:
-                yield f"reversed over core {core + 1}: {insertion.biword_reverse(p, q, core + 1)}"
-            except ValueError:
-                pass
 
     biwords = words.enumerate_biwords(VALUES, length)
     params = {"length": length, "core": core, "values": VALUES}
@@ -256,7 +252,7 @@ def check_dual(length, core):
         # each alpha case's inverse is a beta case: its pair is looked up, not inserted again
         for (p, q), w in images["alpha"].items():
             if images["beta"].get((q, p)) != words.invert_dual(w):
-                yield ("alpha-beta-duality", str(w))
+                yield w, "alpha-beta-duality"
         table = tableaux.strip_transfer(staircase(core), VALUES, length)  # lam' counts lam's column tableaux
         count = {lam: sum(row.values()) for lam, row in table.items()}.get
         yield from _image_sizes(core, length, lambda lam: count(lam, 0) * count(conjugate(lam), 0), *images.values())
@@ -290,18 +286,15 @@ def _shapes_up_to(max_size):
 
 
 def _split_shapes(max_size):
-    """(shape, core order) for every shape whose 2-core has at most one box."""
-    for lam in _shapes_up_to(max_size):
-        r = staircase_order(two_core(lam))
-        if r in (0, 1):
-            yield lam, r
+    """Every shape whose 2-core has at most one box."""
+    return (lam for lam in _shapes_up_to(max_size) if sum(two_core(lam)) <= 1)
 
 
 def check_split_sign_formula(max_size):
     def claims(tab):
         return [("sign", tableaux.tableau_sign(tab) == (-1) ** tab.even_vertical())]
 
-    tabs = (tab for lam, _ in _split_shapes(max_size) for tab in tableaux.enumerate_standard(lam))
+    tabs = (tab for lam in _split_shapes(max_size) for tab in tableaux.enumerate_standard(lam))
     return _exhaustive("split-sign-formula", {"max_size": max_size}, tabs, claims)
 
 
@@ -309,7 +302,7 @@ def check_imbalance_via_dominoes(max_size):
     agree = {}  # shape -> imbalance == domino sign sum (0 past a one-box core), each side by one walk in the clock
 
     def cases():
-        shapes, split = list(_shapes_up_to(max_size)), [lam for lam, _ in _split_shapes(max_size)]
+        shapes, split = list(_shapes_up_to(max_size)), list(_split_shapes(max_size))
         signs = dict(zip(split, signimbalance.domino_sign_sums(split)))
         agree.update((lam, value == signs.get(lam, 0)) for lam, value in zip(shapes, signimbalance.imbalances(shapes)))
         yield from shapes
@@ -318,26 +311,25 @@ def check_imbalance_via_dominoes(max_size):
 
 
 def check_pairing_involution(max_size):
-    split = {}  # shape -> (core order, the Young tableaux its domino tableaux are associated with)
+    split = {}  # shape -> the Young tableaux its domino tableaux are associated with
     fixed = Counter()
 
     def cases():
-        for lam, r in _split_shapes(max_size):
-            split[lam] = r, {tableaux.associated_young_tableau(tab) for tab in tableaux.enumerate_standard(lam)}
+        for lam in _split_shapes(max_size):
+            split[lam] = {tableaux.associated_young_tableau(tab) for tab in tableaux.enumerate_standard(lam)}
             yield from enumerate_syt(lam)
 
     def claims(t):
         lam = tuple(map(len, t))
-        r, images = split[lam]
-        image = signimbalance.pairing_involution(t, r)
-        involution = ("involution", signimbalance.pairing_involution(image, r) == t)
+        image = signimbalance.pairing_involution(t)
+        involution = ("involution", signimbalance.pairing_involution(image) == t)
         if image == t:
             fixed[lam] += 1
-            return involution, ("fixed-point-is-domino", t in images)
+            return involution, ("fixed-point-is-domino", t in split[lam])
         return involution, ("sign-reversing", syt_sign(image) == -syt_sign(t))
 
     def closing():
-        return ((lam, "fixed-point-count") for lam, (_, images) in split.items() if fixed[lam] != len(images))
+        return ((lam, "fixed-point-count") for lam, images in split.items() if fixed[lam] != len(images))
 
     return _exhaustive("pairing-involution", {"max_size": max_size}, cases(), claims, closing)
 

@@ -20,6 +20,7 @@ from dominsert.partitions import (
     lift_domino,
     part,
     place_domino,
+    remove_domino,
     size,
     skew_domino,
     staircase,
@@ -87,6 +88,67 @@ def enumerate_signed_permutations(n):
         for bars in itertools.product((False, True), repeat=n)
     ]
     return sorted(words, key=neg_values)
+
+
+def domino_predecessors_by_rows(lam):
+    """``partitions.domino_predecessors`` testing every row of the shape."""
+    out = []
+    for r in range(1, len(lam) + 1):
+        length = lam[r - 1]
+        if length >= 2 and part(lam, r + 1) <= length - 2:
+            dom = DominoShape(r, length - 1, HORIZONTAL)
+            out.append((remove_domino(lam, dom), dom))
+        if part(lam, r + 1) == length and part(lam, r + 2) <= length - 1:
+            dom = DominoShape(r, length, VERTICAL)
+            out.append((remove_domino(lam, dom), dom))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# domino insertion at a large core: two Schensted insertions
+
+
+def schensted_shape(values):
+    """The shape of the row insertion tableau of distinct values."""
+    rows = []
+    for x in values:
+        for row in rows:
+            i = bisect_left(row, x)
+            if i == len(row):
+                break
+            row[i], x = x, row[i]
+        else:
+            row = []
+            rows.append(row)
+        row.append(x)
+    return tuple(map(len, rows))
+
+
+def abacus_quotient(lam):
+    """The 2-quotient of lam on a 2-abacus with an even bead count: the
+    partitions the beads of even and of odd position form on their runners."""
+    beads = len(lam) + len(lam) % 2
+    runners = ([], [])
+    for i, length in enumerate(list(lam) + [0] * (beads - len(lam))):
+        position = length + beads - 1 - i
+        runners[position % 2].append(position // 2)
+    return tuple(tuple(p for p in (b - (len(r) - 1 - j) for j, b in enumerate(r)) if p) for r in runners)
+
+
+def schensted_quotients(word, core):
+    """The 2-quotients of P's and of Q's chain of shapes that domino insertion
+    of a signed permutation of n reaches over a core of order at least n - 1:
+    at step k of Q's chain the Schensted shapes of the unbarred and of the
+    barred values among the first k letters, the second conjugated, and for
+    an even core swapped; P's chain reads the letters of value at most k."""
+
+    def pair(letters):
+        plain = schensted_shape(x.value for x in letters if not x.barred)
+        barred = conjugate(schensted_shape(x.value for x in letters if x.barred))
+        return (plain, barred) if core % 2 else (barred, plain)
+
+    steps = range(len(word) + 1)
+    return [pair([x for x in word if x.value <= k]) for k in steps], [pair(word[:k]) for k in steps]
 
 
 # ---------------------------------------------------------------------------

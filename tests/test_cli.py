@@ -675,7 +675,6 @@ def test_negative_core_rejected(capsys):
     [
         ("insert", "1", "--core", "1000000000"),
         ("growth", "2' 1", "--core", "1000000000"),
-        ("reverse", "--core", "1000000000"),
         ("series", "expand", "--core", "1000000000"),
         ("enumerate", "shapes", "--core", "1000000000"),
         ("verify", "insertion", "--cores", "1000000000"),
@@ -827,6 +826,40 @@ def test_reverse_rejects_a_valid_pair_over_another_core(capsys, monkeypatch):
         code, out, err = run_cli(capsys, "reverse")
         assert code == expected
     assert out == "" and err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_reverse_reads_the_core_off_p(capsys, monkeypatch):
+    # a payload without its core key reverses over P's core, which the output names
+    rng = random.Random(25)
+    for core in range(4):
+        text = " ".join(f"{v}'" if rng.random() < 0.5 else str(v) for v in rng.sample(range(1, 9), 8))
+        code, out, _ = run_cli(capsys, "insert", text, "--core", str(core), "--format", "json")
+        payload = json.loads(out)
+        del payload["core"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, out, _ = run_cli(capsys, "reverse", "--format", "json")
+        assert code == 0 and json.loads(out) == {"word": text, "core": core}
+
+
+@pytest.mark.parametrize("given", [0, 2, 10**9, -1])
+def test_reverse_rejects_a_payload_core_other_than_p(capsys, monkeypatch, given):
+    # nothing is built from the payload's core, so a huge one costs nothing
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"P": ON_CORE, "Q": ON_CORE, "core": given})))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "reverse")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and peak < 1_000_000
+    assert err == f"error: core must be P's core order 1 or left out, got {given}\n"
+
+
+def test_reverse_takes_no_core_flag(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(SMALL_PAYLOAD))
+    code, out, err = run_cli(capsys, "reverse", "--core", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_reverse_rejects_a_column_semistandard_recording(capsys, monkeypatch):

@@ -49,10 +49,12 @@ from dominsert.words import (
     total_color,
 )
 from support import (
+    abacus_quotient,
     enumerate_signed_permutations,
     grow_by_slices,
     growth_by_every_square,
     growth_reverse_by_every_square,
+    schensted_quotients,
     shrink_by_shifts,
     signed_permutations,
     spin_ledger_by_grid,
@@ -411,6 +413,27 @@ def test_bumping_agrees_with_growth(word, core):
     diagram = growth(word, core)
     assert diagram.p_tableau() == result.p
     assert diagram.q_tableau() == result.q
+
+
+def _two_schensted_insertions(word, core, result):
+    # the oracle shares no code with the library's insertion, tableaux or 2-quotient
+    chains = [[abacus_quotient(shape) for shape in tab.chain()] for tab in (result.p, result.q)]
+    return chains == list(schensted_quotients(word, core))
+
+
+@settings(max_examples=30)
+@given(signed_permutations(max_n=200), st.sampled_from((-1, 0, 5)))
+def test_bumping_over_a_large_core_is_two_schensted_insertions(word, offset):
+    core = max(len(word) + offset, 0)
+    assert _two_schensted_insertions(word, core, insert_word(word, core))
+
+
+def test_bumping_over_a_large_core_is_two_schensted_insertions_on_every_word():
+    # every signed permutation of n <= 5 at core orders n - 1 and n
+    for n in range(6):
+        for core in sorted({max(n - 1, 0), n}):
+            for word, result in insert_all(n, core):
+                assert _two_schensted_insertions(word, core, result), (word, core)
 
 
 @settings(max_examples=60)

@@ -25,6 +25,7 @@ from dominsert.partitions import (
     two_quotient,
     v_stat,
 )
+from support import domino_predecessors_by_rows
 
 
 @st.composite
@@ -177,6 +178,13 @@ def test_successor_predecessor_duality():
     for lam in all_shapes(8):
         for mu, dom in domino_successors(lam):
             assert (lam, dom) in domino_predecessors(mu)
+
+
+def test_domino_predecessors_visit_the_rows_that_end_a_run():
+    # the run-by-run walk against the row-by-row one, order included; trailing zeros are no run
+    for lam in all_shapes(14):
+        assert domino_predecessors(lam) == domino_predecessors_by_rows(lam), lam
+        assert domino_predecessors(lam + (0, 0)) == domino_predecessors_by_rows(lam + (0, 0)), lam
 
 
 def test_domino_neighbours_come_in_placement_order():

@@ -4,7 +4,7 @@ import operator
 import pytest
 
 from dominsert import series
-from dominsert.partitions import enumerate_with_core, staircase, two_quotient
+from dominsert.partitions import conjugate, d_stat, enumerate_with_core, odd_rows, staircase, two_quotient
 from dominsert.polynomials import MPoly, PARAMS
 from dominsert.series import (
     TruncatedSeries,
@@ -15,6 +15,7 @@ from dominsert.series import (
     dual_cauchy_sum,
     expand_product,
     schur,
+    shape_weight,
     specialization_even_both,
     specialization_even_rows,
     specialization_square,
@@ -240,3 +241,17 @@ def test_repr_evaluates_back_to_the_value(value):
     # repr names the class and keeps the degree bound, so a series and a polynomial print apart
     copy = eval(repr(value), {"MPoly": MPoly, "TruncatedSeries": TruncatedSeries})
     assert type(copy) is type(value) and copy == value
+
+
+def test_shape_weight_reads_the_core_off_the_shape():
+    # the formula that took the core order as an argument, against the one that reads it
+    def weight_over(lam, core):
+        base = staircase(core)
+        o_diff, oc_diff = odd_rows(lam) - odd_rows(base), odd_rows(conjugate(lam)) - odd_rows(base)
+        assert o_diff % 2 == oc_diff % 2 == 0
+        return MPoly(PARAMS, {(o_diff // 2, oc_diff // 2, d_stat(lam) - d_stat(base), 0): 1})
+
+    for core in range(4):
+        for n in range(7):
+            for lam in enumerate_with_core(core, n):
+                assert shape_weight(lam) == weight_over(lam, core), lam

@@ -102,15 +102,21 @@ def test_pairing_involution_structure():
     assert record["pass"], record
     # values sharing a row or column cannot swap, so both fillings of (2,2)
     # split into dominoes and are fixed
-    assert pairing_involution(((1, 2),), 0) == ((1, 2),)
-    assert pairing_involution(((1, 2), (3, 4)), 0) == ((1, 2), (3, 4))
-    assert pairing_involution(((1, 3), (2, 4)), 0) == ((1, 3), (2, 4))
+    assert pairing_involution(((1, 2),)) == ((1, 2),)
+    assert pairing_involution(((1, 2), (3, 4))) == ((1, 2), (3, 4))
+    assert pairing_involution(((1, 3), (2, 4))) == ((1, 3), (2, 4))
     # in 124/3 the pair (3, 4) sits in different rows and columns
     before = ((1, 2, 4), (3,))
     after = ((1, 2, 3), (4,))
-    assert pairing_involution(before, 0) == after
-    assert pairing_involution(after, 0) == before
+    assert pairing_involution(before) == after
+    assert pairing_involution(after) == before
     assert syt_sign(before) == -syt_sign(after)
+
+
+def test_pairing_involution_reads_its_core_off_the_shape():
+    # (2, 1) is its own 2-core, of three boxes
+    with pytest.raises(ValueError, match="core 0 or 1"):
+        pairing_involution(((1, 2), (3,)))
 
 
 def test_bar_toggle_cancellation():

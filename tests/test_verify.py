@@ -226,7 +226,7 @@ PLANTED_FAULTS = [
      (signimbalance, "domino_sign_sums", lambda lams, real=signimbalance.domino_sign_sums: [v + 1 for v in real(lams)]),
      10, ("(1,)", "imbalance")),
     # every tableau is fixed: 4 are no domino tableau's, and 2 shapes have too many fixed points in the closing
-    ("check_pairing_involution", {"max_size": 4}, (signimbalance, "pairing_involution", lambda t, r: t),
+    ("check_pairing_involution", {"max_size": 4}, (signimbalance, "pairing_involution", lambda t: t),
      6, ("((1, 3), (2,), (4,))", "fixed-point-is-domino")),
     ("check_insertion_sign", {"n": 3, "core": 0},
      (involutions, "tableau_sign", lambda tab, real=tableaux.tableau_sign: -real(tab)), 20, ("3' 2' 1'", "sign")),
@@ -250,6 +250,35 @@ def test_a_planted_fault_names_its_case_and_claim(monkeypatch, check, params, fa
     head, listed = record["lhs"].split(": ", 1)
     assert int(head.split()[0]) == count
     assert ast.literal_eval(listed)[0] == first
+
+
+# one fault per closing: (check, params, (owner, name, fault), first violation); a closing names its case as
+# the cases do, so its violations are (case, claim) pairs too
+CLOSING_FAULTS = [
+    ("check_standard_bijection", {"n": 2, "core": 0},
+     (involutions, "standard_tableau_count", lambda lam, real=involutions.standard_tableau_count: real(lam) + 1),
+     ("[8] != 25", "image sizes")),
+    ("check_inverse_symmetry", {"n": 2, "core": 1}, (words, "group_inverse", lambda pi: pi),
+     ("2' 1", "inverse-symmetry")),
+    ("check_semistandard", {"length": 2, "core": 0}, (words, "invert_colored", lambda w: w), ("1/1 1/2", "inverse")),
+    ("check_dual", {"length": 2, "core": 0}, (words, "invert_dual", lambda w: w),
+     ("1/1 1/1'", "alpha-beta-duality")),
+    # every shape's image set gains the tableau of (2,), so every other shape has too few fixed points
+    ("check_pairing_involution", {"max_size": 4},
+     (tableaux, "enumerate_standard", lambda lam, real=tableaux.enumerate_standard: real(lam) + real((2,))),
+     ("(1,)", "fixed-point-count")),
+]
+
+
+@pytest.mark.parametrize("check, params, fault, first", CLOSING_FAULTS, ids=[f[0] for f in CLOSING_FAULTS])
+def test_a_planted_closing_fault_names_its_case_and_claim(monkeypatch, check, params, fault, first):
+    assert verify.run_instance((check, params))["pass"]
+    monkeypatch.setattr(*fault)
+    record = verify.run_instance((check, params))
+    assert record["pass"] is False
+    listed = ast.literal_eval(record["lhs"].split(": ", 1)[1])
+    assert all(isinstance(case, str) and isinstance(claim, str) for case, claim in listed)
+    assert listed[0] == first
 
 
 def test_closing_comparison_reports_a_wrong_image_size(monkeypatch):
@@ -296,15 +325,6 @@ def test_insertion_checks_insert_each_prefix_once(monkeypatch):
     calls = _count_calls(monkeypatch, (insertion._RowIndex, "insert"))
     assert verify.check_standard_bijection(4, 1)["pass"]
     assert calls["insert"] == 632
-
-
-def test_semistandard_record_reverses_over_another_core(monkeypatch):
-    # a reverse that ignores its core accepts a pair over core + 1
-    real_reverse = insertion.biword_reverse
-    monkeypatch.setattr(insertion, "biword_reverse", lambda p, q, core: real_reverse(p, q, len(p.core)))
-    record = verify.check_semistandard(2, 0)
-    _assert_fails(record, 36)
-    assert record["lhs"].startswith("1 violations in 36 cases: ['reversed over core 1: ")
 
 
 def _count_calls(monkeypatch, *targets):
