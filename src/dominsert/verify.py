@@ -13,7 +13,7 @@ import itertools
 import os
 import time
 from collections import Counter
-from functools import partial
+from functools import cache, partial
 
 from . import insertion, involutions, series, signimbalance, tableaux, words
 from .partitions import (
@@ -142,17 +142,14 @@ def check_standard_bijection(n, core):
 def check_oracle_equivalence(n, core):
     def claims(pi, result):
         diagram = insertion.growth(pi, core)
-        return [("growth", (diagram.p_tableau(), diagram.q_tableau()) == (result.p, result.q))]
+        return ("growth", (diagram.p, diagram.q) == (result.p, result.q)), ("spin-ledger", diagram.spin_ledger_holds())
 
     return _insertion_check("bumping-vs-growth", n, core, claims)
 
 
 def check_color_to_spin(n, core):
     def claims(pi, result):
-        return (
-            ("color-spin", 2 * words.total_color(pi) == result.p.vertical_count() + result.q.vertical_count()),
-            ("spin-ledger", insertion.growth(pi, core).spin_ledger_holds()),
-        )
+        return [("color-spin", 2 * words.total_color(pi) == result.p.vertical_count() + result.q.vertical_count())]
 
     return _insertion_check("color-to-spin", n, core, claims)
 
@@ -313,6 +310,7 @@ def check_imbalance_via_dominoes(max_size):
 def check_pairing_involution(max_size):
     split = {}  # shape -> the Young tableaux its domino tableaux are associated with
     fixed = Counter()
+    pairing, sign = cache(signimbalance.pairing_involution), cache(syt_sign)  # each image is itself a case
 
     def cases():
         for lam in _split_shapes(max_size):
@@ -321,12 +319,12 @@ def check_pairing_involution(max_size):
 
     def claims(t):
         lam = tuple(map(len, t))
-        image = signimbalance.pairing_involution(t)
-        involution = ("involution", signimbalance.pairing_involution(image) == t)
+        image = pairing(t)
+        involution = ("involution", pairing(image) == t)
         if image == t:
             fixed[lam] += 1
             return involution, ("fixed-point-is-domino", t in split[lam])
-        return involution, ("sign-reversing", syt_sign(image) == -syt_sign(t))
+        return involution, ("sign-reversing", sign(image) == -sign(t))
 
     def closing():
         return ((lam, "fixed-point-count") for lam, images in split.items() if fixed[lam] != len(images))
@@ -367,13 +365,14 @@ def check_signed_total(n):
 def check_bar_toggle(n, core):
     """Toggling the bar on the lowest two-cycle reverses the sign and keeps
     the shape statistics."""
+    statistics = cache(partial(involutions.involution_statistics, core=core))  # a toggled word is another case
 
     def claims(pi):
         profile = involutions.involution_profile(pi)
         if profile.two_cycles + profile.barred_two_cycles == 0:
             return ()
         toggled = _toggle_lowest_two_cycle(pi)
-        before, after = (involutions.involution_statistics(w, core) for w in (pi, toggled))
+        before, after = map(statistics, (pi, toggled))
         return (
             ("involution", _toggle_lowest_two_cycle(toggled) == pi),
             ("shape", all(before[name][0] == after[name][0] for name in ("odd rows", "odd columns", "d statistic"))),

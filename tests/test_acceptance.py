@@ -64,7 +64,7 @@ def test_criterion_03_oracle_equivalence(capsys):
         for core in (0, 1, 2)
     ]
     with capsys.disabled():
-        report(3, "bumping agrees with the growth rules everywhere", records)
+        report(3, "bumping agrees with the growth rules, whose diagram keeps the per-square spin ledger", records)
 
 
 def test_criterion_04_color_to_spin(capsys):
@@ -74,7 +74,7 @@ def test_criterion_04_color_to_spin(capsys):
         for core in (0, 1, 2)
     ]
     with capsys.disabled():
-        report(4, "color-to-spin plus the per-square spin ledger", records)
+        report(4, "color-to-spin on the P and Q of bumping", records)
 
 
 def test_criterion_05_semistandard(capsys):

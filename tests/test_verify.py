@@ -209,7 +209,7 @@ PLANTED_FAULTS = [
      (insertion, "growth", lambda word, core, real=insertion.growth: real(word[::-1], core)),
      48, ("3' 2' 1'", "growth")),
     ("check_color_to_spin", {"n": 3, "core": 1},
-     (insertion.GrowthDiagram, "spin_ledger_holds", lambda diagram: False), 48, ("3' 2' 1'", "spin-ledger")),
+     (words, "total_color", lambda w, real=words.total_color: real(w) + 1), 48, ("3' 2' 1'", "color-spin")),
     # several claims of one case fail: 3' 1' 2' breaks both of its P ascents
     ("check_ascent_lemmas", {"n": 3, "core": 1}, (words, "group_inverse", lambda pi: pi),
      40, ("3' 2' 1", "P-ascent-1")),
@@ -332,9 +332,9 @@ def _count_calls(monkeypatch, *targets):
     calls = Counter()
     for module, name in targets:
 
-        def counted(*args, _inner=getattr(module, name), _name=name):
+        def counted(*args, _inner=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
-            return _inner(*args)
+            return _inner(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     return calls
@@ -351,10 +351,13 @@ def test_signed_permutation_suites_build_no_biword(suite, monkeypatch):
     "suite, inserted, grown",
     [
         ("sym", 315, 0),  # once per involution of n <= 4 and core 0-2
-        ("sign", 392, 0),  # at cores 0 and 1: 76 involutions of n = 4 for the sign, 2 per toggle of 60
+        # at cores 0 and 1: 76 involutions of n = 4 for the sign, and the toggle reads each of its involutions
+        # once: the 60 with a two-cycle and their 60 toggles are the same 60 words
+        ("sign", 272, 0),
         # each biword is inserted once; its reverse inserts nothing and the inverse is looked up
         ("semistandard", 990, 990),
         ("dual", 372, 372),  # the standardization claim grows each of the 372 standardized words
+        ("insertion", 0, 1326),  # insert_all walks the words; bumping-vs-growth grows each (word, core) once
     ],
 )
 def test_default_suite_insertion_counts(suite, inserted, grown, monkeypatch):
@@ -362,6 +365,38 @@ def test_default_suite_insertion_counts(suite, inserted, grown, monkeypatch):
     calls = _count_calls(monkeypatch, *targets)
     assert all(record["pass"] for record in verify.run_suite(suite))
     assert (calls["insert_word"], calls["growth"]) == (inserted, grown)
+
+
+def test_spin_ledger_is_checked_on_the_grown_diagram(monkeypatch):
+    # the ledger is a claim of the record that grows the word; color-to-spin reads bumping's P and Q alone
+    monkeypatch.setattr(insertion.GrowthDiagram, "spin_ledger_holds", lambda diagram: False)
+    record = verify.check_oracle_equivalence(3, 1)
+    assert record["pass"] is False
+    head, listed = record["lhs"].split(": ", 1)
+    assert int(head.split()[0]) == 48
+    assert ast.literal_eval(listed)[0] == ("3' 2' 1'", "spin-ledger")
+    assert verify.check_color_to_spin(3, 1)["pass"]
+
+
+@pytest.mark.parametrize(
+    "owner, name, check, args, distinct",
+    [
+        # the 60 involutions of 4 with a two-cycle, which are also the 60 toggled words
+        (involutions, "involution_statistics", verify.check_bar_toggle, (4, 0), lambda record: 60),
+        # every image is itself a case, so the distinct tableaux are the cases
+        (signimbalance, "pairing_involution", verify.check_pairing_involution, (5,),
+         lambda record: int(record["rhs"].split()[3])),
+    ],
+    ids=["bar-toggle", "pairing-involution"],
+)
+def test_a_record_memo_never_outlives_its_record(owner, name, check, args, distinct, monkeypatch):
+    # each record reads each distinct value once, and a second record reads them all again
+    for _ in range(2):
+        calls = _count_calls(monkeypatch, (owner, name))
+        record = check(*args)
+        monkeypatch.undo()
+        assert record["pass"]
+        assert calls[name] == distinct(record) > 0
 
 
 def test_run_suite_caps_its_workers(monkeypatch):
