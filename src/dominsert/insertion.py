@@ -14,9 +14,9 @@ rule reads its two near labels and at most one row or column length of a
 corner.  Growth reads the standard pair (P, Q) off its last labels, and its
 reverse takes that pair; both run row by row, on one list of row lengths per
 column of the values inserted so far, visit only the squares whose top label
-is set and, like the spin ledger, call a local rule only where a row's label
-changes.  A signed permutation is held as its word: letter i puts its sign
-(-1 when barred) in column value - 1 of row i of the dense matrix, a view.
+is set and, like the spin ledger, call a local rule and check a label only
+where it changes.  A signed permutation is held as its word: letter i puts
+its sign (-1 when barred) in column value - 1 of row i of the dense matrix.
 """
 
 from __future__ import annotations
@@ -453,20 +453,27 @@ def growth(word, core=0):
     in place, and its top label in ``tops``.  Row i reads column
     j = value - 1 and its sign off letter i, bisects ``present`` for j's
     position, copies the kept column to its left, or the core, and visits it
-    and each kept column to its right: n + inv(|w|) squares in all.  Each
-    skipped square has top label None: left of the seed its left label is
-    None, and right of it ``_grow`` would pass the left label on and
-    ``place_domino`` repeat its last check on an equal list.  Right of the
+    and each kept column to its right: n + inv(|w|) squares in all.  On a
+    skipped square the top label is None, and ``_grow`` would pass the left
+    label (None left of the seed) on to an equal column.  Right of the
     seed both labels are set (value j + 1 seeded the top one); ``_grow``
     bumps equal ones and fills a 2x2 block for two that start at one cell,
     each a new row label, and else passes the left one, (r, c, o), on.  So a
-    row calls ``_grow``, and keeps the square, named by ``present``, only
-    where the top label starts at (r, c), and elsewhere places (r, c, o)
-    itself.  Q's domino i is row i's last vertical label, and P's domino
-    j + 1 is ``tops[j]`` once every value is kept.  Both tableaux have the
-    shape of grid[n][n], the last column (the core if n = 0).  Their
-    dominoes are built unchecked (``DominoShape._make``): each label passed
-    ``place_domino`` (row, col >= 1), oriented by ``_grow``."""
+    row calls ``_grow`` and ``place_domino`` only where the top label starts
+    at (r, c), keeping the square, named by ``present``; elsewhere it writes
+    the row lengths of (r, c, o) into the column, as new rows at c = 1.
+    (A) Two different dominoes addable to a partition lam start at one cell
+    or are disjoint (one starting in row r + 1 meets a vertical one of row r
+    only if lam_r = lam_(r+1), when row r + 1 has none), and disjoint ones
+    have lam + a + b = (lam + a) | (lam + b).  Here lam is the left column
+    before the row, and a (checked at the seed or a change square, or by
+    (A)) and the top label b are addable to it, so a is addable to the
+    column lam + b, which has r - 1 rows if c = 1.  Q's domino i is row i's
+    last vertical label, and P's domino j + 1 is ``tops[j]`` once every
+    value is kept.  Both tableaux have the shape of grid[n][n], the last
+    column (the core if n = 0).  Their dominoes are built unchecked
+    (``DominoShape._make``): each label passed ``place_domino`` (row,
+    col >= 1), oriented by ``_grow``."""
     word = tuple(word)
     if not is_signed_permutation(word):
         raise ValueError("not a signed permutation")
@@ -489,7 +496,12 @@ def growth(word, core=0):
                 tops[t], left = grow(columns[t], left, top, 0)
                 row.append((present[t], left))
                 r, c, o = left
-            place(columns[t], r, c, o)
+                place(columns[t], r, c, o)
+            elif c > 1:
+                rows = columns[t]
+                rows[r - 1] = rows[r - (o == HORIZONTAL)] = c + (o == HORIZONTAL)
+            else:
+                columns[t] += (1, 1) if o == VERTICAL else (2,)
         recording.append((i, make(left)))
         changes.append(tuple(row))
     shape = tuple(columns[-1]) if n else base
@@ -512,20 +524,25 @@ def growth_reverse_word(p, q):
     j from all three lists and ends the row.  As d turns None only at a
     seed, ``_shrink`` seeds or bumps if c = d, shifts both back if c is
     ``_partner(d)``, and else lifts d and keeps both labels, which a square
-    whose c is neither does itself.  A skipped square has c None and would
-    lift d off mu = rho: the last lift again, on an equal column, or right
-    of the kept ones Q's domino off Q's shape (below).  Left of them every
-    column is the core: a row out of kept columns lifts its right label off
-    it, which raises.  Past the precondition, which ``is_standard`` checks
-    on P's and Q's cached replays, only ``lift_domino`` and the closing
-    ``is_signed_permutation`` check reject; checks 1-3 below are implied,
-    and 4 shows that the closing check asks that the dense matrix have one
-    nonzero entry in each row and in each column.
+    whose c is neither writes into the column itself, dropping the rows it
+    empties.  A skipped square has c None and would lift d off mu = rho:
+    the last lift again, on an equal column, or right of the kept ones Q's
+    domino off Q's shape (below).  Left of them every column is the core: a
+    row out of kept columns lifts its right label off it, which raises.
+    Past the precondition, which compares P's and Q's stated and replayed
+    shapes and asks both to be standard, reading their cached replays, only
+    ``lift_domino`` and the closing ``is_signed_permutation`` check reject;
+    checks 1-3 below are implied, and 4 shows that the closing check asks
+    that the dense matrix have one nonzero entry in each row and column.
 
     Write mu for column j before the square, rho = mu + c, nu = rho - d
     and lam = mu - a.  From the top row down, rho is a shape and d is
-    removable from it: d is Q's domino and rho Q's shape (in the top row
-    P's, by the same-shape precondition), or d was just lifted off rho.
+    removable from it: d is Q's domino and rho Q's replayed shape (in the
+    top row P's, by the precondition), or d was just lifted off rho.  (B)
+    Dually to growth's (A), two different dominoes removable from rho end
+    at one cell, one the other's ``_partner``, or are disjoint, and then
+    rho - c - d = (rho - c) & (rho - d).  So where c is neither, d is
+    removable from mu = rho - c, as the write takes it off.
 
     1. Each square grows back to (c, d), and lam + b = nu, so each new row
        is a chain again.  By ``_shrink``'s branches, once the lift succeeded:
@@ -567,17 +584,22 @@ def growth_reverse_word(p, q):
     equal shapes have equal cores.
     """
     mismatch = "growth_reverse expects standard tableaux of one shape over one core"
-    if p.shape() != q.shape() or not (p.is_standard() and q.is_standard()):
+    same = p.shape() == q.shape() and p.semistandard_shape() == q.semistandard_shape()
+    if not (same and p.is_standard() and q.is_standard()):
         raise ValueError(mismatch)
     n, columns, tops = len(p), [list(shape) for shape in p.chain()[:-1]], [dom for _, dom in p.entries]
-    present, word, shrink, lift, partner = list(range(n)), [None] * n, _shrink, lift_domino, _partner
+    present, word, shrink, partner = list(range(n)), [None] * n, _shrink, _partner
     for i in range(n - 1, -1, -1):
         right = q.entries[i][1]
         (r, c, o), changing = right, (right, partner(right))
         for k in range(len(tops) - 1, -1, -1):
             top = tops[k]
             if top not in changing:
-                lift(columns[k], r, c, o)
+                if c > 1:
+                    rows = columns[k]
+                    rows[r - 1] = rows[r - (o == HORIZONTAL)] = c - 1
+                else:
+                    del columns[k][r - 1:]
                 continue
             entry, right, tops[k] = shrink(columns[k], top, right)
             if right is None:
@@ -586,7 +608,7 @@ def growth_reverse_word(p, q):
                 break
             (r, c, o), changing = right, (right, partner(right))
         else:
-            lift(list(p.core), *right)
+            lift_domino(list(p.core), *right)
     if not is_signed_permutation(word):
         raise ValueError("not a signed permutation")
     return tuple(word)

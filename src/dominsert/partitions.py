@@ -126,19 +126,8 @@ def place_domino(rows, row, col, orient):
     """Add the domino (row, col, orient) to the row lengths ``rows`` in place,
     checking only the rows it touches and the row above; a partition stays a
     partition, and ``rows`` is unchanged on error.  Rows past the end of the
-    list have length 0, as in ``part``.  The in-range case, rows 2 and on
-    inside the list, is tried first by the general test's clauses for it;
-    row 1, new rows and errors fall through to that test."""
-    if orient == HORIZONTAL:
-        if 1 < row <= len(rows) and rows[row - 1] == col - 1 and rows[row - 2] > col > 0:
-            rows[row - 1] = col + 1
-            return
-        last, end = row, col + 1
-    else:
-        if 1 < row < len(rows) and rows[row - 1] == rows[row] == col - 1 and rows[row - 2] >= col > 0:
-            rows[row - 1] = rows[row] = col
-            return
-        last, end = row + 1, col
+    list have length 0, as in ``part``."""
+    last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
     n = len(rows)
     if (
         row < 1 or col < 1
@@ -154,19 +143,8 @@ def place_domino(rows, row, col, orient):
 
 def lift_domino(rows, row, col, orient):
     """Remove the domino (row, col, orient) from ``rows`` in place; the
-    inverse of ``place_domino``, dropping emptied rows.  The in-range case,
-    above a last row that is nonzero (so none is dropped), is tried first by
-    the general test's clauses for it; the rest falls through to that test."""
-    if orient == HORIZONTAL:
-        if 0 < row < len(rows) and rows[row - 1] == col + 1 and rows[row] < col and col > 0 and rows[-1]:
-            rows[row - 1] = col - 1
-            return
-        last, end = row, col + 1
-    else:
-        if 0 < row < len(rows) - 1 and rows[row - 1] == rows[row] == col > rows[row + 1] and col > 0 and rows[-1]:
-            rows[row - 1] = rows[row] = col - 1
-            return
-        last, end = row + 1, col
+    inverse of ``place_domino``, dropping emptied rows."""
+    last, end = (row, col + 1) if orient == HORIZONTAL else (row + 1, col)
     if (
         row < 1 or col < 1
         or last > len(rows)

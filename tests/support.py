@@ -354,10 +354,12 @@ def growth_reverse_by_every_square(p, q):
         raise ValueError(mismatch)
     n = len(p)
     try:
-        columns = [list(shape) for shape in value_order_chain(p)[:-1]]
-        value_order_chain(q)
+        p_chain, q_chain = value_order_chain(p), value_order_chain(q)
     except ValueError:
         raise ValueError(mismatch) from None
+    if p_chain[-1] != q_chain[-1]:
+        raise ValueError(mismatch)
+    columns = [list(shape) for shape in p_chain[:-1]]
     labels = [dom for _, dom in p.entries]
     present, word = list(range(n)), [None] * n
     for i in range(n - 1, -1, -1):

@@ -285,6 +285,27 @@ def test_growth_reverse_rejects_bad_chains():
         tableau_from_chain(((2,), (2, 2)))  # core is not a staircase
 
 
+def test_growth_reverse_compares_the_replayed_shapes():
+    # the stated shapes agree, but P's domino relaid upright replays to
+    # (1, 1): the precondition, not a lift, rejects the pair
+    diagram = growth(parse_word("1"), 0)
+    relaid = DominoTableau._placed((), ((1, DominoShape(1, 1, V)),), (2,))
+    assert diagram.p.shape() == relaid.shape() == (2,) and relaid.is_standard()
+    with pytest.raises(ValueError, match="^growth_reverse expects standard tableaux of one shape over one core$"):
+        growth_reverse_word(relaid, diagram.q)
+
+
+def test_growth_reverse_compares_the_stated_shapes():
+    # a genuine pair whose P states another shape of its size: the replays
+    # agree, and the stated shapes still reject it
+    diagram = growth(parse_word("2 1' 3"), 1)
+    other = next(mu for mu in enumerate_with_core(1, 3) if mu != diagram.p.shape())
+    p = DominoTableau._placed(diagram.p.core, diagram.p.entries, other)
+    assert p.semistandard_shape() == diagram.q.semistandard_shape() == diagram.q.shape()
+    with pytest.raises(ValueError, match="^growth_reverse expects standard tableaux of one shape over one core$"):
+        growth_reverse_word(p, diagram.q)
+
+
 def test_bijection_small_exhaustive():
     from dominsert.partitions import enumerate_with_core
 
@@ -853,12 +874,11 @@ def test_local_rules_test_overlaps_as_the_slicing_rules_do():
 
 
 def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
-    """Growth and its reverse visit a square only once its top label is set:
-    1 + the number of larger earlier values per row, so n + inv(|w|)
-    squares, of the n(n + 1)/2 at or right of the rows' nonzero entries.
-    Growth places a domino on each visited square and the reverse lifts one
-    off each but the seeds; ``_grow`` and ``_shrink`` run only on the
-    squares where a row's label changes."""
+    """Growth and its reverse check a domino only where a row's label
+    changes: growth runs ``_grow`` and places with ``place_domino`` there,
+    and the reverse runs ``_shrink``, which lifts with ``lift_domino`` on
+    every such square but the seeds.  On the other squares they write the
+    row lengths of the label that passes through."""
     calls = Counter()
     for name in ("_grow", "_shrink", "place_domino", "lift_domino"):
 
@@ -868,18 +888,16 @@ def test_growth_visits_only_squares_with_a_top_label(monkeypatch):
 
         monkeypatch.setattr(insertion, name, counted)
     rng = random.Random(10)
-    for n in (0, 1, 2, 5, 17, 40):
+    for n in (0, 1, 2, 5, 17, 40, 200):
         for core in range(3):
             word = _random_word(rng, n)
-            values = [letter.value for letter in word]
-            visits = n + sum(a > b for i, a in enumerate(values) for b in values[i + 1:])
             calls.clear()
             diagram = growth(word, core)
             changes = sum(map(len, diagram.changes))
-            assert calls == Counter(place_domino=visits, _grow=changes)
+            assert calls == Counter(place_domino=changes, _grow=changes)
             calls.clear()
             assert growth_reverse(diagram.p, diagram.q) == diagram.matrix
-            assert calls == Counter(lift_domino=visits - n, _shrink=changes)
+            assert calls == Counter(lift_domino=changes - n, _shrink=changes)
 
 
 def test_proven_dominoes_skip_the_range_check(monkeypatch):

@@ -5,8 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from dominsert.insertion import _partner
 from dominsert.partitions import (
     DominoShape,
+    add_domino,
     as_partition,
     conjugate,
     d_stat,
@@ -17,6 +19,7 @@ from dominsert.partitions import (
     lift_domino,
     odd_rows,
     place_domino,
+    remove_domino,
     size,
     skew_domino,
     staircase,
@@ -193,6 +196,32 @@ def test_domino_neighbours_come_in_placement_order():
         for pairs in (domino_successors(lam), domino_predecessors(lam)):
             placements = [dom for _, dom in pairs]
             assert placements == sorted(placements), lam
+
+
+def test_two_addable_dominoes_share_a_first_cell_or_commute():
+    # (A) of ``growth``: two different dominoes addable to lam start at one
+    # cell with opposite orientations, or are disjoint and either goes on
+    # after the other, to one shape
+    for lam in all_shapes(16):
+        for (mu_a, a), (mu_b, b) in itertools.permutations(domino_successors(lam), 2):
+            if a[:2] == b[:2]:
+                assert a.orient != b.orient, (lam, a, b)
+            else:
+                assert not set(a.cells()) & set(b.cells()), (lam, a, b)
+                assert add_domino(mu_b, a) == add_domino(mu_a, b), (lam, a, b)
+
+
+def test_two_removable_dominoes_are_partners_or_commute():
+    # (B) of ``growth_reverse_word``: two different dominoes removable from
+    # rho end at one cell, each the other's ``_partner``, or are disjoint
+    # and either comes off after the other, to one shape
+    for rho in all_shapes(16):
+        for (mu_c, c), (mu_d, d) in itertools.permutations(domino_predecessors(rho), 2):
+            if c.cells()[1] == d.cells()[1]:
+                assert c == _partner(d) and d == _partner(c), (rho, c, d)
+            else:
+                assert not set(c.cells()) & set(d.cells()), (rho, c, d)
+                assert remove_domino(mu_d, c) == remove_domino(mu_c, d), (rho, c, d)
 
 
 def test_enumerate_with_core_examples():
