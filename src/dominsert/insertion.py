@@ -110,16 +110,17 @@ class _RowIndex:
         D.  Then D's cells are opened at the ends of their rows and columns
         and each moved value, and the new one, fills its cells in both
         views: the new dominoes tile the new shape and the others keep their
-        cells, so each changed cell is written exactly once.  Dominoes are
-        built unchecked (``DominoShape._make``): each coordinate is a count
-        plus 1 or a cell's plus 0 or 1, and the last one is placed first."""
+        cells, so each changed cell is written exactly once.  Dominoes stay
+        bare triples until the closing loop and the return, which build them
+        unchecked (``DominoShape._make``): each coordinate is a count plus 1
+        or a cell's plus 0 or 1, and the added one is placed first."""
         rows, cols, off, lengths, dominoes = self.rows, self.cols, self.off, self.lengths, self.dominoes
         make = DominoShape._make
         value, n = letter.value, len(lengths)
         if value in dominoes:
             raise ValueError(f"value {value} already present")
         at = off[1] + (n and bisect_left(cols[0] if letter.barred else rows[0], value)) + 1
-        dom = seed = make((at, 1, VERTICAL) if letter.barred else (1, at, HORIZONTAL))
+        dom = seed = (at, 1, VERTICAL) if letter.barred else (1, at, HORIZONTAL)
         moves = []
         while True:
             row, col, orient = dom
@@ -131,16 +132,16 @@ class _RowIndex:
             old = dominoes[w]
             if old == dom and orient == HORIZONTAL:
                 below = row < n and off[row + 1] + bisect_left(rows[row], w)
-                new = grown = make((row + 1, below + 1, HORIZONTAL))
+                new = grown = (row + 1, below + 1, HORIZONTAL)
             elif old == dom:
                 below = off[col + 1] + (col < len(cols) and bisect_left(cols[col], w))
-                new = grown = make((below + 1, col + 1, VERTICAL))
+                new = grown = (below + 1, col + 1, VERTICAL)
             elif old[0] != row or old[1] != col:
                 raise ValueError(f"{old} does not start at {(row, col)} in the insertion of {value}")
             elif orient == HORIZONTAL:
-                new, grown = make((row + 1, col, HORIZONTAL)), (row, col + 1, VERTICAL)
+                new, grown = (row + 1, col, HORIZONTAL), (row, col + 1, VERTICAL)
             else:
-                new, grown = make((row, col + 1, VERTICAL)), (row + 1, col, HORIZONTAL)
+                new, grown = (row, col + 1, VERTICAL), (row + 1, col, HORIZONTAL)
             # rows r - 1, r and last of T_{<w} + D: core cells, cells below w, D's cells
             r, c, o = new
             last, end, lower = r + (o == VERTICAL), c + (o == HORIZONTAL), row + (orient == VERTICAL)
@@ -149,11 +150,10 @@ class _RowIndex:
             bottom = top if last == r else (
                 (last <= n and off[last] + bisect_left(rows[r], w)) + (last == row) + (last == lower))
             if not (top == bottom == c - 1 and (r == 1 or above >= end)):
-                raise ValueError(f"cannot move {old} to {new} in the insertion of {value}")
+                raise ValueError(f"cannot move {old} to {make(new)} in the insertion of {value}")
             moves.append((w, new))
             dom = grown
         place_domino(lengths, *dom)
-        dom = make(dom)
         if len(lengths) > len(rows):  # a step adds at most two rows or columns
             rows += [], []
             off += [0] * (len(rows) + 2 - len(off))
@@ -173,8 +173,8 @@ class _RowIndex:
                 rows[r - 1][c - off[r]] = cols[c][r - 1 - off[c + 1]] = w
             else:
                 rows[r][c - 1 - off[r + 1]] = cols[c - 1][r - off[c]] = w
-            dominoes[w] = new
-        return dom
+            dominoes[w] = make(new)
+        return make(dom)
 
 
 def insert_letter(tab, letter):
@@ -461,7 +461,8 @@ def growth(word, core=0):
     each a new row label, and else passes the left one, (r, c, o), on.  So a
     row calls ``_grow`` and ``place_domino`` only where the top label starts
     at (r, c), keeping the square, named by ``present``; elsewhere it writes
-    the row lengths of (r, c, o) into the column, as new rows at c = 1.
+    the row lengths of (r, c, o), at indices and an end length set once per
+    label, into the column, as new rows at c = 1.
     (A) Two different dominoes addable to a partition lam start at one cell
     or are disjoint (one starting in row r + 1 meets a vertical one of row r
     only if lam_r = lam_(r+1), when row r + 1 has none), and disjoint ones
@@ -490,6 +491,7 @@ def growth(word, core=0):
         tops.insert(k, top)
         place(columns[k], *left)
         row, (r, c, o) = [(j, left)], left
+        a, b, end = r - 1, r - (o == HORIZONTAL), c + (o == HORIZONTAL)
         for t in range(k + 1, len(tops)):
             top = tops[t]
             if top[0] == r and top[1] == c:
@@ -497,9 +499,10 @@ def growth(word, core=0):
                 row.append((present[t], left))
                 r, c, o = left
                 place(columns[t], r, c, o)
+                a, b, end = r - 1, r - (o == HORIZONTAL), c + (o == HORIZONTAL)
             elif c > 1:
                 rows = columns[t]
-                rows[r - 1] = rows[r - (o == HORIZONTAL)] = c + (o == HORIZONTAL)
+                rows[a] = rows[b] = end
             else:
                 columns[t] += (1, 1) if o == VERTICAL else (2,)
         recording.append((i, make(left)))
@@ -524,8 +527,9 @@ def growth_reverse_word(p, q):
     j from all three lists and ends the row.  As d turns None only at a
     seed, ``_shrink`` seeds or bumps if c = d, shifts both back if c is
     ``_partner(d)``, and else lifts d and keeps both labels, which a square
-    whose c is neither writes into the column itself, dropping the rows it
-    empties.  A skipped square has c None and would lift d off mu = rho:
+    whose c is neither writes into the column itself, at indices and an end
+    length set once per label as in growth, dropping the rows it empties.
+    A skipped square has c None and would lift d off mu = rho:
     the last lift again, on an equal column, or right of the kept ones Q's
     domino off Q's shape (below).  Left of them every column is the core: a
     row out of kept columns lifts its right label off it, which raises.
@@ -592,14 +596,15 @@ def growth_reverse_word(p, q):
     for i in range(n - 1, -1, -1):
         right = q.entries[i][1]
         (r, c, o), changing = right, (right, partner(right))
+        a, b, end = r - 1, r - (o == HORIZONTAL), c - 1
         for k in range(len(tops) - 1, -1, -1):
             top = tops[k]
             if top not in changing:
                 if c > 1:
                     rows = columns[k]
-                    rows[r - 1] = rows[r - (o == HORIZONTAL)] = c - 1
+                    rows[a] = rows[b] = end
                 else:
-                    del columns[k][r - 1:]
+                    del columns[k][a:]
                 continue
             entry, right, tops[k] = shrink(columns[k], top, right)
             if right is None:
@@ -607,6 +612,7 @@ def growth_reverse_word(p, q):
                 del present[k], columns[k], tops[k]
                 break
             (r, c, o), changing = right, (right, partner(right))
+            a, b, end = r - 1, r - (o == HORIZONTAL), c - 1
         else:
             lift_domino(list(p.core), *right)
     if not is_signed_permutation(word):

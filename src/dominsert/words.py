@@ -5,12 +5,10 @@ A letter is a positive integer with an optional bar, written ``3'`` (or
 ``1' < 1 < 2' < 2 < ...``; ``neg`` maps a barred k to -k and an unbarred k
 to k.
 
-Three biword kinds share one representation:
+Two biword kinds share one representation:
 
 * ``colored``  - bars on the bottom row only; ties on equal tops break by
   ascending bottom neg-value.
-* ``doubly``   - bars allowed on both rows; ties on equal unbarred tops break
-  ascending, on equal barred tops descending.
 * ``dual``     - bars on the bottom row only; ties break by descending
   bottom neg-value.
 """
@@ -22,7 +20,6 @@ import sys
 from collections import Counter, namedtuple
 
 COLORED = "colored"
-DOUBLY = "doubly"
 DUAL = "dual"
 
 
@@ -108,8 +105,6 @@ def _sort_key(kind):
         return lambda bl: (bl.top.key(), bl.bottom.neg)
     if kind == DUAL:
         return lambda bl: (bl.top.key(), -bl.bottom.neg)
-    if kind == DOUBLY:
-        return lambda bl: (bl.top.key(), -bl.bottom.neg if bl.top.barred else bl.bottom.neg)
     raise ValueError(f"unknown biword kind {kind!r}")
 
 
@@ -169,11 +164,10 @@ def value_weight(values):
 
 def biword(biletters, kind):
     """Canonically ordered biword of the given kind."""
-    biletters = tuple(biletters)
-    if kind in (COLORED, DUAL) and any(bl.top.barred for bl in biletters):
+    biletters, key = tuple(biletters), _sort_key(kind)
+    if any(bl.top.barred for bl in biletters):
         raise ValueError(f"{kind} biwords cannot carry bars on the top row")
-    ordered = tuple(sorted(biletters, key=_sort_key(kind)))
-    return ColoredBiword(ordered, kind)
+    return ColoredBiword(tuple(sorted(biletters, key=key)), kind)
 
 
 def colored_word(letters):

@@ -31,9 +31,9 @@ from dominsert.series import TruncatedSeries
 from dominsert.tableaux import DominoTableau, enumerate_semistandard, enumerate_standard, tableau_sign
 from dominsert.words import (
     COLORED,
-    DOUBLY,
     DUAL,
     Biletter,
+    ColoredBiword,
     InvolutionProfile,
     Letter,
     biword,
@@ -224,6 +224,20 @@ def standardized_top_to_bottom(tab):
 # the steps of the standardization chains
 
 
+DOUBLY = "doubly"
+
+
+def _doubly_key(bl):
+    return (bl.top.key(), -bl.bottom.neg if bl.top.barred else bl.bottom.neg)
+
+
+def doubly_biword(biletters):
+    """A doubly colored biword: bars allowed on both rows; ties on equal
+    unbarred tops break by ascending bottom neg-value, on equal barred tops
+    by descending."""
+    return ColoredBiword(tuple(sorted(biletters, key=_doubly_key)), DOUBLY)
+
+
 def with_kind(word, kind):
     return biword(word.letters, kind)
 
@@ -234,12 +248,12 @@ def standardize_top(word):
         Biletter(Letter(i, bl.top.barred), bl.bottom)
         for i, bl in enumerate(word.letters, start=1)
     )
-    return biword(new, word.kind)
+    return doubly_biword(new) if word.kind == DOUBLY else biword(new, word.kind)
 
 
 def invert(word):
     """Swap the rows of each biletter; the result is doubly colored."""
-    return biword((Biletter(bl.bottom, bl.top) for bl in word.letters), DOUBLY)
+    return doubly_biword(Biletter(bl.bottom, bl.top) for bl in word.letters)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from dominsert.partitions import (
 )
 from dominsert.insertion import (
     biword_insert,
+    dual_insert_alpha,
+    dual_insert_beta,
     growth,
     growth_reverse,
     growth_reverse_word,
@@ -39,6 +41,7 @@ from dominsert.insertion import (
 )
 from dominsert.tableaux import DominoTableau, enumerate_standard, tiled_shape
 from dominsert.words import (
+    DUAL,
     Letter,
     colored_word,
     group_inverse,
@@ -59,6 +62,7 @@ from support import (
     signed_permutations,
     spin_ledger_by_grid,
     tableau_from_chain,
+    with_kind,
 )
 
 H, V = "h", "v"
@@ -568,11 +572,18 @@ def test_growth_reverse_rejects_damaged_chains(word, core, damage, on_p, data):
 
 
 def test_every_domino_is_a_domino_shape():
+    # a bare (row, col, orient) triple compares equal to its DominoShape, so
+    # only the type tells a domino that bumping or growth left unmade
     word = parse_word("5' 12 3 9' 1 11' 7 2' 10 4' 8 6'")
+    colored = parse_biword("1/3' 1/2 2/4 2/1' 3/5 3/2' 4/1")
     tableaux = []
     for core in range(3):
-        result = insert_word(word, core)
-        tableaux += [result.p, result.q, growth(word, core).p_tableau()]
+        result, diagram = insert_word(word, core), growth(word, core)
+        tableaux += [result.p, result.q, diagram.p_tableau(), diagram.q_tableau()]
+        tableaux += insert_frames(word, core)
+        tableaux += [tab for _, pair in insert_all(3, core) if pair for tab in pair]
+        tableaux += biword_insert(colored, core) + dual_insert_beta(colored, core)
+        tableaux += dual_insert_alpha(with_kind(colored, DUAL), core)
     tableaux += enumerate_standard(insert_word(RUNNING_WORD).p.shape())
     dominoes = [dom for tab in tableaux for _, dom in tab.entries]
     dominoes += [dom for lam in enumerate_with_core(1, 3) for _, dom in domino_successors(lam)]

@@ -5,7 +5,6 @@ import pytest
 
 from dominsert.words import (
     COLORED,
-    DOUBLY,
     DUAL,
     Biletter,
     Letter,
@@ -27,6 +26,7 @@ from dominsert.words import (
 
 from support import (
     cycle_profile,
+    doubly_biword,
     enumerate_signed_permutations,
     group_inverse_by_biword,
     involution_profile_by_biword,
@@ -160,7 +160,7 @@ def test_rejects_barred_tops_for_colored():
     with pytest.raises(ValueError):
         biword([Biletter(Letter(1, True), Letter(1))], COLORED)
     with pytest.raises(ValueError):
-        invert_colored(biword([Biletter(Letter(1, True), Letter(1))], DOUBLY))
+        invert_colored(doubly_biword([Biletter(Letter(1, True), Letter(1))]))
 
 
 def test_word_identities_exhaustive():
