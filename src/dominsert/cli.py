@@ -334,7 +334,7 @@ def main(argv=None):
     except BrokenPipeError:  # the reader left: the exit flush goes nowhere, the status is SIGPIPE's
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -198,7 +198,7 @@ def check_semistandard(length, core):
             ("shape", shape is not None and shape == q.semistandard_shape()),
             ("weight", p.weight() == w.bottom_weight() and q.weight() == w.top_weight()),
             ("color-spin", 2 * words.total_color(w) == p.vertical_count() + q.vertical_count()),
-            ("standardization", (p.standardized(), q.standardized()) == (std.p_tableau(), std.q_tableau())),
+            ("standardization", (p.standardized(), q.standardized()) == (std.p, std.q)),
             ("reverse", insertion.biword_reverse(p, q) == w),
             ("injective", (p, q) not in image),
         )

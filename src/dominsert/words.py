@@ -330,30 +330,18 @@ def enumerate_involutions(n):
     """All signed involutions in B_n, built from fixed points and two-cycles."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    results = []
-
-    def build(remaining, assignment):
-        if not remaining:
-            results.append(tuple(assignment[i] for i in sorted(assignment)))
-            return
-        i = remaining[0]
-        rest = remaining[1:]
-        for barred in (False, True):
-            assignment[i] = Letter(i, barred)
-            build(rest, assignment)
-            del assignment[i]
-        for j in rest:
-            others = tuple(k for k in rest if k != j)
-            for barred in (False, True):
-                assignment[i] = Letter(j, barred)
-                assignment[j] = Letter(i, barred)
-                build(others, assignment)
-                del assignment[i]
-                del assignment[j]
-
-    build(tuple(range(1, n + 1)), {})
-    results.sort(key=neg_values)
-    return results
+    partial = [[None] * n]  # each position's letter, None while free
+    for i in range(n):
+        grown = [word for word in partial if word[i] is not None]  # a two-cycle placed i
+        for word in partial:
+            for j in range(i, n):  # a free i is a fixed point or pairs with a free j > i
+                if word[i] is None and word[j] is None:
+                    for barred in (False, True):
+                        paired = list(word)
+                        paired[i], paired[j] = Letter(j + 1, barred), Letter(i + 1, barred)
+                        grown.append(paired)
+        partial = grown
+    return sorted(map(tuple, partial), key=neg_values)
 
 
 def enumerate_biwords(values, length, kind=COLORED, multiplicity_free=False):

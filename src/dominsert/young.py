@@ -10,26 +10,18 @@ from .partitions import as_partition, conjugate
 
 
 def enumerate_syt(lam):
-    """All standard Young tableaux of the given shape, as tuples of rows."""
+    """All standard Young tableaux of the given shape, as tuples of rows: value v
+    goes at the end of each row shorter than its part of lam and than the row above."""
     lam = as_partition(lam)
-    n = sum(lam)
-    results = []
-
-    def fill(shape_rows, value, grid):
-        if value > n:
-            results.append(tuple(tuple(row) for row in grid))
-            return
-        for r in range(len(lam)):
-            c = shape_rows[r]
-            if c < lam[r] and (r == 0 or shape_rows[r - 1] > c):
-                shape_rows[r] += 1
-                grid[r].append(value)
-                fill(shape_rows, value + 1, grid)
-                grid[r].pop()
-                shape_rows[r] -= 1
-
-    fill([0] * len(lam), 1, [[] for _ in lam])
-    return results
+    grids = [((),) * len(lam)]
+    for v in range(1, sum(lam) + 1):
+        grids = [
+            (*grid[:r], row + (v,), *grid[r + 1:])
+            for grid in grids
+            for r, row in enumerate(grid)
+            if len(row) < lam[r] and (r == 0 or len(grid[r - 1]) > len(row))
+        ]
+    return grids
 
 
 def hook_count(lam):
@@ -52,7 +44,6 @@ def enumerate_ssyt(lam, max_value):
     """
     lam = as_partition(lam)
     rows = len(lam)
-    results = []
 
     def strips(base):
         # the next shapes nu with base <= nu <= lam and nu/base a horizontal strip;
@@ -60,17 +51,14 @@ def enumerate_ssyt(lam, max_value):
         highs = [min(lam[r], base[r - 1]) if r else lam[0] for r in range(rows)]
         return itertools.product(*(range(lo, hi + 1) for lo, hi in zip(base, highs)))
 
-    def extend(base, value, grid):
-        if value > max_value:
-            if base == lam:
-                results.append(tuple(tuple(row) for row in grid))
-            return
-        for nu in strips(base):
-            new_grid = [row + [value] * (nu[r] - base[r]) for r, row in enumerate(grid)]
-            extend(nu, value + 1, new_grid)
-
-    extend((0,) * rows, 1, [[] for _ in range(rows)])
-    return results
+    chains = [((0,) * rows, ((),) * rows)]  # (shape, rows of the tableau so far)
+    for value in range(1, max_value + 1):
+        chains = [
+            (nu, tuple(row + (value,) * (nu[r] - base[r]) for r, row in enumerate(grid)))
+            for base, grid in chains
+            for nu in strips(base)
+        ]
+    return [grid for base, grid in chains if base == lam]
 
 
 def syt_sign(tableau):

@@ -152,6 +152,53 @@ def schensted_quotients(word, core):
 
 
 # ---------------------------------------------------------------------------
+# Young tableaux by brute force
+
+
+def syt_by_lattice_words(lam):
+    """The standard Young tableaux of shape lam, value k in row w_k of a
+    lattice word w of content lam, in lex order of w: every ordering of the
+    rows' multiset, taken by the classic next-permutation step, is kept when
+    no prefix holds more of a row than of the row above."""
+    word = [r for r, length in enumerate(lam) for _ in range(length)]
+    out = []
+    while True:
+        counts = [0] * len(lam)
+        for r in word:
+            counts[r] += 1
+            if r and counts[r] > counts[r - 1]:
+                break
+        else:
+            rows = [[] for _ in lam]
+            for k, r in enumerate(word, start=1):
+                rows[r].append(k)
+            out.append(tuple(map(tuple, rows)))
+        k = len(word) - 2
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        last = max(i for i in range(k + 1, len(word)) if word[i] > word[k])
+        word[k], word[last] = word[last], word[k]
+        word[k + 1:] = reversed(word[k + 1:])
+
+
+def ssyt_by_filter(lam, max_value):
+    """The semistandard Young tableaux of shape lam with entries at most
+    max_value: every filling, kept when its rows weakly and its columns
+    strictly increase."""
+    out = []
+    for values in itertools.product(range(1, max_value + 1), repeat=sum(lam)):
+        cells = iter(values)
+        rows = [tuple(next(cells) for _ in range(length)) for length in lam]
+        weak = all(a <= b for row in rows for a, b in zip(row, row[1:]))
+        strict = all(a < b for upper, lower in zip(rows, rows[1:]) for a, b in zip(upper, lower))
+        if weak and strict:
+            out.append(tuple(rows))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # spin statistics and sign imbalance by enumeration
 
 

@@ -155,6 +155,14 @@ def test_series_expand(capsys):
         assert run_cli(capsys, "series", "expand", flag, "", "--vars", "1", "--degree", "2") == (0, "1: 1\n", "")
 
 
+def test_a_schur_function_past_the_recursion_limit(capsys):
+    """The Schur listing adds one value per loop step, so 1200 variables
+    are not 1200 nested calls."""
+    code, out, err = run_cli(capsys, "series", "expand", "--schur", "1", "--vars", "1200", "--degree", "1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "x1: 1"
+
+
 def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "shapes", "--core", "0", "--n", "2")
     assert code == 0
@@ -640,6 +648,14 @@ def test_a_closed_pipe_exits_141_without_an_error_line(capsys, monkeypatch):
         assert os.read(read_end, 100) == b""
     finally:
         os.close(read_end)
+
+
+def test_a_library_key_error_is_not_a_usage_error(monkeypatch):
+    """Exit 2 is for bad input, which the readers report as ValueError; a
+    KeyError from inside the library is a fault and propagates."""
+    monkeypatch.setattr("dominsert.words.parse_biword", mock.Mock(side_effect=KeyError("fault")))
+    with pytest.raises(KeyError):
+        main(["insert", "1"])
 
 
 def test_reverse_error_paths(capsys, tmp_path, monkeypatch):

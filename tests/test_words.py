@@ -17,6 +17,7 @@ from dominsert.words import (
     invert_dual,
     involution_profile,
     is_involution,
+    neg_values,
     parse_biword,
     parse_word,
     standardize,
@@ -294,6 +295,12 @@ def test_involution_helpers_match_the_biword_route():
             found += 1
             assert involution_profile(pi) == involution_profile_by_biword(pi), pi
     assert found == sum(len(enumerate_involutions(n)) for n in range(7))
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_the_involution_listing_is_the_filtered_signed_permutations(n):
+    involutions = [pi for pi in enumerate_signed_permutations(n) if is_involution_by_biword(pi)]
+    assert enumerate_involutions(n) == sorted(involutions, key=neg_values)
 
 
 @pytest.mark.parametrize("text", ["2", "1 1'", "1 3", "2 2 1"])
